@@ -29,7 +29,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
     parser.add_argument("--seconds", type=float, default=None)
-    parser.add_argument("--trace", type=int, default=0)
     args = parser.parse_args()
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else config["run_seconds"]
@@ -39,7 +38,7 @@ def main() -> int:
     for seed in range(first, last + 1):
         completed = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
-             str(seed), "--seconds", str(seconds), "--trace", str(args.trace)],
+             str(seed), "--seconds", str(seconds), "--trace", "0"],
             cwd=ROOT, capture_output=True, text=True, check=False)
         result = json.loads(completed.stdout.strip().splitlines()[-1])
         print(f"seed {seed}: exit {completed.returncode} correct {result['correct']} "

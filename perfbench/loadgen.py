@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Schedule seconds between mutation rounds.
+MUTATION_PERIOD_S = 1.0
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -27,14 +30,14 @@ class Schedule:
 
 
 def make_schedule(seed: int, rate: float, seconds: float, num_classes: int,
-                  pool_size: int, mutation_period: float = 1.0) -> Schedule:
+                  pool_size: int) -> Schedule:
     """The arrival schedule for ``seed``: a Poisson stream of ``rate`` per second.
 
     The count is fixed at ``rate * seconds`` and the arrival times are
     sorted uniform draws over the run, which is a Poisson process
     conditioned on its count: the offered load is the same for every seed,
     only its timing and mix vary.  Mutation rounds fall midway through each
-    ``mutation_period``.
+    :data:`MUTATION_PERIOD_S`.
     """
     rng = np.random.default_rng([seed, 0x5EED])
     count = max(1, round(rate * seconds))
@@ -42,7 +45,7 @@ def make_schedule(seed: int, rate: float, seconds: float, num_classes: int,
         due=np.sort(rng.uniform(0.0, seconds, size=count)),
         classes=rng.integers(num_classes, size=count),
         rows=rng.integers(pool_size, size=count),
-        mutations=np.arange(mutation_period / 2, seconds, mutation_period),
+        mutations=np.arange(MUTATION_PERIOD_S / 2, seconds, MUTATION_PERIOD_S),
     )
 
 
