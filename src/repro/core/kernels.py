@@ -280,6 +280,48 @@ def _blocked_matvec(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------- block screen
+
+
+#: Unit roundoff of float64 arithmetic.
+_F64_EPS = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    """Higham's ``γ_n = n·u / (1 − n·u)`` for float64."""
+    nu = n * _F64_EPS
+    return nu / (1.0 - nu)
+
+
+def screen_bound(rank: int) -> float:
+    """Cosine margin that lets a BLAS block product screen for this kernel.
+
+    The bucket-major solvers score a bucket's LENGTH candidates for many
+    queries at once with one matrix product, whose summation order differs
+    from :func:`gather_matvec`'s and depends on the block shape.  A row
+    survives that screen only if its block score reaches the threshold minus
+    this margin (scaled by the row's score factor); survivors are re-scored
+    with :func:`gather_matvec`, so every reported score keeps the kernel's
+    bits.  The margin must therefore cover, for every row that the exact
+    kernel would keep, the gap between the two evaluations:
+
+    * Any summation order of an ``r``-term dot product ``x·y`` — with or
+      without fused multiply-adds — lies within ``γ_r·Σ|x_i·y_i| ≤
+      γ_r·‖x‖·‖y‖`` of the exact value (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, §3.1), so two orders differ by at most
+      ``2γ_r·‖x‖·‖y‖``.
+    * Query and probe directions are normalised in float64, so their norms
+      are at most ``1 + γ_{r+3}`` (sum of squares, square root, division).
+    * The solvers rescale a cosine by a length and a query norm and add the
+      margin before comparing with the threshold: at most five further
+      roundings, each within ``u`` of a quantity no larger than the row's
+      score factor.  ``8u`` covers them.
+    """
+    rank = max(int(rank), 1)
+    norm = 1.0 + _gamma(rank + 3)
+    return 2.0 * _gamma(rank) * norm * norm + 8.0 * _F64_EPS
+
+
 def _remainder_block(align: int, rank: int, dtype: np.dtype) -> np.ndarray:
     """Per-thread scratch block for the zero-padded remainder call."""
     cache = getattr(_scratch, "blocks", None)

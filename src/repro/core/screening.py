@@ -253,6 +253,25 @@ class ScreenTier:
             approx = np.dot(gathered, query32).astype(np.float64)
         return approx + self.bounds[rows]
 
+    def upper_cosine_block(self, start: int, count: int,
+                           query_directions: np.ndarray) -> np.ndarray:
+        """:meth:`upper_cosines` of rows ``[start, start + count)`` for many queries.
+
+        Returns a ``(count, queries)`` f64 matrix from one f32 matrix
+        product.  The error bounds hold for any summation order, so the
+        block keeps the per-pair guarantee: every exact cosine is ``<=`` its
+        entry.
+        """
+        queries32 = np.asarray(query_directions, dtype=np.float32)
+        stored = np.asarray(self.data[start:start + count], dtype=np.float32)
+        approx = (stored @ queries32.T).astype(np.float64)
+        if self.dtype_name == "int8":
+            approx *= self.scale[start:start + count, None]
+            approx += np.multiply.outer(self.offset[start:start + count],
+                                        queries32.astype(np.float64).sum(axis=1))
+        approx += self.bounds[start:start + count, None]
+        return approx
+
     # ------------------------------------------------------------- generation
 
     def element_bounds(self, start: int = 0, end: int | None = None) -> np.ndarray:

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.core.bucket import Bucket
 from repro.core.retrievers.base import BucketRetriever
+from repro.core.retrievers.length import LengthRetriever
 
 #: Focus-set size used when nothing better is known.
 DEFAULT_PHI = 3
@@ -32,6 +35,25 @@ class RetrieverSelector(ABC):
     def select(self, bucket: Bucket, theta_b: float) -> tuple[BucketRetriever, int]:
         """Return the retriever and focus-set size for this (bucket, θ_b) pair."""
 
+    def split(self, bucket: Bucket, theta_bs: np.ndarray) -> tuple[np.ndarray, list]:
+        """:meth:`select` for many queries of one bucket at once.
+
+        Returns ``(to_length, routes)``: a boolean mask of the pairs that run
+        plain :class:`LengthRetriever` — the solvers score those with one
+        block product per bucket — and the ``(retriever, phi)`` choice of
+        every other pair, in pair order.  This default loops over
+        :meth:`select`, so custom selectors keep working unchanged.
+        """
+        to_length = np.zeros(len(theta_bs), dtype=bool)
+        routes = []
+        for pair, theta_b in enumerate(theta_bs):
+            retriever, phi = self.select(bucket, float(theta_b))
+            if type(retriever) is LengthRetriever:
+                to_length[pair] = True
+            else:
+                routes.append((retriever, phi))
+        return to_length, routes
+
 
 class FixedSelector(RetrieverSelector):
     """Always run the same retriever, optionally with per-bucket focus sizes."""
@@ -43,6 +65,12 @@ class FixedSelector(RetrieverSelector):
 
     def select(self, bucket: Bucket, theta_b: float) -> tuple[BucketRetriever, int]:
         return self.retriever, int(self.per_bucket_phi.get(bucket.index, self.phi))
+
+    def split(self, bucket: Bucket, theta_bs: np.ndarray) -> tuple[np.ndarray, list]:
+        if type(self.retriever) is LengthRetriever:
+            return np.ones(len(theta_bs), dtype=bool), []
+        routes = [self.select(bucket, 0.0)] * len(theta_bs)
+        return np.zeros(len(theta_bs), dtype=bool), routes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -81,6 +109,15 @@ class PerBucketSelector(RetrieverSelector):
         if theta_b < switch:
             return self.length_retriever, phi
         return self.coord_retriever, phi
+
+    def split(self, bucket: Bucket, theta_bs: np.ndarray) -> tuple[np.ndarray, list]:
+        if type(self.length_retriever) is not LengthRetriever:
+            return super().split(bucket, theta_bs)
+        switch = self.switch_thresholds.get(bucket.index, self.default_threshold)
+        phi = int(self.per_bucket_phi.get(bucket.index, self.default_phi))
+        to_length = np.asarray(theta_bs) < switch
+        coordinate_pairs = int(to_length.size - np.count_nonzero(to_length))
+        return to_length, [(self.coord_retriever, phi)] * coordinate_pairs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

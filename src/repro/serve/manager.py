@@ -11,9 +11,11 @@ once, under a bounded memory footprint:
   are evicted back to disk to make room.  Eviction quiesces the tenant's
   serving engine (in-flight batches finish and answer their callers), and a
   tenant mutated since its last save is **persisted first**, so reloads
-  always see the latest index.  Persisting replaces the on-disk files
-  atomically (write to a staging directory, then ``os.replace``), which
-  keeps memory-mapped arrays of other loaders valid.
+  always see the latest index.  Persisting writes a new versioned directory
+  and then swaps the tenant path — a symbolic link to the current version —
+  with one ``os.replace``, so a crash at any point leaves either the old or
+  the new index, never a mix, and memory-mapped arrays of other loaders
+  stay valid.
 * **Mutations interleave safely with serving.**  :meth:`partial_fit` /
   :meth:`remove` run on the tenant's single solver thread via
   :meth:`ServingEngine.mutate`, *between* micro-batches — never inside one.
@@ -73,8 +75,47 @@ from repro.serve.engine import (
 )
 from repro.utils.validation import require_positive, require_positive_int
 
-#: Files that make up a saved index (the unit the atomic persist replaces).
-_INDEX_FILES = ("meta.json", "index.npz")
+
+def _versions(path: Path) -> list[tuple[int, Path]]:
+    """Complete index versions the manager wrote for tenant ``path``, oldest first."""
+    prefix = f".{path.name}.v"
+    found = []
+    for entry in path.parent.glob(f"{prefix}*"):
+        number = entry.name[len(prefix):]
+        if number.isdigit() and entry.is_dir() and not entry.is_symlink():
+            found.append((int(number), entry))
+    return sorted(found)
+
+
+def _point(path: Path, version: Path) -> None:
+    """Make ``path`` a symbolic link to ``version`` with one atomic rename."""
+    link = path.parent / f".{path.name}.link"
+    if link.is_symlink() or link.exists():
+        link.unlink()
+    os.symlink(version.name, link)
+    os.replace(link, path)
+
+
+def _recover(path: Path) -> None:
+    """Re-link a tenant whose persist stopped after moving the original aside.
+
+    The newest complete version wins; it holds either the index that was
+    being replaced or its successor, each written in full.
+    """
+    if path.exists() or path.is_symlink():
+        return
+    versions = _versions(path)
+    if versions:
+        _point(path, versions[-1][1])
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Flush a directory's entries (new files, renames) to disk."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def _read_index_rows(path: Path) -> int:
@@ -179,6 +220,7 @@ class EngineManager:
             if name in self._tenants:
                 raise InvalidParameterError(f"duplicate tenant name {name!r}")
             directory = Path(path)
+            _recover(directory)
             self._tenants[name] = _Tenant(
                 name=name, path=directory, rows=_read_index_rows(directory)
             )
@@ -321,20 +363,42 @@ class EngineManager:
             record.evictions += 1
 
     def _persist(self, record: _Tenant, engine: RetrievalEngine) -> None:
-        """Write a mutated engine back to the tenant's directory, atomically.
+        """Write a mutated engine back to the tenant's path, atomically.
 
-        The index is saved to a staging directory next to the target, then
-        each file is moved into place with ``os.replace`` — readers that
-        memory-mapped the old files keep valid mappings (the old inodes
-        live until unmapped), and new loads see the new index.
+        The index is saved to a staging directory, flushed, and renamed to
+        the next version ``.<name>.v<N>`` beside the tenant path, so every
+        version directory is complete.  The tenant path is a symbolic link
+        to the current version, and one ``os.replace`` of that link commits
+        the new index.  A directory written by ``RetrievalEngine.save`` is
+        first moved aside as version 0; a crash right after that move leaves
+        no tenant path, and :func:`_recover` — run when a manager registers
+        the tenant — links the newest version back.  Superseded versions are
+        deleted after the commit: readers that memory-mapped their files
+        keep valid mappings (the inodes live until unmapped), and new loads
+        see the new index.
         """
-        staging = record.path.parent / f".{record.path.name}.staging"
+        path = record.path
+        versions = _versions(path)
+        staging = path.parent / f".{path.name}.staging"
         if staging.exists():
             shutil.rmtree(staging)
         engine.save(staging)
-        for filename in _INDEX_FILES:
-            os.replace(staging / filename, record.path / filename)
-        shutil.rmtree(staging, ignore_errors=True)
+        for member in staging.iterdir():
+            with open(member, "rb") as handle:
+                os.fsync(handle.fileno())
+        _fsync_directory(staging)
+        version = path.parent / f".{path.name}.v{versions[-1][0] + 1 if versions else 1}"
+        os.rename(staging, version)
+        if not path.is_symlink():
+            original = path.parent / f".{path.name}.v0"
+            if original.exists():
+                shutil.rmtree(original)
+            os.rename(path, original)
+            versions.append((0, original))
+        _point(path, version)
+        _fsync_directory(path.parent)
+        for _, superseded in versions:
+            shutil.rmtree(superseded, ignore_errors=True)
         record.dirty = False
 
     def _fold(self, record: _Tenant, serving: ServingEngine,

@@ -228,6 +228,94 @@ def test_manager_close_persists_dirty_tenant(tenant_dirs, queries, tmp_path):
     assert_topk_equal(expected, reloaded.row_top_k(queries, K))
 
 
+class _Crash(Exception):
+    """Stands in for the process dying at one step of a persist."""
+
+
+def _crash_after(monkeypatch, step: int) -> list[int]:
+    """Make the ``step``-th file-system step of a persist raise once it is done.
+
+    Counted steps: the staging save, every ``os.rename`` / ``os.symlink`` /
+    ``os.replace`` and every tree removal.  Returns a one-element list that
+    counts the steps taken.
+    """
+    import os
+    import shutil
+
+    taken = [0]
+
+    def counted(function):
+        def step_then_maybe_crash(*args, **kwargs):
+            result = function(*args, **kwargs)
+            taken[0] += 1
+            if taken[0] == step:
+                raise _Crash(f"crash after step {step}: {function.__name__}")
+            return result
+        return step_then_maybe_crash
+
+    monkeypatch.setattr(RetrievalEngine, "save", counted(RetrievalEngine.save))
+    for name in ("rename", "symlink", "replace"):
+        monkeypatch.setattr(os, name, counted(getattr(os, name)))
+    monkeypatch.setattr(shutil, "rmtree", counted(shutil.rmtree))
+    return taken
+
+
+@pytest.mark.parametrize("earlier_persists", [0, 1])
+def test_interrupted_persist_reloads_old_or_new_index(tenant_dirs, queries, tmp_path,
+                                                       earlier_persists):
+    """Crash a persist after each of its steps: a fresh manager on the same
+    path must serve either the complete old index or the complete new one.
+    ``earlier_persists=1`` covers the tenant path already being a versioned
+    link; 0 covers the first persist of a directory written by ``save``."""
+    import shutil
+
+    extras = [make_factors(30, rank=RANK, length_cov=1.0, seed=60 + i) for i in range(2)]
+    step = 0
+    while True:
+        step += 1
+        path = tmp_path / f"crash-{step}" / "A"
+        shutil.copytree(tenant_dirs["A"], path)
+
+        async def mutate(extra, crash_step=None):
+            async with EngineManager({"A": path}) as manager:
+                await manager.partial_fit("A", extra)
+                if crash_step is not None:
+                    with pytest.MonkeyPatch.context() as patch:
+                        taken = _crash_after(patch, crash_step)
+                        try:
+                            await manager.aclose()
+                        except _Crash:
+                            return True
+                        assert taken[0] < crash_step
+                        return False
+            return False
+
+        for extra in extras[:earlier_persists]:
+            asyncio.run(mutate(extra))
+        old = RetrievalEngine.load(path)
+        new = RetrievalEngine.load(path)
+        new.partial_fit(extras[earlier_persists])
+        expected = {int(old.num_probes): old.row_top_k(queries, K),
+                    int(new.num_probes): new.row_top_k(queries, K)}
+
+        crashed = asyncio.run(mutate(extras[earlier_persists], crash_step=step))
+
+        async def reload():
+            async with EngineManager({"A": path}) as manager:
+                return manager.stats("A")["rows"], await manager.row_top_k("A", queries, K)
+
+        rows, served = asyncio.run(reload())
+        assert rows in expected
+        assert_topk_equal(expected[rows], served)
+        if not crashed:
+            # Every step ran: the new index is committed and nothing is left over.
+            assert rows == int(new.num_probes)
+            assert {entry.name for entry in path.parent.iterdir()} == {
+                "A", f".A.v{earlier_persists + 1}"}
+            break
+    assert step > 4
+
+
 def test_concurrent_churn_with_lru_matches_quiesced_references(tenant_dirs, tmp_path):
     """The acceptance scenario in miniature: two tenants under a budget that
     forces evict/reload churn, a query swarm on both, and partial_fit racing

@@ -140,6 +140,19 @@ class TestLengthRetriever:
         candidates = LengthRetriever().retrieve(bucket, query_direction, 0.0, 0.5, np.inf, 1)
         assert candidates.size == 0
 
+    def test_vectorised_cutoffs_match_retrieve(self):
+        probes = make_factors(100, rank=8, length_cov=1.2, seed=48)
+        bucket = single_bucket(probes)
+        query_direction, _ = make_query(8, seed=49)
+        # Thresholds landing exactly on stored lengths, non-positive and
+        # infinite thresholds, and zero query norms.
+        thetas = np.concatenate([bucket.lengths[::7] * 0.5, [0.0, -1.0, -np.inf, np.inf, 0.3]])
+        for query_norm in (0.5, 0.0):
+            cutoffs = LengthRetriever.cutoffs(bucket, thetas, np.full(thetas.size, query_norm))
+            assert cutoffs.tolist() == [
+                LengthRetriever().retrieve(bucket, query_direction, query_norm, theta, 0.5, 1).size
+                for theta in thetas]
+
     def test_paper_example(self):
         # Section 4.1: bucket of Fig. 4a, q = (1,1,1,1), θ = 3.8 → C = {1,2,3} (1-based).
         directions = np.array(
