@@ -17,6 +17,7 @@ retrieved results do not depend on where the decisions came from.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 
 import numpy as np
 
@@ -85,6 +86,15 @@ class PerBucketSelector(RetrieverSelector):
     ``θ_b(q) < t_b`` means the local threshold is too low for coordinate
     pruning to pay off, so the cheap LENGTH scan is used; otherwise the
     coordinate-based retriever runs with the bucket's tuned focus size.
+
+    The tuner decides ``t_b`` only for buckets that one of its sampled
+    queries reaches.  A bucket without a decision takes the ``t_b`` of the
+    nearest longer bucket that has one (bucket indices grow as the maximum
+    length falls), and ``default_threshold`` only when no longer bucket was
+    tuned either.  Deep buckets are reached by few, long queries, so how
+    many pairs they hold varies with the data; following the neighbouring
+    decision keeps those pairs on the route the tuner measured as cheaper
+    instead of one fixed default.
     """
 
     def __init__(
@@ -102,20 +112,32 @@ class PerBucketSelector(RetrieverSelector):
         self.per_bucket_phi = per_bucket_phi
         self.default_threshold = default_threshold
         self.default_phi = default_phi
+        #: Sorted indices of the tuned buckets, built on the first miss.
+        self._tuned: list | None = None
+
+    def switch(self, bucket: Bucket) -> float:
+        """``t_b`` of ``bucket``: its own, the nearest longer tuned bucket's, or the default."""
+        switch = self.switch_thresholds.get(bucket.index)
+        if switch is not None:
+            return switch
+        if self._tuned is None:
+            self._tuned = sorted(self.switch_thresholds)
+        position = bisect_left(self._tuned, bucket.index)
+        if position == 0:
+            return self.default_threshold
+        return self.switch_thresholds[self._tuned[position - 1]]
 
     def select(self, bucket: Bucket, theta_b: float) -> tuple[BucketRetriever, int]:
-        switch = self.switch_thresholds.get(bucket.index, self.default_threshold)
         phi = int(self.per_bucket_phi.get(bucket.index, self.default_phi))
-        if theta_b < switch:
+        if theta_b < self.switch(bucket):
             return self.length_retriever, phi
         return self.coord_retriever, phi
 
     def split(self, bucket: Bucket, theta_bs: np.ndarray) -> tuple[np.ndarray, list]:
         if type(self.length_retriever) is not LengthRetriever:
             return super().split(bucket, theta_bs)
-        switch = self.switch_thresholds.get(bucket.index, self.default_threshold)
         phi = int(self.per_bucket_phi.get(bucket.index, self.default_phi))
-        to_length = np.asarray(theta_bs) < switch
+        to_length = np.asarray(theta_bs) < self.switch(bucket)
         coordinate_pairs = int(to_length.size - np.count_nonzero(to_length))
         return to_length, [(self.coord_retriever, phi)] * coordinate_pairs
 

@@ -57,6 +57,31 @@ class TestPerBucketSelector:
         assert isinstance(retriever, LengthRetriever)
         assert phi == DEFAULT_PHI
 
+    def test_untuned_bucket_follows_nearest_longer_tuned_bucket(self, probe_buckets):
+        # Bucket indices grow as the maximum length falls.
+        first, second, third, last = (probe_buckets[0], probe_buckets[1], probe_buckets[2],
+                                      probe_buckets[-1])
+        assert last.index > third.index
+        selector = PerBucketSelector(
+            LengthRetriever(), IncrRetriever(),
+            switch_thresholds={first.index: 1.01, third.index: 0.0}, per_bucket_phi={},
+        )
+        assert selector.switch(second) == 1.01
+        assert selector.switch(last) == 0.0
+        assert isinstance(selector.select(second, 0.99)[0], LengthRetriever)
+        assert isinstance(selector.select(last, 0.3)[0], IncrRetriever)
+        to_length, routes = selector.split(second, np.array([0.3, 0.99]))
+        assert to_length.all() and routes == []
+
+    def test_default_applies_before_the_first_tuned_bucket(self, probe_buckets):
+        selector = PerBucketSelector(
+            LengthRetriever(), IncrRetriever(),
+            switch_thresholds={probe_buckets[1].index: 1.01}, per_bucket_phi={},
+            default_threshold=0.0,
+        )
+        assert selector.switch(probe_buckets[0]) == 0.0
+        assert isinstance(selector.select(probe_buckets[0], 0.5)[0], IncrRetriever)
+
     def test_switch_zero_always_coordinate(self, probe_buckets):
         bucket = probe_buckets[0]
         selector = self.make_selector(bucket.index, switch=0.0)
