@@ -452,17 +452,11 @@ def _command_serve_single(args, out) -> int:
 
     index_path = args.index[0]
     engine = RetrievalEngine.load(index_path, mmap_mode="r")
-    rank = args.rank
+    rank = args.rank if args.rank is not None else engine.rank
     if rank is None:
-        store = getattr(engine.retriever, "store", None)
-        if store is not None:
-            rank = int(store.rank)
-        elif engine._probes is not None:
-            rank = int(engine._probes.shape[1])
-        else:
-            raise InvalidParameterError(
-                "cannot infer the query rank from this index; pass --rank"
-            )
+        raise InvalidParameterError(
+            "cannot infer the query rank from this index; pass --rank"
+        )
     k, theta = args.k, args.theta
     if k is None and theta is None:
         k = 10

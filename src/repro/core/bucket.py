@@ -99,11 +99,12 @@ class Bucket:
 
         A bucket's probe content never changes in place — index mutations
         replace changed buckets with fresh :class:`Bucket` objects — so the
-        fingerprint is computed once from the length/direction slices and the
-        creation epoch and then memoised.
+        fingerprint is computed once from the length slice, the store's
+        per-row direction hashes and the creation epoch, and then memoised.
         """
         if self._fingerprint is None:
-            self._fingerprint = fingerprint_content(self.lengths, self.directions, self.epoch)
+            hashes = self.store.content_hashes()[self.start:self.end]
+            self._fingerprint = fingerprint_content(self.lengths, hashes, self.epoch)
         return self._fingerprint
 
     # ------------------------------------------------------------ lazy indexes

@@ -122,16 +122,24 @@ def greedy_boundaries(
     boundaries = [0]
     if size == 0:
         return boundaries
-    bucket_start = 0
-    bucket_max = lengths[0]
-    for position in range(1, size):
-        current_size = position - bucket_start
-        too_large = max_bucket_size is not None and current_size >= max_bucket_size
-        length_drop = lengths[position] < length_ratio * bucket_max
-        if too_large or (length_drop and current_size >= min_bucket_size):
-            boundaries.append(position)
-            bucket_start = position
-            bucket_max = lengths[position]
+    # Lengths are non-increasing, so the positions whose length drops below
+    # ``length_ratio`` of a bucket's first length form a suffix; its start is
+    # one binary search on the (ascending) negated lengths.  A bucket ends at
+    # the first position that is past the minimum size and in that suffix,
+    # or at the size cap, whichever comes first: one step per bucket.
+    negated = -np.asarray(lengths, dtype=np.float64)
+    start = 0
+    while True:
+        end = start + min_bucket_size
+        if max_bucket_size is None or max_bucket_size > min_bucket_size:
+            drop = int(np.searchsorted(negated, -(length_ratio * lengths[start]), side="right"))
+            end = max(end, drop)
+        if max_bucket_size is not None:
+            end = min(end, start + max_bucket_size)
+        if end >= size:
+            break
+        boundaries.append(end)
+        start = end
     boundaries.append(size)
     return boundaries
 

@@ -295,6 +295,14 @@ class Lemp(Retriever):
         bounds.append(self.buckets[-1].end if self.buckets else 0)
         return np.asarray(bounds, dtype=np.intp)
 
+    def _preserved_spans(self, bounds: np.ndarray, kept: np.ndarray,
+                         shift: np.ndarray) -> dict[tuple[int, int], Bucket]:
+        """Map each kept old bucket's ``(start, end)`` in the updated store to it."""
+        return {
+            (int(bounds[i] + shift[i]), int(bounds[i + 1] + shift[i])): self.buckets[i]
+            for i in np.flatnonzero(kept)
+        }
+
     def _rebucketize(self, preserved: dict[tuple[int, int], Bucket]) -> None:
         """Re-run the greedy boundary scan, reusing unchanged buckets.
 
@@ -303,11 +311,12 @@ class Lemp(Retriever):
         Wherever the fresh boundaries reproduce such a span, the old bucket —
         with its cached sorted lists / CP arrays / trees and its tuning-cache
         epoch — is kept; only buckets whose content actually changed are
-        rebuilt, at the current (just bumped) epoch, which invalidates
-        exactly their cached tuning entries.  Because the boundary scan is
-        the same one :meth:`fit` runs, the resulting layout (and therefore
-        every query result, bit for bit) matches a fresh fit on the updated
-        probe matrix.
+        rebuilt, at the current (just bumped) epoch, which no tuning entry
+        can match.  Because the boundary scan is the same one :meth:`fit`
+        runs, the resulting layout (and therefore every query result, bit
+        for bit) matches a fresh fit on the updated probe matrix.  One
+        boundary shift moves every later cut under the size cap, so on
+        large indexes most buckets are rebuilt and re-tuned.
         """
         boundaries = greedy_boundaries(
             self.store.lengths,
@@ -318,6 +327,7 @@ class Lemp(Retriever):
             cache_kib=self.cache_kib,
         )
         buckets: list[Bucket] = []
+        kept: list[Bucket] = []
         for index, (start, end) in enumerate(zip(boundaries[:-1], boundaries[1:])):
             bucket = preserved.get((start, end))
             if bucket is not None:
@@ -327,11 +337,13 @@ class Lemp(Retriever):
                     # fresh fit on the updated matrix.
                     bucket.drop_index(BLSH_INDEX_KEY)
                 bucket.start, bucket.end, bucket.index = start, end, index
+                kept.append(bucket)
                 buckets.append(bucket)
             else:
                 buckets.append(Bucket(self.store, start, end, index, epoch=self._epoch))
         self.buckets = buckets
-        self.tuning_cache.prune({bucket.fingerprint() for bucket in buckets})
+        if self.tuning_cache.num_keys:
+            self.tuning_cache.prune({bucket.fingerprint() for bucket in kept})
 
     def partial_fit(self, new_probes) -> "Lemp":
         """Insert new probe rows into the fitted index.
@@ -348,18 +360,16 @@ class Lemp(Retriever):
             return self.fit(new_probes)
         self._epoch += 1
         with Timer() as timer:
-            old_buckets = list(self.buckets)
             positions = self.store.merge(new_probes)
-            preserved: dict[tuple[int, int], Bucket] = {}
-            for bucket in old_buckets:
-                # The bucket's content stays contiguous iff no insertion fell
-                # strictly inside it (an insert at position start lands just
-                # before the bucket; one at end lands just after it).
-                before = int(np.searchsorted(positions, bucket.start, side="right"))
-                inside = int(np.searchsorted(positions, bucket.end - 1, side="right"))
-                if before == inside:
-                    preserved[(bucket.start + before, bucket.end + before)] = bucket
-            self._rebucketize(preserved)
+            # A bucket's content stays contiguous iff no insertion fell
+            # strictly inside it (an insert at position start lands just
+            # before the bucket; one at end lands just after it): count the
+            # inserts at or before each bucket's first and last position.
+            bounds = self._bucket_bounds()
+            before, inside = np.searchsorted(
+                positions, np.stack((bounds[:-1], bounds[1:] - 1)), side="right"
+            )
+            self._rebucketize(self._preserved_spans(bounds, before == inside, before))
         self.stats.preprocessing_seconds += timer.elapsed
         return self
 
@@ -378,13 +388,10 @@ class Lemp(Retriever):
         self._epoch += 1
         with Timer() as timer:
             positions = np.nonzero(np.isin(self.store.ids, probe_ids))[0]
-            old_buckets = list(self.buckets)
-            preserved: dict[tuple[int, int], Bucket] = {}
-            for bucket in old_buckets:
-                before = int(np.searchsorted(positions, bucket.start, side="left"))
-                through = int(np.searchsorted(positions, bucket.end, side="left"))
-                if before == through:
-                    preserved[(bucket.start - before, bucket.end - before)] = bucket
+            # Removals before each bound; a bucket with none inside survives.
+            bounds = self._bucket_bounds()
+            removed = np.searchsorted(positions, bounds, side="left")
+            preserved = self._preserved_spans(bounds, removed[:-1] == removed[1:], -removed[:-1])
             self.store.delete(positions)
             self._rebucketize(preserved)
         self.stats.preprocessing_seconds += timer.elapsed

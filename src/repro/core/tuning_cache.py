@@ -18,9 +18,10 @@ artifact:
   decision is only applied to a bucket whose contents are byte-identical to
   the bucket it was tuned on, which is established through a
   :class:`BucketFingerprint` — a digest of the bucket's slice of the sorted
-  store (lengths and directions) plus an *epoch* counter that ``partial_fit``
-  / ``remove`` / ``load`` bump for exactly the rebuilt buckets.  Untouched
-  buckets keep their entries across index mutations.
+  store (lengths and per-row direction hashes, see
+  :func:`~repro.core.vector_store.row_hashes`) plus
+  an *epoch* counter that ``partial_fit`` / ``remove`` bump for exactly the
+  rebuilt buckets.  Buckets a mutation preserves keep their entries.
 * **Per-bucket index reuse**: the L2AP reduced index is governed by the
   lower-bound rule enforced in the retriever itself — an index built for
   threshold ``theta_b`` may serve any query whose local threshold is at
@@ -60,10 +61,12 @@ class BucketFingerprint:
     preserved across :meth:`~repro.core.lemp.Lemp.partial_fit` /
     :meth:`~repro.core.lemp.Lemp.remove` keep their original epoch), ``size``
     its number of probes, and ``digest`` a 128-bit BLAKE2 digest over the
-    bucket's slice of the length-sorted store — both the lengths and the
-    direction bytes, so buckets of distinct vectors that merely share lengths
-    (unit-norm data!) do not collide.  Two buckets with equal fingerprints
-    hold byte-identical probe content.
+    bucket's slice of the length-sorted store: the lengths and the per-row
+    direction hashes of :func:`~repro.core.vector_store.row_hashes`, so
+    buckets of distinct vectors that merely share lengths (unit-norm data!)
+    do not collide.  Equal fingerprints mean equal lengths and (up to a
+    128-bit row-hash collision) equal directions; a collision could only
+    steer tuning, never a result.
     """
 
     epoch: int
@@ -71,12 +74,12 @@ class BucketFingerprint:
     digest: str
 
 
-def fingerprint_content(lengths: np.ndarray, directions: np.ndarray,
+def fingerprint_content(lengths: np.ndarray, hashes: np.ndarray,
                         epoch: int) -> BucketFingerprint:
-    """Fingerprint a bucket from its length/direction slices and creation epoch."""
+    """Fingerprint a bucket from its length and row-hash slices and creation epoch."""
     hasher = hashlib.blake2b(digest_size=16)
-    hasher.update(np.ascontiguousarray(np.asarray(lengths, dtype=np.float64)).tobytes())
-    hasher.update(np.ascontiguousarray(np.asarray(directions, dtype=np.float64)).tobytes())
+    hasher.update(np.ascontiguousarray(lengths, dtype=np.float64).tobytes())
+    hasher.update(np.ascontiguousarray(hashes, dtype=np.uint64).tobytes())
     return BucketFingerprint(int(epoch), int(lengths.shape[0]), hasher.hexdigest())
 
 
@@ -213,9 +216,11 @@ class TuningCache:
     def prune(self, live_fingerprints: set[BucketFingerprint]) -> None:
         """Drop entries whose bucket no longer exists.
 
-        Called after ``partial_fit`` / ``remove`` re-bucketise the store:
-        preserved buckets keep their (still-valid) entries, rebuilt buckets'
-        entries are garbage-collected here.
+        Called after ``partial_fit`` / ``remove`` re-bucketise the store with
+        the fingerprints of the preserved buckets, which keep their
+        (still-valid) entries.  Rebuilt buckets carry the just-bumped epoch,
+        so no entry can match them; entries of the buckets they replaced are
+        garbage-collected here.
         """
         for key in list(self._entries):
             kept = {

@@ -9,11 +9,47 @@ together with the mapping back to the original row identifiers (the paper's
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.screening import ScreenTier, validate_screen_dtype
 from repro.exceptions import DimensionMismatchError
 from repro.utils.validation import as_float_matrix
+
+
+def _splitmix64(values: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, elementwise on ``uint64`` (a bijection)."""
+    values = values ^ (values >> np.uint64(30))
+    values *= np.uint64(0xBF58476D1CE4E5B9)
+    values ^= values >> np.uint64(27)
+    values *= np.uint64(0x94D049BB133111EB)
+    values ^= values >> np.uint64(31)
+    return values
+
+
+@functools.lru_cache(maxsize=None)
+def _row_hash_weights(rank: int) -> np.ndarray:
+    """``(rank, 2)`` odd multipliers of the two row-hash lanes (fixed, seedless)."""
+    counters = np.arange(1, 2 * rank + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    weights = _splitmix64(counters) | np.uint64(1)
+    weights.flags.writeable = False
+    return weights.reshape(rank, 2)
+
+
+def row_hashes(directions: np.ndarray) -> np.ndarray:
+    """128-bit content hash of each row's direction bits, as ``(rows, 2) uint64``.
+
+    Each lane is a sum of the row's float64 bit patterns times fixed odd
+    multipliers, modulo 2**64 (one integer matrix product), then mixed by a
+    bijective finaliser.  A change to a single entry moves its bit pattern
+    by a non-zero amount, which an odd multiplier keeps non-zero modulo
+    2**64, so it always changes the hash.  The hash is a pure per-row
+    function of the bytes: patching rows in or out gives the same array as
+    hashing the updated matrix.
+    """
+    bits = np.ascontiguousarray(directions, dtype=np.float64).view(np.uint64)
+    return _splitmix64(bits @ _row_hash_weights(bits.shape[1]))
 
 
 class VectorStore:
@@ -52,6 +88,7 @@ class VectorStore:
         #: Lazily built compressed copies of :attr:`directions`, keyed by
         #: screen dtype name (see :mod:`repro.core.screening`).
         self._screen_tiers: dict[str, ScreenTier] = {}
+        self._row_hashes: np.ndarray | None = None
 
     @classmethod
     def from_state(cls, ids, lengths, directions) -> "VectorStore":
@@ -63,7 +100,24 @@ class VectorStore:
         store.directions = np.ascontiguousarray(np.asarray(directions, dtype=np.float64))
         store.size, store.rank = store.directions.shape
         store._screen_tiers = {}
+        store._row_hashes = None
         return store
+
+    def content_hashes(self) -> np.ndarray:
+        """Per-row 128-bit hashes of :attr:`directions` (``(size, 2) uint64``).
+
+        Bucket fingerprints digest these instead of the direction bytes (see
+        :func:`row_hashes`).  Built on first use;
+        :meth:`merge` hashes only the inserted rows and :meth:`delete` hashes
+        none, so the cached array always equals a fresh build.  Like the
+        screening tiers, a racing double-build is deterministic and
+        idempotent.
+        """
+        hashes = self._row_hashes
+        if hashes is None:
+            hashes = row_hashes(self.directions)
+            self._row_hashes = hashes
+        return hashes
 
     # --------------------------------------------------------- screening tiers
 
@@ -131,6 +185,10 @@ class VectorStore:
         self.size = self.lengths.shape[0]
         for tier in self._screen_tiers.values():
             tier.insert(positions, new_directions)
+        if self._row_hashes is not None:
+            self._row_hashes = np.insert(
+                self._row_hashes, positions, row_hashes(new_directions), axis=0
+            )
         return positions
 
     def delete(self, positions) -> None:
@@ -140,15 +198,17 @@ class VectorStore:
         row order, matching a fresh build on the reduced matrix.
         """
         positions = np.asarray(positions, dtype=np.intp)
+        removed = np.sort(self.ids[positions])
         self.lengths = np.delete(self.lengths, positions)
         self.directions = np.ascontiguousarray(np.delete(self.directions, positions, axis=0))
         remaining = np.delete(self.ids, positions)
-        rank_of = np.empty(remaining.size, dtype=np.intp)
-        rank_of[np.argsort(remaining, kind="stable")] = np.arange(remaining.size)
-        self.ids = rank_of
+        # Each survivor's new id is its old id minus the removed ids below it.
+        self.ids = remaining - np.searchsorted(removed, remaining)
         self.size = self.lengths.shape[0]
         for tier in self._screen_tiers.values():
             tier.delete(positions)
+        if self._row_hashes is not None:
+            self._row_hashes = np.delete(self._row_hashes, positions, axis=0)
 
     def vector(self, position: int) -> np.ndarray:
         """Reconstruct the original (unnormalised) vector stored at ``position``."""

@@ -2,7 +2,8 @@
 
 :class:`RetrievalEngine` is the serving-oriented entry point of the library.
 It owns a retriever (built from a spec string or passed in), normalises the
-probe matrix once at :meth:`fit`, and executes query workloads in bounded
+probe matrix once at :meth:`fit` (keeping a copy only for retrievers that
+cannot export their index state), and executes query workloads in bounded
 chunks so a million-row query matrix never materialises one giant candidate
 set.  Every call is recorded as an :class:`EngineCall` for monitoring, and
 the fitted index can be written to / restored from disk (see
@@ -289,18 +290,41 @@ class RetrievalEngine:
     def num_probes(self) -> int:
         """Number of probe rows currently indexed.
 
-        Falls back to the retriever's own count when the engine wraps a
-        retriever that was fitted outside the engine.
+        Falls back to the retriever's own count when the engine keeps no
+        probe matrix (see :meth:`fit`).
         """
         if self._probes is not None:
             return int(self._probes.shape[0])
         indexed = getattr(self.retriever, "num_probes", None)
         return int(indexed) if indexed is not None else 0
 
+    @property
+    def rank(self) -> int | None:
+        """The factor rank queries must have, or ``None`` if not yet known."""
+        store = getattr(self.retriever, "store", None)
+        if store is not None:
+            return int(store.rank)
+        if self._probes is not None:
+            return int(self._probes.shape[1])
+        return None
+
+    def _keeps_probes(self) -> bool:
+        """Whether the engine needs its own copy of the probe matrix.
+
+        Retrievers that export and restore their index state (LEMP) hold the
+        probes already and are saved from that state; the engine keeps a
+        copy only to save and reload the others (see
+        :func:`~repro.engine.persistence.save_engine`).
+        """
+        from repro.engine.persistence import _overrides_restore
+
+        return not _overrides_restore(self.retriever)
+
     def fit(self, probes) -> "RetrievalEngine":
         """Normalise the probe matrix once and index it."""
-        self._probes = as_float_matrix(probes, "probes")
-        self.retriever.fit(self._probes)
+        probes = as_float_matrix(probes, "probes")
+        self.retriever.fit(probes)
+        self._probes = probes if self._keeps_probes() else None
         return self
 
     def partial_fit(self, new_probes) -> "RetrievalEngine":
@@ -310,7 +334,7 @@ class RetrievalEngine:
         _require_method(self.retriever, "partial_fit")(new_probes)
         if self._probes is not None:
             self._probes = np.vstack([self._probes, new_probes])
-        elif not already_fitted:
+        elif not already_fitted and self._keeps_probes():
             # partial_fit on a fresh retriever is a fit; when the retriever
             # was fitted outside the engine the full matrix is unknown and
             # _probes stays None (num_probes falls back to the retriever).

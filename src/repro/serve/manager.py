@@ -130,16 +130,6 @@ def _read_index_rows(path: Path) -> int:
     return int(meta.get("num_probes", 0))
 
 
-def _engine_rank(engine) -> int | None:
-    """The factor rank a loaded engine answers queries at, if discoverable."""
-    store = getattr(engine.retriever, "store", None)
-    if store is not None:
-        return int(store.rank)
-    if engine._probes is not None:
-        return int(engine._probes.shape[1])
-    return None
-
-
 @dataclass
 class _Tenant:
     """One named index and its residency / lifetime-stats state."""
@@ -325,7 +315,7 @@ class EngineManager:
             record.serving = serving
             record.loads += 1
             record.rows = int(engine.num_probes)
-            record.rank = _engine_rank(engine)
+            record.rank = engine.rank
             return record
 
     async def _make_room(self, incoming_rows: int, active: _Tenant) -> None:

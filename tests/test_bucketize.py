@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bucketize import bucket_boundaries, bucketize, max_bucket_size_for_cache
+from repro.core.bucketize import (
+    bucket_boundaries,
+    bucketize,
+    greedy_boundaries,
+    max_bucket_size_for_cache,
+)
 from repro.core.vector_store import VectorStore
 from repro.exceptions import InvalidParameterError
 from tests.conftest import make_factors
@@ -103,6 +108,79 @@ class TestBucketize:
         assert all(bucket.size <= max_size for bucket in buckets)
         positions = np.concatenate([np.arange(b.start, b.end) for b in buckets])
         np.testing.assert_array_equal(positions, np.arange(num_vectors))
+
+
+def reference_boundaries(lengths, rank, min_size, max_size, ratio, cache_kib):
+    """The greedy scan as one step per position (the paper's Section 3.2 loop)."""
+    if max_size is None and cache_kib is not None:
+        max_size = max_bucket_size_for_cache(rank, cache_kib)
+    if max_size is not None and max_size < min_size:
+        min_size = max_size
+    boundaries, start = [0], 0
+    for position in range(1, len(lengths)):
+        size = position - start
+        too_large = max_size is not None and size >= max_size
+        drop = lengths[position] < ratio * lengths[start]
+        if too_large or (drop and size >= min_size):
+            boundaries.append(position)
+            start = position
+    boundaries.append(len(lengths))
+    return boundaries
+
+
+def _lengths_cases():
+    rng = np.random.default_rng(31)
+    tail = np.sort(rng.lognormal(0.0, 1.0, 300))[::-1]
+    return {
+        "lognormal": np.sort(rng.lognormal(0.0, 1.5, 2000))[::-1],
+        "all_equal": np.full(500, 0.7),
+        "integer_ties": np.sort(rng.integers(1, 12, 800).astype(np.float64))[::-1],
+        "zero_tail": np.concatenate([tail, np.zeros(120)]),
+        "size_one": np.array([2.5]),
+    }
+
+
+class TestBoundaryScanEquivalence:
+    @pytest.mark.parametrize("case", sorted(_lengths_cases()))
+    @pytest.mark.parametrize(
+        "min_size, max_size, ratio, cache_kib",
+        [
+            (30, None, 0.9, 256),  # the defaults
+            (30, None, 0.9, None),  # cache-oblivious: no size cap
+            (10, 40, 0.5, None),
+            (25, 7, 0.9, None),  # max < min: the cap wins
+            (1, None, 1.0, None),  # every strict drop cuts
+            (5, 5, 0.8, None),
+            (3, None, 0.99, 1),  # a tiny cache budget
+        ],
+    )
+    def test_matches_sequential_scan(self, case, min_size, max_size, ratio, cache_kib):
+        lengths = _lengths_cases()[case]
+        expected = reference_boundaries(lengths, 50, min_size, max_size, ratio, cache_kib)
+        actual = greedy_boundaries(
+            lengths, 50, min_bucket_size=min_size, max_bucket_size=max_size,
+            length_ratio=ratio, cache_kib=cache_kib,
+        )
+        assert actual == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num=st.integers(1, 300),
+        min_size=st.integers(1, 50),
+        max_size=st.one_of(st.none(), st.integers(1, 80)),
+        ratio=st.floats(0.05, 1.0),
+        levels=st.integers(1, 40),
+        seed=st.integers(0, 1000),
+    )
+    def test_property_matches_sequential_scan(self, num, min_size, max_size, ratio, levels, seed):
+        rng = np.random.default_rng(seed)
+        lengths = np.sort(rng.integers(0, levels, num) * rng.lognormal(0, 0.1))[::-1]
+        expected = reference_boundaries(lengths, 8, min_size, max_size, ratio, None)
+        actual = greedy_boundaries(
+            lengths, 8, min_bucket_size=min_size, max_bucket_size=max_size,
+            length_ratio=ratio, cache_kib=None,
+        )
+        assert actual == expected
 
 
 class TestCacheSizing:

@@ -99,7 +99,8 @@ def test_partial_fit_accepts_float32(matrices):
 def test_engine_accepts_float32(matrices):
     queries32, probes32 = matrices
     engine = RetrievalEngine("lemp:LI", seed=0).fit(probes32)
-    assert engine._probes.dtype == np.float64
+    assert engine.retriever.store.directions.dtype == np.float64
+    assert engine.retriever.store.lengths.dtype == np.float64
     top = engine.query(queries32).batch_size(16).top_k(3)
     reference = RetrievalEngine("naive").fit(probes32).row_top_k(queries32, 3)
     assert np.allclose(top.scores, reference.scores)

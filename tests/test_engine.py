@@ -480,6 +480,23 @@ class TestIncrementalUpdates:
             engine.row_top_k(queries, 3).scores, fresh.row_top_k(queries, 3).scores
         )
 
+    @pytest.mark.parametrize("spec, keeps_copy", [("lemp:LI", False), ("naive", True)])
+    def test_engine_copies_probes_only_without_index_state(self, spec, keeps_copy,
+                                                           workload, tmp_path):
+        queries, probes, _ = workload
+        assert RetrievalEngine(spec).rank is None
+        engine = RetrievalEngine(spec).fit(probes)
+        engine.partial_fit(make_factors(10, rank=10, seed=88)).remove([0, 1])
+        assert (engine._probes is not None) == keeps_copy
+        assert engine.rank == probes.shape[1]
+        engine.save(tmp_path / "idx")
+        loaded = RetrievalEngine.load(tmp_path / "idx")
+        assert (loaded.num_probes, loaded.rank) == (engine.num_probes, engine.rank)
+        expected = engine.row_top_k(queries, 3)
+        result = loaded.row_top_k(queries, 3)
+        assert np.array_equal(result.indices, expected.indices)
+        assert np.array_equal(result.scores, expected.scores)
+
 
 class TestEmptyResults:
     def test_above_theta_empty_round_trip(self):

@@ -9,15 +9,19 @@ threshold-derived L2AP index only under the theta_b lower-bound rule.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import repro.core.lemp as lemp_module
+import repro.core.vector_store as vector_store_module
 from repro import Lemp, RetrievalEngine
+from repro.core.bucket import Bucket
 from repro.core.bucketize import bucketize
 from repro.core.tuner import TuningResult
-from repro.core.tuning_cache import BucketTuning, TuningCache
-from repro.core.vector_store import VectorStore
+from repro.core.tuning_cache import BucketFingerprint, BucketTuning, TuningCache
+from repro.core.vector_store import VectorStore, row_hashes
 
 from tests.conftest import brute_force_above, make_factors, pick_theta
 
@@ -269,6 +273,69 @@ class TestInvalidation:
         loaded.row_top_k(queries, 5, batch_size=100)
         assert loaded.history[-1].tuning_cache_misses == 0
         assert loaded.history[-1].tuning_cache_hits == 4
+
+
+class TestRowHashFingerprints:
+    def test_one_ulp_in_one_entry_changes_the_fingerprint(self):
+        store = VectorStore(make_factors(40, rank=8, seed=3))
+        reference = Bucket(store, 0, store.size, 0).fingerprint()
+        for row, column in np.ndindex(store.directions.shape):
+            for direction in (-np.inf, np.inf):
+                directions = store.directions.copy()
+                directions[row, column] = np.nextafter(directions[row, column], direction)
+                changed = VectorStore.from_state(store.ids, store.lengths, directions)
+                assert Bucket(changed, 0, changed.size, 0).fingerprint() != reference
+
+    def test_mutations_hash_only_the_new_rows(self, monkeypatch, factors):
+        queries, probes = factors
+        retriever = Lemp(algorithm="LI", seed=0).fit(probes)
+        retriever.row_top_k(queries, 5)  # fingerprints build the row hashes
+        hashed = []
+
+        def counting(directions):
+            hashed.append(len(directions))
+            return row_hashes(directions)
+
+        monkeypatch.setattr(vector_store_module, "row_hashes", counting)
+        retriever.partial_fit(make_factors(32, rank=probes.shape[1], seed=79))
+        retriever.row_top_k(queries, 5)
+        assert sum(hashed) <= 32
+        hashed.clear()
+        retriever.remove(np.arange(0, 600, 19))
+        retriever.row_top_k(queries, 5)
+        assert hashed == []
+        # The patched hashes equal a fresh build on the mutated store.
+        np.testing.assert_array_equal(
+            retriever.store.content_hashes(), row_hashes(retriever.store.directions)
+        )
+
+    def test_digests_from_older_saves_cost_one_retune(self, monkeypatch, factors, tmp_path):
+        # Before row hashes, the digest ran BLAKE2 over the direction bytes.
+        # Entries saved with it load but never match: the first call after
+        # the load re-tunes once, and the answers do not change.
+        def legacy_fingerprint(bucket):
+            hasher = hashlib.blake2b(digest_size=16)
+            hasher.update(np.ascontiguousarray(bucket.lengths).tobytes())
+            hasher.update(np.ascontiguousarray(bucket.directions).tobytes())
+            return BucketFingerprint(bucket.epoch, bucket.size, hasher.hexdigest())
+
+        queries, probes = factors
+        calls = spy_tuner(monkeypatch)
+        with monkeypatch.context() as legacy:
+            legacy.setattr(Bucket, "fingerprint", legacy_fingerprint)
+            engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
+            expected = engine.row_top_k(queries, 5, batch_size=100)
+            engine.save(tmp_path / "idx")
+        assert len(calls) == 1
+
+        loaded = RetrievalEngine.load(tmp_path / "idx")
+        assert len(loaded.tuning_cache) == len(engine.tuning_cache) > 0
+        for misses in (1, 0):
+            result = loaded.row_top_k(queries, 5, batch_size=100)
+            assert loaded.history[-1].tuning_cache_misses == misses
+            assert np.array_equal(result.indices, expected.indices)
+            assert np.array_equal(result.scores, expected.scores)
+        assert len(calls) == 2
 
 
 class TestL2APLowerBoundRule:
