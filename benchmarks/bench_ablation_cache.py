@@ -1,6 +1,6 @@
-"""Cache, kernel, worker, probe-shard and planner ablations for the hot path.
+"""Cache, kernel and worker ablations for the hot path.
 
-Five knobs are ablated here.  First, the paper's Section 6.2 comparison of
+Three knobs are ablated here.  First, the paper's Section 6.2 comparison of
 cache-aware vs cache-oblivious bucketisation (the bucket-size cap as the
 knob).  Second, the engine-layer tuning cache: a chunked ``RetrievalEngine``
 call used to re-run LEMP's sample-based tuner once per chunk; with the
@@ -10,25 +10,17 @@ hit, with bit-identical results.  Third, the verification kernel
 (``einsum`` reference vs the blocked BLAS kernel) crossed with the engine's
 ``workers`` dimension — every combination must return results identical to
 the serial einsum baseline (bit-identical within a kernel; the kernels
-agree on the retrieved sets).  Fourth, probe-side sharding: warm
-single-query Above-θ sweeps with the engine's spare workers routed to
-bucket-range probe shards — byte-identical to serial at every shard count.
-Fifth, the execution planner's axis composition: the same chunked workload
-executed serial / chunk-only / probe-only / combined via
-:class:`~repro.engine.planner.PlanPolicy` knobs, every shape byte-identical.
+agree on the retrieved sets).
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.core.kernels import use_kernel
-from repro.engine import ExecutionPlanner, PlanPolicy, RetrievalEngine
+from repro.engine import RetrievalEngine
 from repro.eval import format_table, make_retriever, run_row_top_k
-from repro.eval.recall import theta_for_result_count
 
 from benchmarks.conftest import BENCH_SEED, write_report
 
@@ -205,131 +197,3 @@ def test_engine_kernel_workers_report(benchmark, dataset_cache):
         table,
     )
 
-
-#: Engine worker counts for the probe-shard ablation (1 = serial baseline;
-#: single-query calls route the spare workers to probe shards).
-PROBE_SHARD_WORKERS = (1, 2, 4)
-
-#: Queries of each single-query sweep.
-SINGLE_QUERY_COUNT = 20
-
-
-def test_engine_probe_shards_report(benchmark, dataset_cache):
-    """Probe-side sharding ablation (PR 4 tentpole): single-query latency.
-
-    A one-query Above-θ call is a single batch, so chunk sharding has
-    nothing to split; with ``workers > 1`` the engine routes the call to
-    bucket-range probe shards instead.  Every shard count must return
-    byte-identical results (asserted below); the written table records what
-    sharding does to the warm single-query sweep on this machine.
-    """
-
-    def run_all():
-        rows = []
-        for dataset_name in DATASETS:
-            dataset = dataset_cache(dataset_name)
-            theta = theta_for_result_count(dataset.queries, dataset.probes, 1000)
-            engine = RetrievalEngine("LEMP-LI", seed=BENCH_SEED).fit(dataset.probes)
-            count = min(SINGLE_QUERY_COUNT, dataset.queries.shape[0])
-            singles = [dataset.queries[row:row + 1] for row in range(count)]
-            reference = None
-            for workers in PROBE_SHARD_WORKERS:
-                engine.workers = workers
-                for single in singles:  # warm tuning + lazy indexes + pool
-                    engine.above_theta(single, theta)
-                started = time.perf_counter()
-                results = [engine.above_theta(single, theta) for single in singles]
-                elapsed = time.perf_counter() - started
-                call = engine.history[-1]
-                if reference is None:
-                    reference = results
-                else:
-                    for expected, observed in zip(reference, results):
-                        assert np.array_equal(expected.query_ids, observed.query_ids)
-                        assert np.array_equal(expected.probe_ids, observed.probe_ids)
-                        assert np.array_equal(expected.scores, observed.scores)
-                rows.append(
-                    [dataset_name, workers, call.probe_shards, count, f"{elapsed:.4f}"]
-                )
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    table = format_table(
-        ["dataset", "workers", "probe shards", "queries", "warm sweep [s]"], rows
-    )
-    write_report(
-        "ablation_probe_shards.txt",
-        "Probe-side sharding: warm single-query Above-theta sweeps",
-        table,
-    )
-
-
-#: Planner-ablation scenarios: (label, engine workers, PlanPolicy knobs).
-#: On a 3-chunk workload with 4 workers the planner yields 1x1 / 2x1 / 1x4 /
-#: 2x2 (chunk workers x probe shards) respectively.
-PLANNER_SCENARIOS = (
-    ("serial", 1, {}),
-    ("chunk-only", 4, {"max_probe_shards": 1}),
-    ("probe-only", 4, {"max_chunk_workers": 1}),
-    ("combined", 4, {}),
-)
-
-#: Chunk count of the planner-ablation workload (must leave spare workers so
-#: the combined scenario actually composes both axes).
-PLANNER_CHUNKS = 3
-
-
-def test_engine_planner_report(benchmark, dataset_cache):
-    """Execution-planner ablation (PR 5 tentpole): axis composition.
-
-    One warm engine runs the same chunked Row-Top-5 workload under four
-    plan shapes, selected purely through ``workers`` and ``PlanPolicy``
-    knobs.  Every shape must return results byte-identical to the serial
-    run (same warm tuning cache, so this is exact); the written table
-    records what each axis — and their combination — buys on this machine.
-    """
-
-    def run_all():
-        rows = []
-        for dataset_name in DATASETS:
-            dataset = dataset_cache(dataset_name)
-            batch_size = max(1, -(-dataset.queries.shape[0] // PLANNER_CHUNKS))
-            engine = RetrievalEngine("LEMP-LI", seed=BENCH_SEED).fit(dataset.probes)
-            engine.row_top_k(dataset.queries, 5, batch_size=batch_size)  # warm
-            baseline = None
-            for label, workers, knobs in PLANNER_SCENARIOS:
-                engine.workers = workers
-                engine.planner = ExecutionPlanner(PlanPolicy(**knobs))
-                plan = engine.explain(dataset.queries, k=5, batch_size=batch_size)
-                engine.row_top_k(dataset.queries, 5, batch_size=batch_size)  # warm pools
-                started = time.perf_counter()
-                result = engine.row_top_k(dataset.queries, 5, batch_size=batch_size)
-                elapsed = time.perf_counter() - started
-                assert engine.history[-1].plan == plan
-                if baseline is None:
-                    baseline = result
-                else:
-                    assert np.array_equal(result.indices, baseline.indices)
-                    assert np.array_equal(result.scores, baseline.scores)
-                rows.append(
-                    [
-                        dataset_name,
-                        label,
-                        f"{plan.workers}x{plan.probe_shards}",
-                        plan.num_batches,
-                        f"{elapsed:.4f}",
-                    ]
-                )
-            shapes = [row[2] for row in rows[-len(PLANNER_SCENARIOS):]]
-            assert shapes == ["1x1", "2x1", "1x4", "2x2"], shapes
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    table = format_table(
-        ["dataset", "scenario", "plan (workers x shards)", "batches", "warm call [s]"], rows
-    )
-    write_report(
-        "ablation_planner.txt",
-        "Execution planner: serial vs chunk-only vs probe-only vs combined plans",
-        table,
-    )

@@ -306,7 +306,6 @@ def run_bench(args: argparse.Namespace) -> dict:
                 "timed_out": stats[name]["timed_out"],
                 "rows_served": stats[name]["rows_served"],
                 "tuning_cache": stats[name]["tuning_cache"],
-                "cost_model": stats[name]["cost_model"],
             }
             for name in ("A", "B")
         },

@@ -1,11 +1,11 @@
-"""CI smoke benchmark: kernel, parallel, probe-shard, screening, generation and combined-axis gates.
+"""CI smoke benchmark: kernel, parallel, screening and compressed-generation gates.
 
 Runs a tiny synthetic Row-Top-k / Above-θ workload through the
 :class:`~repro.engine.facade.RetrievalEngine` four ways — serial vs.
-``workers=N``, blocked kernel vs. the einsum reference — plus a warm
-single-query sweep with probe-side sharding and a warm combined-axis
-workload (chunk workers × per-chunk probe shards in one plan), and writes
-the timings and check outcomes to a JSON report (``BENCH_smoke.json``).
+``workers=N``, blocked kernel vs. the einsum reference — plus warm
+single-query sweeps on a larger gate index with the quantized screening
+and compressed generation tiers toggled, and writes the timings and check
+outcomes to a JSON report (``BENCH_smoke.json``).
 
 The script exits non-zero (failing the CI ``bench-smoke`` job) when any of
 
@@ -14,35 +14,17 @@ The script exits non-zero (failing the CI ``bench-smoke`` job) when any of
   throughput — the reason it exists), or
 * parallel results are not byte-identical to serial ones, or the parallel
   run's cumulative counters drift from the serial run's, or
-* the probe-sharded warm single-query path drifts from serial (bytes or
-  counters) or regresses beyond ``--margin`` against the serial sweep, or
-* the f16 quantized screening tier, toggled on the warm probe-gate engine,
+* the f16 quantized screening tier, toggled on the warm gate-index engine,
   is not byte-identical to the exact path, breaks the
   ``survivors + dropped == unscreened inner products`` counter split, fails
   to reduce the modelled verification bytes, or regresses beyond
   ``--margin``, or
 * f16 compressed candidate generation (``gen_dtype``), toggled on the same
-  warm probe-gate engine, is not byte-identical to the exact scans, drops
+  warm gate-index engine, is not byte-identical to the exact scans, drops
   (or more than 1.5x inflates) candidates, fails to hold the resident
   generation-index bytes at ≤ 0.55x the exact sorted lists, does not report
   the knob in its plan (the ``repro explain`` line), or regresses beyond
-  ``--margin``, or
-* the combined-axis plan does not actually use both axes, its explained
-  plan differs from the recorded one, its results/counters drift from
-  serial, or the warm combined workload regresses beyond ``--margin``, or
-* the calibration gate fails: after learning its cost model from serial
-  traffic in the ``"auto"`` policy mode, the calibrated planner's chosen
-  plan must carry a calibration line, reproduce its explained plan, stay
-  byte+counter identical to serial, and not run more than ``--margin``
-  slower than the *best* fixed policy of the serial / chunk-only /
-  probe-only / combined ablation grid (the calibrated planner is free to
-  pick any of those shapes — including vetoing to serial on a machine
-  where its measured dispatch overhead says sharding will not pay).
-
-The calibration ablation grid and verdict are additionally written to a
-dedicated planner report (``--planner-output`` /
-``--planner-commit-path`` → ``BENCH_planner.json``), so the planner's
-perf trajectory accumulates alongside ``BENCH_serving.json``.
+  ``--margin``.
 
 Timings take the best of ``--repeats`` runs on warmed engines, which is
 robust against CI neighbours; the determinism checks are exact and
@@ -95,17 +77,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--probe-gate-probes", type=int, default=24000,
-        help="probe rows of the dedicated probe-shard gate index (large enough "
-             "that per-call pool overhead amortises even on one core)",
+        help="probe rows of the gate index the single-query sweeps run on",
     )
     parser.add_argument(
         "--single-queries", type=int, default=30,
-        help="queries of the single-query probe-shard sweep",
-    )
-    parser.add_argument(
-        "--combined-batches", type=int, default=3,
-        help="chunk count of the combined-axis gate (workers must exceed "
-             "batches - 1 so the planner has spare threads for probe shards)",
+        help="queries of the single-query sweeps",
     )
     parser.add_argument("--seed", type=int, default=0, help="dataset seed")
     parser.add_argument(
@@ -115,14 +91,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--commit-path", type=Path, default=None,
         help="also write the report to this path (for committed baselines at "
              "the repo root, kept separate from --output scratch runs)",
-    )
-    parser.add_argument(
-        "--planner-output", type=Path, default=Path("BENCH_planner.json"),
-        help="JSON report path of the calibration-gate ablation grid",
-    )
-    parser.add_argument(
-        "--planner-commit-path", type=Path, default=None,
-        help="also write the planner report to this path (committed baseline)",
     )
     return parser.parse_args(argv)
 
@@ -152,7 +120,7 @@ def counter_delta(engine, before: dict[str, int]) -> dict[str, int]:
     return {name: getattr(engine.stats, name) - before[name] for name in COUNTERS}
 
 
-def run_smoke(args: argparse.Namespace) -> tuple[dict, dict]:
+def run_smoke(args: argparse.Namespace) -> dict:
     probes = synthetic_factors(args.probes, rank=args.rank, length_cov=0.8, seed=args.seed)
     queries = synthetic_factors(args.queries, rank=args.rank, length_cov=0.8, seed=args.seed + 1)
 
@@ -210,116 +178,54 @@ def run_smoke(args: argparse.Namespace) -> tuple[dict, dict]:
         "detail": f"workers={args.workers} must return byte-identical results and stats",
     }
 
-    # Probe-shard gate: warm single-query Above-θ sweeps on a dedicated,
-    # larger index (single-query latency is what probe sharding exists for;
-    # chunk sharding cannot touch a one-batch call).  The same engine is
-    # reused with ``workers`` toggled, so tuning is shared and the
-    # byte-identity / counter checks are exact.
+    # Single-query sweeps: warm single-query Above-θ calls on a dedicated,
+    # larger gate index, serial throughout, with a tier toggled between
+    # sweeps on one engine so tuning is shared and the byte-identity /
+    # counter checks are exact.
     gate_probes = synthetic_factors(
         args.probe_gate_probes, rank=args.rank, length_cov=0.8, seed=args.seed + 2
     )
-    probe_engine = RetrievalEngine("lemp:LI", seed=args.seed).fit(gate_probes)
+    gate_engine = RetrievalEngine("lemp:LI", seed=args.seed).fit(gate_probes)
     singles = [queries[row:row + 1] for row in range(min(args.single_queries, len(queries)))]
 
     def single_sweep():
-        return [probe_engine.above_theta(single, args.theta) for single in singles]
+        return [gate_engine.above_theta(single, args.theta) for single in singles]
 
-    probe_engine.workers = 1
-    serial_results = single_sweep()  # warm-up: tunes, builds lazy indexes
-    probe_engine.workers = args.workers
-    single_sweep()  # warm-up the worker pool too
+    single_sweep()  # warm-up: tunes, builds lazy indexes
 
-    # Serial and sharded sweeps are timed *interleaved* (best-of over pairs)
-    # so slow drift on a noisy CI neighbour hits both sides equally; the
-    # single-core worst case for the sharded path is pure pool overhead,
-    # which the larger gate index keeps inside the margin.
-    best_serial = best_sharded = float("inf")
-    for _ in range(max(args.repeats, 5)):
-        probe_engine.workers = 1
-        started = time.perf_counter()
-        single_sweep()
-        best_serial = min(best_serial, time.perf_counter() - started)
-        probe_engine.workers = args.workers
-        started = time.perf_counter()
-        single_sweep()
-        best_sharded = min(best_sharded, time.perf_counter() - started)
-    timings["single_query_serial"] = best_serial
-    timings["single_query_probe_sharded"] = best_sharded
-
-    probe_engine.workers = 1
-    before = counter_snapshot(probe_engine)
-    serial_results = single_sweep()
-    serial_single_deltas = counter_delta(probe_engine, before)
-
-    probe_engine.workers = args.workers
-    before = counter_snapshot(probe_engine)
-    sharded_results = single_sweep()
-    sharded_single_deltas = counter_delta(probe_engine, before)
-
-    single_identical = all(
-        np.array_equal(expected.query_ids, observed.query_ids)
-        and np.array_equal(expected.probe_ids, observed.probe_ids)
-        and np.array_equal(expected.scores, observed.scores)
-        for expected, observed in zip(serial_results, sharded_results)
-    )
-    single_drift = {
-        name: {"serial": serial_single_deltas[name], "sharded": sharded_single_deltas[name]}
-        for name in COUNTERS
-        if serial_single_deltas[name] != sharded_single_deltas[name]
-    }
-    sharded_calls = [call.probe_shards for call in probe_engine.history[-len(singles):]]
-    single_ratio = timings["single_query_probe_sharded"] / timings["single_query_serial"]
-    checks["probe_shard_gate"] = {
-        "passed": (
-            single_identical and not single_drift
-            and all(shards == args.workers for shards in sharded_calls)
-            and single_ratio <= args.margin
-        ),
-        "results_byte_identical": single_identical,
-        "counter_drift": single_drift,
-        "call_probe_shards": sorted(set(sharded_calls)),
-        "sharded_over_serial_time_ratio": round(single_ratio, 4),
-        "margin": args.margin,
-        "detail": (
-            f"probe_shards={args.workers} single-query sweep must match serial "
-            "byte-for-byte and not regress beyond the margin"
-        ),
-    }
-
-    # Screening gate: the same warm probe-gate engine with a quantized f16
-    # screening tier toggled on (workers=1 both sides, so tuning and shard
-    # plans are shared).  The screened sweep must return byte-identical
-    # results, scan fewer modelled verification bytes (f16 reads for every
-    # screened candidate + f64 reads for survivors, vs f64 reads for every
-    # candidate), keep the counter split exact, and stay inside the
-    # wall-clock margin — screening may not slow the exact path down.
-    probe_engine.workers = 1
-    before = counter_snapshot(probe_engine)
+    # Screening gate: the same warm gate-index engine with a quantized f16
+    # screening tier toggled on (workers=1 both sides, so tuning is shared).
+    # The screened sweep must return byte-identical results, scan fewer
+    # modelled verification bytes (f16 reads for every screened candidate +
+    # f64 reads for survivors, vs f64 reads for every candidate), keep the
+    # counter split exact, and stay inside the wall-clock margin — screening
+    # may not slow the exact path down.
+    before = counter_snapshot(gate_engine)
     unscreened_results = single_sweep()
-    unscreened_deltas = counter_delta(probe_engine, before)
+    unscreened_deltas = counter_delta(gate_engine, before)
 
-    probe_engine.screen_dtype = "f16"
+    gate_engine.screen_dtype = "f16"
     single_sweep()  # warm-up: builds and caches the f16 tier
     best_unscreened = best_screened = float("inf")
     for _ in range(max(args.repeats, 5)):
-        probe_engine.screen_dtype = None
+        gate_engine.screen_dtype = None
         started = time.perf_counter()
         single_sweep()
         best_unscreened = min(best_unscreened, time.perf_counter() - started)
-        probe_engine.screen_dtype = "f16"
+        gate_engine.screen_dtype = "f16"
         started = time.perf_counter()
         single_sweep()
         best_screened = min(best_screened, time.perf_counter() - started)
     timings["single_query_unscreened"] = best_unscreened
     timings["single_query_screened_f16"] = best_screened
 
-    before = counter_snapshot(probe_engine)
-    screen_before = (probe_engine.stats.screen_products, probe_engine.stats.screen_dropped)
+    before = counter_snapshot(gate_engine)
+    screen_before = (gate_engine.stats.screen_products, gate_engine.stats.screen_dropped)
     screened_results = single_sweep()
-    screened_deltas = counter_delta(probe_engine, before)
-    screen_products = probe_engine.stats.screen_products - screen_before[0]
-    screen_dropped = probe_engine.stats.screen_dropped - screen_before[1]
-    probe_engine.screen_dtype = None
+    screened_deltas = counter_delta(gate_engine, before)
+    screen_products = gate_engine.stats.screen_products - screen_before[0]
+    screen_dropped = gate_engine.stats.screen_dropped - screen_before[1]
+    gate_engine.screen_dtype = None
 
     screened_identical = all(
         np.array_equal(expected.query_ids, observed.query_ids)
@@ -360,46 +266,45 @@ def run_smoke(args: argparse.Namespace) -> tuple[dict, dict]:
         "screened_over_unscreened_time_ratio": round(screen_ratio, 4),
         "margin": args.margin,
         "detail": (
-            "f16 screening on the warm probe-gate index must match the exact "
+            "f16 screening on the warm gate index must match the exact "
             "path byte-for-byte, scan fewer modelled bytes, and not regress "
             "beyond the margin"
         ),
     }
 
-    # Compressed-generation gate: the same warm probe-gate engine with the
+    # Compressed-generation gate: the same warm gate-index engine with the
     # f16 generation tier toggled on (workers=1, screening off, tuning
     # shared).  Generation must return byte-identical results, keep every
     # counter class except the deliberately-inflatable candidate counters
     # identical, shrink the resident generation-index bytes to <= 0.55x the
     # exact sorted lists, and stay inside the wall-clock margin.  The
     # recorded plan must carry the knob (the line ``repro explain`` prints).
-    probe_engine.workers = 1
-    before = counter_snapshot(probe_engine)
+    before = counter_snapshot(gate_engine)
     exact_gen_results = single_sweep()
-    exact_gen_deltas = counter_delta(probe_engine, before)
-    exact_gen_bytes = probe_engine.retriever.generation_memory_bytes()
+    exact_gen_deltas = counter_delta(gate_engine, before)
+    exact_gen_bytes = gate_engine.retriever.generation_memory_bytes()
 
-    probe_engine.gen_dtype = "f16"
+    gate_engine.gen_dtype = "f16"
     single_sweep()  # warm-up: builds and caches the compressed sorted lists
     best_exact_gen = best_compressed_gen = float("inf")
     for _ in range(max(args.repeats, 5)):
-        probe_engine.gen_dtype = None
+        gate_engine.gen_dtype = None
         started = time.perf_counter()
         single_sweep()
         best_exact_gen = min(best_exact_gen, time.perf_counter() - started)
-        probe_engine.gen_dtype = "f16"
+        gate_engine.gen_dtype = "f16"
         started = time.perf_counter()
         single_sweep()
         best_compressed_gen = min(best_compressed_gen, time.perf_counter() - started)
     timings["single_query_exact_generation"] = best_exact_gen
     timings["single_query_compressed_generation_f16"] = best_compressed_gen
 
-    before = counter_snapshot(probe_engine)
+    before = counter_snapshot(gate_engine)
     compressed_gen_results = single_sweep()
-    compressed_gen_deltas = counter_delta(probe_engine, before)
-    compressed_gen_bytes = probe_engine.retriever.generation_memory_bytes()
-    gen_plan = probe_engine.explain(singles[0], theta=args.theta)
-    probe_engine.gen_dtype = None
+    compressed_gen_deltas = counter_delta(gate_engine, before)
+    compressed_gen_bytes = gate_engine.retriever.generation_memory_bytes()
+    gen_plan = gate_engine.explain(singles[0], theta=args.theta)
+    gate_engine.gen_dtype = None
 
     generation_identical = all(
         np.array_equal(expected.query_ids, observed.query_ids)
@@ -445,221 +350,11 @@ def run_smoke(args: argparse.Namespace) -> tuple[dict, dict]:
         "compressed_over_exact_time_ratio": round(gen_ratio, 4),
         "margin": args.margin,
         "detail": (
-            "f16 compressed generation on the warm probe-gate index must match "
+            "f16 compressed generation on the warm gate index must match "
             "the exact scans byte-for-byte (candidates may only over-produce), "
             "hold generation memory at <= 0.55x, and not regress beyond the margin"
         ),
     }
-
-    # Combined-axis gate: the same warm blocked engine runs a workload whose
-    # chunk count leaves spare workers, so the planner composes both axes
-    # (e.g. 3 chunks on 4 workers -> 2 chunk workers x 2 probe shards).  The
-    # explained plan must equal the recorded one, both axes must be active,
-    # and results/counters/timing must hold against the serial run.
-    combined_batch = max(1, -(-args.queries // args.combined_batches))
-
-    def combined_workload():
-        top = engine.row_top_k(queries, args.k, batch_size=combined_batch)
-        hits = engine.above_theta(queries, args.theta, batch_size=combined_batch)
-        return top, hits
-
-    engine.workers = 1
-    combined_workload()  # warm this batch shape serially
-    timings["combined_serial"] = best_of(args.repeats, combined_workload)
-    before = counter_snapshot(engine)
-    top_serial_c, hits_serial_c = combined_workload()
-    serial_combined_deltas = counter_delta(engine, before)
-
-    engine.workers = args.workers
-    plans = [
-        engine.explain(queries, k=args.k, batch_size=combined_batch),
-        engine.explain(queries, theta=args.theta, batch_size=combined_batch),
-    ]
-    combined_workload()  # warm the pools
-    timings["combined_sharded"] = best_of(args.repeats, combined_workload)
-    before = counter_snapshot(engine)
-    top_combined, hits_combined = combined_workload()
-    combined_deltas = counter_delta(engine, before)
-    recorded = [call.plan for call in engine.history[-2:]]
-
-    combined_identical = (
-        np.array_equal(top_serial_c.indices, top_combined.indices)
-        and np.array_equal(top_serial_c.scores, top_combined.scores)
-        and np.array_equal(hits_serial_c.query_ids, hits_combined.query_ids)
-        and np.array_equal(hits_serial_c.probe_ids, hits_combined.probe_ids)
-        and np.array_equal(hits_serial_c.scores, hits_combined.scores)
-    )
-    combined_drift = {
-        name: {"serial": serial_combined_deltas[name], "combined": combined_deltas[name]}
-        for name in COUNTERS
-        if serial_combined_deltas[name] != combined_deltas[name]
-    }
-    both_axes = all(plan.workers > 1 and plan.probe_shards > 1 for plan in recorded)
-    plans_match = recorded == plans
-    combined_ratio = timings["combined_sharded"] / timings["combined_serial"]
-    checks["combined_axis_gate"] = {
-        "passed": (
-            combined_identical and not combined_drift and both_axes
-            and plans_match and combined_ratio <= args.margin
-        ),
-        "results_byte_identical": combined_identical,
-        "counter_drift": combined_drift,
-        "plan_shapes": [
-            f"{plan.workers}x{plan.probe_shards}" for plan in recorded
-        ],
-        "both_axes_active": both_axes,
-        "explained_plan_matches_recorded": plans_match,
-        "sharded_over_serial_time_ratio": round(combined_ratio, 4),
-        "margin": args.margin,
-        "detail": (
-            f"{args.combined_batches}-chunk workload on workers={args.workers} must "
-            "compose both sharding axes, match serial byte-for-byte, reproduce its "
-            "explained plan, and not regress beyond the margin"
-        ),
-    }
-    # Calibration gate: on the same warm engine, time the fixed-policy
-    # ablation grid (serial / chunk-only / probe-only / combined), then let
-    # the "auto" policy learn its cost model from serial traffic and pick a
-    # plan on its own.  The calibrated plan must carry its calibration line,
-    # reproduce its explained plan, stay byte+counter identical to serial,
-    # and land within the margin of the *best* fixed policy — whichever
-    # shape it chooses (on a single-core box the measured dispatch overhead
-    # may legitimately veto sharding back to serial).
-    from repro.engine import PlanPolicy
-    from repro.engine.calibration import DEFAULT_MIN_OBSERVATIONS
-
-    fixed_grid = (
-        ("serial", 1, {}),
-        ("chunk_only", args.workers, {"max_probe_shards": 1}),
-        ("probe_only", args.workers, {"max_chunk_workers": 1}),
-        ("combined", args.workers, {}),
-    )
-    fixed_timings: dict[str, float] = {}
-    for label, grid_workers, knobs in fixed_grid:
-        engine.workers = grid_workers
-        engine.plan_policy = PlanPolicy(**knobs)
-        combined_workload()  # warm the pools for this shape
-        fixed_timings[label] = best_of(args.repeats, combined_workload)
-    best_fixed_label = min(fixed_timings, key=fixed_timings.get)
-    timings["calibration_best_fixed"] = fixed_timings[best_fixed_label]
-
-    engine.plan_policy = "auto"
-    engine.workers = 1
-    rounds = 0
-    while not engine.cost_model.has_confident_estimates() \
-            and rounds < DEFAULT_MIN_OBSERVATIONS + 2:
-        combined_workload()  # serial traffic: pair-cost observations
-        rounds += 1
-    confident = engine.cost_model.has_confident_estimates()
-
-    engine.workers = args.workers
-
-    # Let the model settle before timing: the first sharded calls feed real
-    # dispatch samples back into the EWMA, which can change the chosen shape
-    # (on a small box the measured overhead legitimately vetoes sharding back
-    # to serial).  Run until the planned shape stops moving so the timed run
-    # measures one converged plan on warm pools and tuning caches, not a
-    # transient mix of shapes.
-    def auto_shapes() -> tuple:
-        return tuple(
-            (plan.workers, plan.probe_shards)
-            for plan in (
-                engine.explain(queries, k=args.k, batch_size=combined_batch),
-                engine.explain(queries, theta=args.theta, batch_size=combined_batch),
-            )
-        )
-
-    prev_shapes = auto_shapes()
-    for _ in range(6):
-        combined_workload()
-        settled_shapes = auto_shapes()
-        if settled_shapes == prev_shapes:
-            break
-        prev_shapes = settled_shapes
-    timings["calibration_auto"] = best_of(args.repeats, combined_workload)
-
-    # Byte/plan check: in auto mode every completed call refines the model,
-    # so each plan is explained immediately before its call runs.
-    before = counter_snapshot(engine)
-    plan_top_auto = engine.explain(queries, k=args.k, batch_size=combined_batch)
-    top_auto = engine.row_top_k(queries, args.k, batch_size=combined_batch)
-    recorded_top = engine.history[-1].plan
-    plan_hits_auto = engine.explain(queries, theta=args.theta, batch_size=combined_batch)
-    hits_auto = engine.above_theta(queries, args.theta, batch_size=combined_batch)
-    recorded_hits = engine.history[-1].plan
-    auto_deltas = counter_delta(engine, before)
-
-    auto_identical = (
-        np.array_equal(top_serial_c.indices, top_auto.indices)
-        and np.array_equal(top_serial_c.scores, top_auto.scores)
-        and np.array_equal(hits_serial_c.query_ids, hits_auto.query_ids)
-        and np.array_equal(hits_serial_c.probe_ids, hits_auto.probe_ids)
-        and np.array_equal(hits_serial_c.scores, hits_auto.scores)
-    )
-    auto_drift = {
-        name: {"serial": serial_combined_deltas[name], "calibrated": auto_deltas[name]}
-        for name in COUNTERS
-        if serial_combined_deltas[name] != auto_deltas[name]
-    }
-    auto_plans_match = (recorded_top, recorded_hits) == (plan_top_auto, plan_hits_auto)
-    calibration_lines = [recorded_top.calibration, recorded_hits.calibration]
-    lines_present = all(
-        line is not None and "cost veto armed" in line for line in calibration_lines
-    )
-    calibration_ratio = timings["calibration_auto"] / timings["calibration_best_fixed"]
-    checks["calibration_gate"] = {
-        "passed": (
-            confident and lines_present and auto_plans_match
-            and auto_identical and not auto_drift
-            and calibration_ratio <= args.margin
-        ),
-        "cost_model_confident": confident,
-        "calibration_lines_present": lines_present,
-        "explained_plan_matches_recorded": auto_plans_match,
-        "results_byte_identical": auto_identical,
-        "counter_drift": auto_drift,
-        "fixed_timings_seconds": {
-            label: round(value, 5) for label, value in fixed_timings.items()
-        },
-        "best_fixed_policy": best_fixed_label,
-        "calibrated_plan_shapes": [
-            f"{plan.workers}x{plan.probe_shards}"
-            for plan in (recorded_top, recorded_hits)
-        ],
-        "calibrated_over_best_fixed_time_ratio": round(calibration_ratio, 4),
-        "margin": args.margin,
-        "detail": (
-            "the auto policy, calibrated from serial traffic, must plan with "
-            "its learned costs (veto armed), reproduce its explained plans, "
-            "match serial byte-for-byte, and stay within the margin of the "
-            "best fixed policy on the ablation grid"
-        ),
-    }
-    planner_report = {
-        "benchmark": "bench_planner",
-        "library_version": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "dataset": {
-            "probes": args.probes, "queries": args.queries, "rank": args.rank,
-            "k": args.k, "theta": args.theta, "seed": args.seed,
-            "combined_batch": combined_batch, "workers": args.workers,
-        },
-        "fixed_timings_seconds": {
-            label: round(value, 5) for label, value in fixed_timings.items()
-        },
-        "calibrated_seconds": round(timings["calibration_auto"], 5),
-        "best_fixed_policy": best_fixed_label,
-        "calibrated_over_best_fixed_time_ratio": round(calibration_ratio, 4),
-        "calibrated_plan_shapes": checks["calibration_gate"]["calibrated_plan_shapes"],
-        "calibration_lines": calibration_lines,
-        "cost_model_entries": engine.cost_model.num_entries,
-        "cost_model_observations": engine.cost_model.num_observations,
-        "gate": checks["calibration_gate"],
-    }
-
-    engine.plan_policy = "fixed"
-    engine.workers = args.workers  # leave as configured for the report
 
     speedup = timings["serial_blocked"] / timings["parallel_blocked"]
     report = {
@@ -673,36 +368,25 @@ def run_smoke(args: argparse.Namespace) -> tuple[dict, dict]:
             "k": args.k, "theta": args.theta, "batch_size": args.batch_size,
             "probe_gate_probes": args.probe_gate_probes,
             "single_queries": len(singles), "seed": args.seed,
-            "combined_batches": args.combined_batches,
         },
         "timings_seconds": {label: round(value, 5) for label, value in timings.items()},
         "parallel_speedup_over_serial": round(speedup, 3),
-        "probe_shard_speedup_over_serial": round(
-            timings["single_query_serial"] / timings["single_query_probe_sharded"], 3
-        ),
-        "combined_axis_speedup_over_serial": round(
-            timings["combined_serial"] / timings["combined_sharded"], 3
-        ),
         "screening_speedup_over_unscreened": round(
             timings["single_query_unscreened"] / timings["single_query_screened_f16"], 3
         ),
         "checks": checks,
         "passed": all(check["passed"] for check in checks.values()),
     }
-    return report, planner_report
+    return report
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    report, planner_report = run_smoke(args)
+    report = run_smoke(args)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
-    args.planner_output.write_text(json.dumps(planner_report, indent=2) + "\n")
     if args.commit_path is not None:
         args.commit_path.parent.mkdir(parents=True, exist_ok=True)
         args.commit_path.write_text(json.dumps(report, indent=2) + "\n")
-    if args.planner_commit_path is not None:
-        args.planner_commit_path.parent.mkdir(parents=True, exist_ok=True)
-        args.planner_commit_path.write_text(json.dumps(planner_report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     if not report["passed"]:
         failed = [name for name, check in report["checks"].items() if not check["passed"]]

@@ -42,10 +42,8 @@ from repro.core import (
     VectorStore,
 )
 from repro.engine import (
-    CostModel,
     ExecutionPlan,
     ExecutionPlanner,
-    PlanPolicy,
     RetrievalEngine,
     available_specs,
     create_retriever,
@@ -62,12 +60,11 @@ from repro.exceptions import (
     UnsupportedOperationError,
 )
 
-__version__ = "2.8.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ALGORITHMS",
     "AboveThetaResult",
-    "CostModel",
     "DimensionMismatchError",
     "ExecutionPlan",
     "ExecutionPlanner",
@@ -75,7 +72,6 @@ __all__ = [
     "Lemp",
     "NotPreparedError",
     "PersistenceError",
-    "PlanPolicy",
     "ReproError",
     "RetrievalEngine",
     "Retriever",

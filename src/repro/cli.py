@@ -20,11 +20,10 @@ preprocessing / tuning time and candidates per query) so the paper's
 experiments can be replayed interactively.  ``index`` builds an index once,
 persists it, and verifies the reloaded copy — the starting point for serving
 deployments.  ``explain`` shows the :class:`~repro.engine.planner.ExecutionPlan`
-a workload would run under — chunking, chunk workers, probe shards, merge
-order, cost estimates — without executing it (add ``--execute`` to also run
-the call and check the recorded plan matches; ``--policy auto`` plans from
-the engine's learned cost model instead of the static knobs), plus the
-retriever's serving compatibility (micro-batching, mmap/process backend).  ``serve`` drives an
+a workload would run under — chunking, workers, warm-up — without
+executing it (add ``--execute`` to also run the call and check the recorded
+plan matches), plus the retriever's serving compatibility (micro-batching,
+mmap/process backend).  ``serve`` drives an
 asyncio client swarm against a persisted index through the
 :class:`~repro.serve.ServingEngine` — dynamic micro-batching, optional
 process workers sharing one memory-mapped index — and reports latency
@@ -132,15 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Row-Top-k workload (default: k=10 when --theta is absent)")
     problem.add_argument("--theta", type=float, default=None, help="Above-theta workload")
     explain.add_argument("--workers", type=int, default=4,
-                         help="engine worker threads the plan may shard across")
+                         help="engine worker threads the plan's chunks may run on")
     explain.add_argument("--batch-size", type=int, default=None,
                          help="chunk size (default: the engine default)")
     explain.add_argument("--execute", action="store_true",
                          help="also run the call and verify it recorded exactly this plan")
-    explain.add_argument("--policy", default="fixed",
-                         choices=["fixed", "auto", "calibrated"],
-                         help="plan policy mode (auto/calibrated consult the "
-                              "engine's learned cost model)")
     explain.add_argument("--gen-dtype", default=None,
                          choices=["f32", "f16", "int8"],
                          help="run candidate generation over a compressed index "
@@ -262,14 +257,13 @@ def _command_explain(args, out) -> int:
     k, theta = args.k, args.theta
     if k is None and theta is None:
         k = 10
-    engine = RetrievalEngine(args.algorithm, seed=args.seed, workers=args.workers,
-                             plan_policy=args.policy)
+    engine = RetrievalEngine(args.algorithm, seed=args.seed, workers=args.workers)
     if getattr(args, "gen_dtype", None) is not None:
         engine.gen_dtype = args.gen_dtype
     engine.fit(dataset.probes)
     plan = engine.explain(dataset.queries, theta=theta, k=k, batch_size=args.batch_size)
 
-    capabilities = spec_capabilities(args.algorithm, engine=engine)
+    capabilities = spec_capabilities(args.algorithm)
     flags = ", ".join(
         f"{name}={'yes' if enabled else 'no'}"
         for name, enabled in sorted(capabilities.items())

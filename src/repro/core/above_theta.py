@@ -11,12 +11,7 @@ coordinate retrievers, which run pair by pair.
 
 Every (bucket, query) unit is independent of every other: the local threshold
 ``theta_b`` is a pure function of (theta, query norm, bucket max length), and
-candidate generation / verification read only the bucket and the query.  The
-solver therefore works on any contiguous *slice* of the bucket list, which is
-the probe-shard entry point (see :meth:`repro.core.lemp.Lemp.above_theta`):
-concatenating the outputs of bucket-range slices in slice order reproduces
-the serial output byte for byte, and the integer counters in ``stats`` sum to
-the serial totals.
+candidate generation / verification read only the bucket and the query.
 """
 
 from __future__ import annotations

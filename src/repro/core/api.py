@@ -119,22 +119,6 @@ class Retriever(ABC):
         return True
 
     @property
-    def supports_probe_sharding(self) -> bool:
-        """Whether one probe call can be split across concurrent shards.
-
-        Probe sharding parallelises a *single* retrieval call from the
-        inside (``above_theta(..., probe_shards=N, executor=...)``), as
-        opposed to :attr:`supports_parallel_queries`, which shards *across*
-        query batches.  ``False`` by default; retrievers that implement a
-        deterministic shard plan + merge (LEMP) override it, and the
-        :class:`~repro.engine.facade.RetrievalEngine` routes single-batch
-        calls to probe shards only when this is ``True``.  Implementations
-        must keep sharded execution byte-identical to serial for any shard
-        count.
-        """
-        return False
-
-    @property
     def supports_updates(self) -> bool:
         """Whether :meth:`partial_fit` / :meth:`remove` are implemented."""
         return (

@@ -22,8 +22,6 @@ name      bucket algorithm
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.core.above_theta import solve_above_theta
@@ -51,7 +49,6 @@ from repro.core.screening import (
     validate_screen_dtype,
 )
 from repro.core.selector import DEFAULT_PHI, FixedSelector, PerBucketSelector
-from repro.core.stats import RunStats
 from repro.core.top_k import solve_row_top_k
 from repro.core.tuner import (
     DEFAULT_PHI_GRID,
@@ -77,42 +74,6 @@ ALGORITHMS = ("L", "C", "I", "TA", "TREE", "L2AP", "BLSH", "LC", "LI")
 
 #: Number of longest probes scored exactly to seed the Row-Top-k tuner.
 _TOPK_TUNING_SEED_PROBES = 200
-
-
-def plan_shard_ranges(weights, shards: int) -> list[tuple[int, int]]:
-    """Partition ``len(weights)`` units into contiguous, weight-balanced ranges.
-
-    Returns at most ``shards`` half-open ``(start, end)`` ranges covering
-    ``[0, len(weights))`` in order, cut so each range carries roughly
-    ``sum(weights) / shards`` weight.  A pure function of its inputs: the
-    plan — and therefore the shard → work assignment — is deterministic, so
-    merging shard outputs in *plan order* reproduces a serial pass over the
-    same units byte for byte, regardless of which shard finishes first.
-    Ranges are never empty; fewer than ``shards`` ranges are returned when
-    there are fewer units (or when balancing collapses a cut).
-    """
-    count = len(weights)
-    if count == 0:
-        return []
-    shards = max(1, min(int(shards), count))
-    if shards == 1:
-        return [(0, count)]
-    cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
-    total = float(cumulative[-1])
-    if total <= 0.0:
-        bounds = np.linspace(0, count, shards + 1).astype(np.intp)
-    else:
-        targets = total * np.arange(1, shards, dtype=np.float64) / shards
-        cuts = np.searchsorted(cumulative, targets, side="left") + 1
-        bounds = np.concatenate(([0], np.minimum(cuts, count), [count]))
-    ranges = []
-    previous = 0
-    for bound in bounds[1:]:
-        bound = int(max(bound, previous))
-        if bound > previous:
-            ranges.append((previous, bound))
-            previous = bound
-    return ranges
 
 
 @register_retriever(
@@ -209,12 +170,6 @@ class Lemp(Retriever):
         self.buckets: list = []
         self.tuning_cache = TuningCache(enabled=bool(tune_cache))
         self._epoch = 0
-        #: Test-only hook: a permutation of bucket positions that Above-θ
-        #: visits instead of the natural order.  ``None`` (always, outside
-        #: the determinism test suite) keeps the storage order.  Exists to
-        #: *assert* LEMP-BLSH's order-independence contract; results of the
-        #: exact algorithms are permutation-invariant as sets by construction.
-        self._probe_bucket_order = None
 
     # ------------------------------------------------------------------- fit
 
@@ -260,10 +215,10 @@ class Lemp(Retriever):
         :mod:`repro.core.retrievers.blsh`), so its — approximate — results
         are the same for any query processing order.  (Before the base was
         order-free, BLSH *ratcheted* a shared per-bucket base down in
-        processing order and was excluded from sharding.)
+        processing order and was excluded from parallel queries.)
 
-        Caveat for LEMP-L2AP: on a *cold* sharded call the order in which
-        shards rebuild a bucket's threshold-reduced index is
+        Caveat for LEMP-L2AP: on a *cold* parallel call the order in which
+        worker views rebuild a bucket's threshold-reduced index is
         interleaving-dependent, so candidate-count statistics (never the
         results) can differ from a serial run until every index has
         ratcheted to the smallest base; warm calls are fully
@@ -600,57 +555,6 @@ class Lemp(Retriever):
             default_phi=default_phi,
         )
 
-    # ---------------------------------------------------------- probe sharding
-
-    @property
-    def supports_probe_sharding(self) -> bool:
-        """Whether one probe call can be split across concurrent shards.
-
-        ``True`` for every LEMP variant: Above-θ shards the *bucket* axis
-        (every (bucket, query) unit is independent), Row-Top-k shards the
-        *query-row* axis (the θ′ walk is sequential per query but independent
-        across queries), and the order-free BLSH base makes the approximate
-        path shardable too.  See :meth:`above_theta` / :meth:`row_top_k`.
-
-        Results and every :class:`~repro.core.stats.RunStats` counter are
-        byte-identical to serial on cold and warm probes alike.  One
-        observability caveat: a *cold* row-sharded Row-Top-k call can build
-        the same bucket's lazy index concurrently in several shards (the
-        builds are deterministic, so content — and therefore results and
-        candidate counters — is unaffected), which may inflate the tuning
-        cache's ``index_builds`` / ``index_reuses`` bookkeeping counters
-        relative to a serial cold call; warm calls match exactly.
-        """
-        return True
-
-    def _visitation_buckets(self) -> list:
-        """Buckets in probe order — storage order unless the test hook is set."""
-        if self._probe_bucket_order is None:
-            return self.buckets
-        return [self.buckets[int(position)] for position in self._probe_bucket_order]
-
-    @staticmethod
-    def _run_probe_shards(tasks, executor):
-        """Run shard thunks concurrently; return results in *plan* order.
-
-        Shards ``1..n-1`` are dispatched to the pool and shard ``0`` runs
-        inline — the calling thread would otherwise idle on the first
-        ``result()``, so this saves one dispatch and keeps the caller
-        productive.  Results are gathered by shard position, never by
-        completion, so the merge downstream is independent of scheduling.
-        Without an external ``executor`` a transient pool is used (the
-        engine passes its own persistent pool).
-        """
-        def gather(pool):
-            futures = [pool.submit(task) for task in tasks[1:]]
-            first = tasks[0]()
-            return [first] + [future.result() for future in futures]
-
-        if executor is None:
-            with ThreadPoolExecutor(max_workers=max(1, len(tasks) - 1)) as pool:
-                return gather(pool)
-        return gather(executor)
-
     def _screen_tier(self) -> ScreenTier | None:
         """The active screening tier, or ``None`` when screening is off.
 
@@ -706,99 +610,12 @@ class Lemp(Retriever):
                     total += structure.memory_bytes()
         return int(total)
 
-    def _probe_above_theta(self, prepared, theta: float, selector,
-                           probe_shards: int, executor, screen=None):
-        """Run the Above-θ probe, bucket-range sharded when asked.
-
-        The eligible bucket list is cut into contiguous ranges balanced by
-        probe count (:func:`plan_shard_ranges`); each shard runs the
-        unchanged serial solver over its slice with a private
-        :class:`~repro.core.stats.RunStats` and private output buffers.
-        Outputs are concatenated — and shard counters merged into
-        ``self.stats`` — in bucket order, so the merged arrays and every
-        integer counter are byte-identical to one serial pass.  Shards touch
-        disjoint buckets, so lazy per-bucket index builds never race.
-        """
-        buckets = self._visitation_buckets()
-        ranges = plan_shard_ranges([bucket.size for bucket in buckets], probe_shards)
-        if len(ranges) <= 1:
-            return solve_above_theta(prepared, buckets, theta, selector, self.stats,
-                                     screen=screen)
-        shard_stats = [RunStats() for _ in ranges]
-        tasks = [
-            (lambda span=span, stats=stats: solve_above_theta(
-                prepared, buckets[span[0]:span[1]], theta, selector, stats,
-                screen=screen))
-            for span, stats in zip(ranges, shard_stats)
-        ]
-        outputs = self._run_probe_shards(tasks, executor)
-        for stats in shard_stats:
-            self.stats.merge(stats)
-        return (
-            np.concatenate([output[0] for output in outputs]),
-            np.concatenate([output[1] for output in outputs]),
-            np.concatenate([output[2] for output in outputs]),
-        )
-
-    def _probe_row_top_k(self, prepared, k: int, selector,
-                         probe_shards: int, executor, screen=None):
-        """Run the Row-Top-k probe, query-row sharded when asked.
-
-        Row-Top-k's bucket walk is inherently sequential *within* a query —
-        the running θ′ that prunes bucket j is tightened by the scores
-        verified in buckets ``< j`` — so bucket-range shards cannot reproduce
-        the serial candidate counters.  Queries, however, are fully
-        independent, so probe shards partition the call's query rows into
-        contiguous ranges; every shard writes disjoint rows of the shared
-        output arrays and counters merge in shard order, byte-identical to
-        serial.  (A single-query Row-Top-k call therefore stays serial;
-        Above-θ is the intra-query-parallel problem.)
-
-        Unlike Above-θ's disjoint bucket ranges, every row shard walks every
-        bucket, so a cold call can race the first build of a bucket's lazy
-        index.  The builds are deterministic and idempotent (the
-        :class:`~repro.core.retrievers.base.BucketRetriever` contract), so
-        results and ``RunStats`` counters are unaffected; only the tuning
-        cache's ``index_builds`` / ``index_reuses`` bookkeeping can count a
-        racing double-build twice on a cold sharded call.
-        """
-        ranges = (
-            plan_shard_ranges(np.ones(prepared.size), probe_shards)
-            if prepared.size > 1 else []
-        )
-        if len(ranges) <= 1:
-            return solve_row_top_k(prepared, self.buckets, k, selector, self.stats,
-                                   screen=screen)
-        indices = np.full((prepared.size, k), -1, dtype=np.int64)
-        scores = np.full((prepared.size, k), -np.inf)
-        shard_stats = [RunStats() for _ in ranges]
-        tasks = [
-            (lambda span=span, stats=stats: solve_row_top_k(
-                prepared, self.buckets, k, selector, stats,
-                positions=range(span[0], span[1]), out=(indices, scores),
-                screen=screen))
-            for span, stats in zip(ranges, shard_stats)
-        ]
-        self._run_probe_shards(tasks, executor)
-        for stats in shard_stats:
-            self.stats.merge(stats)
-        return indices, scores
-
     # --------------------------------------------------------------- problems
 
-    def above_theta(self, queries, theta: float, *, probe_shards: int = 1,
-                    executor=None) -> AboveThetaResult:
-        """Solve the Above-θ problem (Problem 1) for the given query matrix.
-
-        ``probe_shards > 1`` splits the probe over contiguous bucket-range
-        shards run concurrently (on ``executor`` when given, else a transient
-        pool) with results and statistics merged in bucket order —
-        byte-identical to the serial probe for every algorithm, including the
-        approximate BLSH whose filter base is order-free.
-        """
+    def above_theta(self, queries, theta: float) -> AboveThetaResult:
+        """Solve the Above-θ problem (Problem 1) for the given query matrix."""
         self._require_fitted()
         require_positive(theta, "theta")
-        require_positive_int(probe_shards, "probe_shards")
         with Timer() as preprocess_timer:
             prepared = PreparedQueries(queries)
         self.stats.preprocessing_seconds += preprocess_timer.elapsed
@@ -812,8 +629,8 @@ class Lemp(Retriever):
 
         screen = self._screen_tier()
         with Timer() as timer:
-            query_ids, probe_ids, scores = self._probe_above_theta(
-                prepared, float(theta), selector, probe_shards, executor,
+            query_ids, probe_ids, scores = solve_above_theta(
+                prepared, self.buckets, float(theta), selector, self.stats,
                 screen=screen,
             )
         self.stats.retrieval_seconds += timer.elapsed
@@ -821,18 +638,10 @@ class Lemp(Retriever):
         self.stats.results += int(query_ids.size)
         return AboveThetaResult(query_ids, probe_ids, scores, float(theta))
 
-    def row_top_k(self, queries, k: int, *, probe_shards: int = 1,
-                  executor=None) -> TopKResult:
-        """Solve the Row-Top-k problem (Problem 2) for the given query matrix.
-
-        ``probe_shards > 1`` splits the probe over contiguous query-row
-        shards run concurrently (on ``executor`` when given, else a transient
-        pool); see :meth:`_probe_row_top_k` for why this problem shards the
-        row axis.  Results are byte-identical to the serial probe.
-        """
+    def row_top_k(self, queries, k: int) -> TopKResult:
+        """Solve the Row-Top-k problem (Problem 2) for the given query matrix."""
         self._require_fitted()
         require_positive_int(k, "k")
-        require_positive_int(probe_shards, "probe_shards")
         with Timer() as preprocess_timer:
             prepared = PreparedQueries(queries)
         self.stats.preprocessing_seconds += preprocess_timer.elapsed
@@ -846,8 +655,8 @@ class Lemp(Retriever):
 
         screen = self._screen_tier()
         with Timer() as timer:
-            indices, scores = self._probe_row_top_k(
-                prepared, k, selector, probe_shards, executor, screen=screen
+            indices, scores = solve_row_top_k(
+                prepared, self.buckets, k, selector, self.stats, screen=screen
             )
         self.stats.retrieval_seconds += timer.elapsed
         self.stats.num_queries += prepared.size

@@ -16,7 +16,7 @@ class BucketRetriever(ABC):
     care of bucket-level pruning beforehand and exact verification afterwards.
 
     **Shard-safety contract.**  One retriever instance (via one selector) is
-    shared by every concurrent probe shard and worker view of a call, so
+    shared by every concurrent worker view of a call, so
     :meth:`retrieve` must be a pure function of its arguments plus the
     constructor configuration: no per-call mutable state on ``self``, and any
     per-bucket state goes through the bucket's lazy-index slots
@@ -25,9 +25,7 @@ class BucketRetriever(ABC):
     deterministic and idempotent — a racing double-build has to produce
     bit-identical content.  The candidate set returned for a
     ``(query, bucket, thresholds)`` triple must not depend on which
-    (query, bucket) pairs were processed before it; this order-independence
-    is what makes bucket-range probe shards byte-identical to a serial probe
-    (asserted in ``tests/test_probe_sharding.py``).
+    (query, bucket) pairs were processed before it.
     """
 
     #: Short name used by the tuner and in benchmark output.

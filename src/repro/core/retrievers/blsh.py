@@ -7,18 +7,17 @@ threshold ``theta_b`` — a pure function of the call's inputs, computed up
 front and never mutated mid-probe.  This is the retriever's **determinism
 contract**: the candidate set for a (query, bucket) pair depends only on
 ``(query, bucket contents, theta_b, seed)``, so LEMP-BLSH returns the same
-results for any bucket visitation order, any probe-shard partition, and any
-query processing order.  (An earlier implementation baked the smallest
-``theta_b`` seen so far into the bucket and *ratcheted* it down across
-queries and calls, which made the filter's false negatives depend on
-processing order and blocked intra-query parallelism.)
+results for any query processing order.  (An earlier implementation baked
+the smallest ``theta_b`` seen so far into the bucket and *ratcheted* it down
+across queries and calls, which made the filter's false negatives depend on
+processing order.)
 
 The filter admits false negatives with probability up to
 ``false_negative_rate`` (0.03) per pair, making LEMP-BLSH the only
 approximate method in the family.  The signatures themselves do not depend on
 any threshold, so they are built once per bucket (seeded by the bucket
-ordinal) and reused across calls, worker views, and probe shards — a racing
-double-build produces bit-identical content.
+ordinal) and reused across calls and worker views — a racing double-build
+produces bit-identical content.
 
 ``screen_dtype`` never affects LEMP-BLSH's candidate set: it only gates the
 verification of already-generated candidates.  A compressed *generation*

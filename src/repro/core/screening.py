@@ -126,7 +126,7 @@ class ScreenTier:
 
     Instances are value-like and read-only from the solvers' point of view:
     :meth:`upper_cosines` is a pure function of its arguments, so a tier can
-    be shared by concurrent probe shards and worker views (the same contract
+    be shared by concurrent worker views (the same contract
     as :class:`~repro.core.retrievers.base.BucketRetriever`).  The backing
     arrays may be read-only ``numpy.memmap`` views of a persisted index;
     the incremental-update paths (:meth:`insert` / :meth:`delete`) build

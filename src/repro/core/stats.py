@@ -59,10 +59,9 @@ class RunStats:
     def merge(self, other: "RunStats") -> "RunStats":
         """Accumulate another run's counters into this one and return ``self``.
 
-        This is also the probe-shard / worker-view roll-up: shards record
-        into private ``RunStats`` objects and are merged back *in plan
-        order* (bucket order for probe shards, batch order for engine
-        workers).  The count fields are integers, so the merged totals equal
+        This is also the worker-view roll-up: engine workers record into
+        private ``RunStats`` objects and are merged back *in plan order*
+        (batch order).  The count fields are integers, so the merged totals equal
         a serial run's exactly; the ``seconds`` fields are float sums whose
         reproducibility — not wall-clock equality — is what the fixed merge
         order buys.

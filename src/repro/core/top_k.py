@@ -39,8 +39,6 @@ def solve_row_top_k(
     k: int,
     selector: RetrieverSelector,
     stats: RunStats,
-    positions=None,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
     screen=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retrieve the k largest inner products for every query row.
@@ -48,18 +46,6 @@ def solve_row_top_k(
     Returns ``(indices, scores)`` arrays of shape ``(num_queries, k)`` indexed
     by *original* query id, padded with -1 / -inf where fewer than ``k`` probes
     exist.
-
-    ``positions`` restricts the solve to a subset of query positions (default:
-    all), and ``out`` supplies pre-allocated full-size output arrays to fill.
-    Together they are the probe-shard entry point (see
-    :meth:`repro.core.lemp.Lemp.row_top_k`): each query's bucket walk is
-    independent of every other query's, and each walk writes exactly one row
-    of the output, so shards over disjoint position ranges may fill the same
-    ``out`` arrays concurrently and produce bytes identical to one serial
-    pass.  The θ′ ratchet makes the walk itself sequential *within* a query —
-    bucket j's candidate set depends on the scores verified in buckets
-    ``< j`` — which is why probe shards partition query rows here, unlike the
-    bucket-range shards of :func:`~repro.core.above_theta.solve_above_theta`.
 
     A score strictly below θ′ lies below all k kept entries and cannot
     change them, so only candidates that may reach θ′ need exact scores.
@@ -77,19 +63,14 @@ def solve_row_top_k(
         if num_probes >= k:
             break
     effective_k = min(k, num_probes)
-    if out is None:
-        indices = np.full((queries.size, k), -1, dtype=np.int64)
-        scores = np.full((queries.size, k), -np.inf)
-    else:
-        indices, scores = out
-    positions = (np.arange(queries.size) if positions is None
-                 else np.asarray(positions, dtype=np.intp))
-    if positions.size == 0 or effective_k == 0:
+    indices = np.full((queries.size, k), -1, dtype=np.int64)
+    scores = np.full((queries.size, k), -np.inf)
+    if queries.size == 0 or effective_k == 0:
         return indices, scores
 
-    top = _RunningTopK(positions.size, effective_k)
+    top = _RunningTopK(queries.size, effective_k)
     theta_prime = top.theta_prime
-    walking = np.arange(positions.size)
+    walking = np.arange(queries.size)
 
     for bucket in buckets:
         # local_threshold(θ′, 1, l_b) of every walking query.
@@ -122,25 +103,24 @@ def solve_row_top_k(
         if length_rows.size:
             thresholds = theta_prime[length_rows]
             for pairs, candidates, cosines in score_length_pairs(
-                    bucket, queries.directions, positions[length_rows], None, thresholds,
+                    bucket, queries.directions, length_rows, None, thresholds,
                     thresholds, stats, screen, gather_matvec):
                 top.fold(bucket, length_rows[pairs], candidates, cosines)
 
         for row, value, (retriever, phi) in zip(pair_rows.tolist(), pair_theta_b.tolist(),
                                                  routes):
             candidates, cosines = _score_pair(
-                queries.directions[positions[row]], bucket, float(theta_prime[row]), value,
+                queries.directions[row], bucket, float(theta_prime[row]), value,
                 retriever, phi, stats, screen)
             if candidates.size:
                 top.fold(bucket, row, candidates, cosines)
 
     filled = top.ids != _NO_ID
-    original_ids = queries.ids[positions]
-    indices[original_ids, :effective_k] = np.where(filled, top.ids, -1)
+    indices[queries.ids, :effective_k] = np.where(filled, top.ids, -1)
     # Ranking was computed against the normalised query (Section 4.5);
     # report the true inner products by scaling back with ‖q‖.
-    scaled = top.scores * queries.norms[positions][:, None]
-    scores[original_ids, :effective_k] = np.where(filled, scaled, -np.inf)
+    scaled = top.scores * queries.norms[:, None]
+    scores[queries.ids, :effective_k] = np.where(filled, scaled, -np.inf)
     return indices, scores
 
 

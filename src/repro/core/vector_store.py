@@ -127,7 +127,7 @@ class VectorStore:
         Built on first use and cached; incremental updates (:meth:`merge` /
         :meth:`delete`) patch every built tier in sync with the store, so a
         cached tier always equals a fresh build on the current directions.
-        A racing double-build under concurrent probe shards is deterministic
+        A racing double-build under concurrent worker views is deterministic
         and idempotent (quantization is a pure per-row function), matching
         the lazy per-bucket index contract.
         """

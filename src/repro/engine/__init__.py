@@ -7,20 +7,15 @@ This package is the serving-oriented surface over the algorithmic core:
   ``"tree:cover"``; new retrieval methods self-register with the decorator,
   and :func:`spec_capabilities` reports a method's capability flags.
 * :class:`ExecutionPlanner` / :class:`PlanExecutor` — every call is first
-  compiled into an explicit :class:`ExecutionPlan` (chunking, chunk-axis
-  workers, per-chunk probe shards, warm-up, merge order; the two sharding
-  axes compose) and then executed with a deterministic plan-order merge.
-  A :class:`CostModel` learns the planner's cost knobs online from every
-  completed call; ``plan_policy="auto"`` applies the measured per-shape
-  estimates (with the cost veto armed) once confident — see
-  :mod:`repro.engine.calibration`.
+  compiled into an explicit :class:`ExecutionPlan` (chunking, workers,
+  warm-up) and then executed with a deterministic plan-order merge.
 * :class:`RetrievalEngine` — wraps a retriever with chunked/batched query
-  execution (serial, or sharded per the plan with ``workers=N``), a fluent
-  query builder, :meth:`~RetrievalEngine.explain` for plan introspection,
-  per-call statistics, incremental index updates, and ``save`` / ``load``
-  persistence (including the engine's :class:`PlanPolicy` knobs).  Format-3
-  indexes reload with ``mmap_mode="r"`` (memory-mapped arrays), and
-  attaching a :class:`repro.serve.WorkerPool` switches plans from the
+  execution (serial, or chunks on worker threads with ``workers=N``), a
+  fluent query builder, :meth:`~RetrievalEngine.explain` for plan
+  introspection, per-call statistics, incremental index updates, and
+  ``save`` / ``load`` persistence.  Format-3 indexes reload with
+  ``mmap_mode="r"`` (memory-mapped arrays), and attaching a
+  :class:`repro.serve.WorkerPool` switches plans from the
   :data:`BACKEND_THREADS` backend to :data:`BACKEND_PROCESSES`.
 
 Quick start::
@@ -35,21 +30,13 @@ Quick start::
     engine = RetrievalEngine.load("idx/")
 """
 
-from repro.engine.calibration import (
-    POLICY_MODES,
-    Calibration,
-    CostModel,
-    resolve_policy_spec,
-)
 from repro.engine.executor import PlanExecutor
 from repro.engine.facade import EngineCall, QueryBuilder, RetrievalEngine
 from repro.engine.planner import (
     BACKEND_PROCESSES,
     BACKEND_THREADS,
-    CostEstimate,
     ExecutionPlan,
     ExecutionPlanner,
-    PlanPolicy,
 )
 from repro.engine.registry import (
     available_specs,
@@ -64,15 +51,10 @@ from repro.engine.registry import (
 __all__ = [
     "BACKEND_PROCESSES",
     "BACKEND_THREADS",
-    "Calibration",
-    "CostEstimate",
-    "CostModel",
     "EngineCall",
     "ExecutionPlan",
     "ExecutionPlanner",
-    "POLICY_MODES",
     "PlanExecutor",
-    "PlanPolicy",
     "QueryBuilder",
     "RetrievalEngine",
     "available_specs",
@@ -80,7 +62,6 @@ __all__ = [
     "normalize_spec",
     "register_retriever",
     "registered_names",
-    "resolve_policy_spec",
     "spec_capabilities",
     "spec_is_exact",
 ]

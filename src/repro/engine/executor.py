@@ -1,38 +1,25 @@
 """Plan execution: run an :class:`~repro.engine.planner.ExecutionPlan`.
 
 :class:`PlanExecutor` is the only piece of the engine that touches thread
-pools.  It takes a plan as read-only instructions and reproduces, for any
-composition of the two sharding axes, the byte-identical-to-serial contract
-the planner promises:
+or process pools.  It takes a plan as read-only instructions and keeps the
+byte-identical-to-serial contract the planner promises:
 
-* **Warm-up first.**  When the chunk axis is active (``plan.workers > 1``)
-  the first chunk runs on the engine's own retriever before anything is
+* **Warm-up first.**  On the thread backend with ``plan.workers > 1`` the
+  first chunk runs on the engine's own retriever before anything is
   dispatched, so the sample-based tuner runs — and the shared
   :class:`~repro.core.tuning_cache.TuningCache` is populated — exactly once.
-  The warm-up chunk may itself be probe-sharded (probe shards are
-  byte-identical to a serial probe, so the warm-up guarantee is unaffected:
-  tuning happens before the probe fans out).
 * **Chunk fan-out.**  Remaining chunks run on per-chunk
   :meth:`~repro.core.api.Retriever.worker_view` clones submitted to the
-  engine's chunk pool with a bounded prefetch window, and are yielded
-  strictly in submission (= query) order.
-* **Probe shards inside chunks.**  When ``plan.probe_shards > 1`` every
-  chunk's solve is asked to split its probe; the shard subtasks go to a
-  *separate* probe pool.  Chunk tasks block on their own probe subtasks, so
-  sending both task kinds to one pool could deadlock once every thread holds
-  a blocking chunk task; two pools make probe tasks pure leaves that always
-  find a thread.
-* **Plan-order merge.**  Worker-view statistics are merged into the engine
-  retriever's :class:`~repro.core.stats.RunStats` in batch order (and probe
-  shards merge inside the retriever in bucket/row order), never in
+  engine's thread pool (or, on the process backend, every chunk runs on the
+  attached :class:`~repro.serve.WorkerPool`) with a bounded prefetch window,
+  and are yielded strictly in submission (= query) order.
+* **Plan-order merge.**  Worker statistics are merged into the engine
+  retriever's :class:`~repro.core.stats.RunStats` in batch order, never in
   completion order, so cumulative counters — and float timing sums — equal a
   serial run's exactly.
 
-The executor never reads timings to make decisions — the wall clock of each
-completed call is recorded on its ``EngineCall`` and fed to the engine's
-:class:`~repro.engine.calibration.CostModel`, which influences only what the
-*planner* emits for future calls.  Execution itself is a deterministic
-replay of the plan it was handed.
+The executor never reads timings to make decisions: execution is a
+deterministic replay of the plan it was handed.
 """
 
 from __future__ import annotations
@@ -49,25 +36,16 @@ class PlanExecutor:
     def __init__(self, engine) -> None:
         self._engine = engine
 
-    def _probe_kwargs(self, plan: ExecutionPlan) -> dict:
-        """Per-solve kwargs activating the plan's probe axis (empty if off)."""
-        if plan.probe_shards <= 1:
-            return {}
-        return {
-            "probe_shards": plan.probe_shards,
-            "executor": self._engine._probe_executor(),
-        }
-
     def run(self, plan: ExecutionPlan, queries, solve):
         """Yield ``(row_offset, result)`` per chunk of ``plan``, in query order.
 
-        ``solve(retriever, block, **probe_kwargs)`` runs one chunk; the
-        executor decides which retriever object (engine's own or a worker
-        view) and which probe kwargs each chunk gets.  Plans on the process
-        backend ignore ``solve`` entirely — chunks are shipped to the
-        engine's attached :class:`~repro.serve.WorkerPool`, which runs the
-        equivalent serial solve in a worker process against its own mapping
-        of the same index (see :meth:`_run_processes`).
+        ``solve(retriever, block)`` runs one chunk; the executor decides
+        which retriever object (engine's own or a worker view) each chunk
+        gets.  Plans on the process backend ignore ``solve`` entirely —
+        chunks are shipped to the engine's attached
+        :class:`~repro.serve.WorkerPool`, which runs the equivalent serial
+        solve in a worker process against its own mapping of the same index
+        (see :meth:`_run_processes`).
         """
         engine = self._engine
         retriever = engine.retriever
@@ -75,25 +53,20 @@ class PlanExecutor:
         if plan.backend == BACKEND_PROCESSES:
             yield from self._run_processes(plan, batches)
             return
-        probe_kwargs = self._probe_kwargs(plan)
 
         if plan.workers <= 1:
             for start, block in batches:
-                yield start, solve(retriever, block, **probe_kwargs)
+                yield start, solve(retriever, block)
             return
 
         first_start, first_block = batches[0]
-        yield first_start, solve(retriever, first_block, **probe_kwargs)
+        yield first_start, solve(retriever, first_block)
         views = [retriever.worker_view() for _ in batches[1:]]
-        # The chunk pool is sized by the *configured* worker count so it
-        # survives calls with fewer batches; per-call concurrency is still
-        # bounded by the in-flight window below.  When the plan caps the
-        # chunk axis below the pool size (max_chunk_workers), every
-        # submitted task would start at once — the window must then BE the
-        # concurrency bound; only when the pool itself enforces the bound
-        # can the window double up as prefetch depth.
+        # The pool is sized by the configured worker count so it survives
+        # calls with fewer batches; it bounds the concurrency, and the
+        # in-flight window below bounds the prefetch depth.
         pool = engine._executor(engine.workers)
-        window = 2 * plan.workers if plan.workers >= engine.workers else plan.workers
+        window = 2 * plan.workers
         pending: deque = deque()
         next_batch = 1
         try:
@@ -101,22 +74,20 @@ class PlanExecutor:
                 while next_batch < len(batches) and len(pending) < window:
                     start, block = batches[next_batch]
                     view = views[next_batch - 1]
-                    pending.append(
-                        (start, pool.submit(solve, view, block, **probe_kwargs))
-                    )
+                    pending.append((start, pool.submit(solve, view, block)))
                     next_batch += 1
                 start, future = pending.popleft()
                 yield start, future.result()
         finally:
-            # If the consumer abandoned the iterator (or a shard raised),
-            # settle the in-flight futures before touching shard state:
+            # If the consumer abandoned the iterator (or a chunk raised),
+            # settle the in-flight futures before merging worker stats:
             # queued ones are cancelled, running ones are waited out.
             for _, future in pending:
                 future.cancel()
                 if not future.cancelled():
                     try:
                         future.result()
-                    except Exception:  # noqa: S110 - shard error already surfaced
+                    except Exception:  # noqa: S110 - chunk error already surfaced
                         pass
             # Deterministic roll-up: batch order, not completion order, so
             # counter totals (and float timing sums) are reproducible.

@@ -18,45 +18,32 @@ Three equivalent calling styles::
 
 How a call *runs* is decided by the engine's
 :class:`~repro.engine.planner.ExecutionPlanner`: each call gets an explicit
-:class:`~repro.engine.planner.ExecutionPlan` — chunking, chunk-axis worker
-threads, per-chunk probe shards, warm-up step, merge order — built from the
-call shape, the retriever's capabilities, and the engine's
-:class:`~repro.engine.planner.PlanPolicy`.  With
-``RetrievalEngine(..., workers=N)`` a plan may chunk-shard across worker
-views, probe-shard inside each chunk
-(:attr:`~repro.core.api.Retriever.supports_probe_sharding`), or **combine
-both axes** (e.g. 2 chunk workers × 2 probe shards on a 4-worker pool);
-every composition stays bit-identical to serial execution (see
-:mod:`repro.engine.executor` for the mechanics).  :meth:`RetrievalEngine.explain`
-returns the plan a call *would* use without executing anything, and the
-executed call records the identical plan on its :class:`EngineCall`.
-
-The planner's cost knobs can also be *learned*: every completed call feeds
-the engine's :class:`~repro.engine.calibration.CostModel`, and with
-``plan_policy="auto"`` (or the per-call ``policy="auto"`` /
-``engine.query(q).policy("auto")`` spellings) plans are built from the
-measured per-shape costs — with ``cost_veto`` armed — once the model is
-confident.  See :mod:`repro.engine.calibration` for the policy modes and
-the purity contract they preserve.
+:class:`~repro.engine.planner.ExecutionPlan` — chunking, workers, warm-up —
+built from the call shape and the retriever's capabilities.  With
+``RetrievalEngine(..., workers=N)`` the chunks after a serial warm-up chunk
+run on worker views, and with a :class:`~repro.serve.WorkerPool` attached
+every chunk runs on a worker process; both stay bit-identical to serial
+execution (see :mod:`repro.engine.executor` for the mechanics).
+:meth:`RetrievalEngine.explain` returns the plan a call *would* use without
+executing anything, and the executed call records the identical plan on its
+:class:`EngineCall`.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.results import AboveThetaResult, TopKResult
-from repro.engine.calibration import (
-    MODE_CALIBRATED,
-    MODE_FIXED,
-    CostModel,
-    resolve_policy_spec,
-)
 from repro.engine.executor import PlanExecutor
-from repro.engine.planner import BACKEND_PROCESSES, ExecutionPlan, ExecutionPlanner, PlanPolicy
+from repro.engine.planner import (
+    BACKEND_PROCESSES,
+    BACKEND_THREADS,
+    ExecutionPlan,
+    ExecutionPlanner,
+)
 from repro.engine.registry import create_retriever, spec_for_instance
 from repro.exceptions import InvalidParameterError, UnsupportedOperationError
 from repro.utils.timer import Timer
@@ -82,9 +69,8 @@ class EngineCall:
 
     ``plan`` is the full :class:`~repro.engine.planner.ExecutionPlan` the
     call executed — the same value :meth:`RetrievalEngine.explain` returns
-    for the same call shape on the same engine state.  The historical
-    ``workers`` / ``probe_shards`` fields live on as read-only views into
-    the plan.
+    for the same call shape on the same engine state.  ``workers`` is a
+    read-only view into the plan.
     """
 
     problem: str
@@ -100,17 +86,8 @@ class EngineCall:
 
     @property
     def workers(self) -> int:
-        """Chunk-axis worker threads the call sharded across (1 = serial)."""
+        """Workers the call's chunks ran on (1 = serial)."""
         return self.plan.workers if self.plan is not None else 1
-
-    @property
-    def probe_shards(self) -> int:
-        """Probe shards each chunk of the call was *asked* to split into.
-
-        The retriever may still execute fewer shards when the probe has too
-        little to split (e.g. a one-row Row-Top-k chunk).
-        """
-        return self.plan.probe_shards if self.plan is not None else 1
 
 
 class RetrievalEngine:
@@ -123,50 +100,29 @@ class RetrievalEngine:
         :func:`repro.engine.registry.create_retriever` (``"lemp:LI"``,
         ``"naive"``, …) or an already-constructed retriever instance.
     workers:
-        Number of threads the work of one call may be sharded across
-        (default 1 = serial).  With ``workers > 1`` the planner composes the
-        two sharding axes per call: enough chunks occupy every worker on the
-        chunk axis (first chunk serial, warming the shared tuning cache;
-        the rest on :meth:`~repro.core.api.Retriever.worker_view` clones);
-        a single- or small-batch call is probe-sharded from the inside
-        (every LEMP variant supports it, including LEMP-BLSH with its
-        order-free minimum-match base); in between, spare workers probe-shard
-        *within* each chunk (e.g. 3 chunks on 4 workers run as 2 chunk
-        workers × 2 probe shards).  Results and statistics are merged
-        deterministically in plan order — bit-identical to a serial run for
-        every composition.  Retrievers that support neither axis (e.g. the
-        clustered extension) are transparently executed serially.  The
-        attribute is plain and may be reassigned between calls to A/B
-        parallelism.
-    plan_policy:
-        How plans pick their cost knobs.  A policy-mode string —
-        ``"fixed"`` (the default: static knobs, the model never consulted),
-        ``"auto"`` (learn per-shape costs online and apply them, veto
-        armed, once confident), or ``"calibrated"`` (apply whatever
-        estimates exist unconditionally, e.g. after loading a persisted
-        model) — or, equivalently to ``"fixed"`` with custom knobs, a
-        :class:`~repro.engine.planner.PlanPolicy` / dict of its knobs.
-        Persisted with the index; see :mod:`repro.engine.calibration`.
+        Number of threads the chunks of one call may run on (default 1 =
+        serial).  With ``workers > 1`` the first chunk runs serially,
+        warming the shared tuning cache, and the remaining chunks run on
+        :meth:`~repro.core.api.Retriever.worker_view` clones.  Results and
+        statistics are merged in batch order — bit-identical to a serial
+        run.  Calls with fewer than three chunks, and retrievers without
+        worker views (e.g. the clustered extension), run serially.  The
+        attribute is plain and may be reassigned between calls.
     history_limit:
         Cap on the per-call :attr:`history` list (default
         :data:`DEFAULT_HISTORY_LIMIT`; oldest records are evicted first),
-        or ``None`` for unbounded growth.  The cost model keeps learning
-        from every call regardless — eviction only bounds the memory a
+        or ``None`` for unbounded growth; eviction bounds the memory a
         long-running serving process spends on per-call records.
     **kwargs:
         Constructor arguments forwarded when ``retriever`` is a spec string
         (ignored otherwise; passing them with an instance is an error).
     """
 
-    def __init__(self, retriever, workers: int = 1, plan_policy=None,
+    def __init__(self, retriever, workers: int = 1,
                  history_limit: int | None = DEFAULT_HISTORY_LIMIT, **kwargs) -> None:
         """Build (from a spec string) or wrap (an instance) the retriever."""
         self.workers = require_positive_int(workers, "workers")
-        self.plan_mode, base_policy = resolve_policy_spec(plan_policy)
-        self.planner = ExecutionPlanner(base_policy)
-        #: Online per-(problem, spec, shape-bucket) cost estimates, fed by
-        #: every completed call and consulted in the auto/calibrated modes.
-        self.cost_model = CostModel()
+        self.planner = ExecutionPlanner()
         if history_limit is not None:
             history_limit = require_positive_int(history_limit, "history_limit")
         self.history_limit = history_limit
@@ -188,8 +144,6 @@ class RetrievalEngine:
         self._plan_executor = PlanExecutor(self)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_size = 0
-        self._probe_pool: ThreadPoolExecutor | None = None
-        self._probe_pool_size = 0
         #: Attached :class:`~repro.serve.WorkerPool` (``None`` = threads).
         self.worker_pool = None
 
@@ -199,25 +153,6 @@ class RetrievalEngine:
     def stats(self):
         """The wrapped retriever's cumulative :class:`~repro.core.stats.RunStats`."""
         return self.retriever.stats
-
-    @property
-    def plan_policy(self) -> PlanPolicy:
-        """The planner's (immutable) base cost-model knobs.
-
-        Assigning accepts the same specs as the constructor — a mode string
-        (``"fixed"`` / ``"auto"`` / ``"calibrated"``), a
-        :class:`~repro.engine.planner.PlanPolicy`, a dict of knobs, or
-        ``None`` (back to defaults) — and updates :attr:`plan_mode`
-        alongside the planner.  The cost model's learned state is kept:
-        flipping ``"fixed"`` → ``"auto"`` on a warm engine starts planning
-        from everything already observed.
-        """
-        return self.planner.policy
-
-    @plan_policy.setter
-    def plan_policy(self, value) -> None:
-        self.plan_mode, base_policy = resolve_policy_spec(value)
-        self.planner = ExecutionPlanner(base_policy)
 
     @property
     def screen_dtype(self) -> str | None:
@@ -363,43 +298,8 @@ class RetrievalEngine:
             return DEFAULT_BATCH_SIZE
         return require_positive_int(batch_size, "batch_size")
 
-    def _model_spec(self) -> str:
-        """The retriever key the cost model files estimates under."""
-        return self.spec or type(self.retriever).__name__
-
-    def _effective_policy(self, problem: str, num_queries: int,
-                          policy_spec) -> tuple[PlanPolicy, str | None]:
-        """Resolve the policy one call plans with, plus its calibration line.
-
-        ``policy_spec`` is the per-call override (``None`` = the engine's
-        configured mode and knobs).  In ``"fixed"`` mode the base knobs are
-        returned untouched; in ``"auto"`` mode the cost model's estimates
-        replace them — veto armed, calibration line attached — once the
-        call's shape bucket is confident; ``"calibrated"`` applies whatever
-        estimates exist (or just arms the veto when none do).  Pure in the
-        engine's current state: calling it twice between calls yields the
-        same policy, which is what keeps ``explain()`` == the recorded plan.
-        """
-        if policy_spec is None:
-            mode, base = self.plan_mode, self.planner.policy
-        else:
-            mode, base = resolve_policy_spec(policy_spec)
-        if mode == MODE_FIXED:
-            return base, None
-        calibration = self.cost_model.lookup(
-            problem, self._model_spec(), num_queries, self.num_probes
-        )
-        if calibration is not None and (calibration.confident or mode == MODE_CALIBRATED):
-            return calibration.policy(base), calibration.describe()
-        if mode == MODE_CALIBRATED:
-            return replace(base, cost_veto=True), (
-                "calibrated mode: no recorded estimates for this shape yet; "
-                "static knobs with cost veto armed"
-            )
-        return base, None
-
     def _plan(self, problem: str, parameter: float, num_queries: int,
-              batch_size: int | None, policy_spec=None) -> ExecutionPlan:
+              batch_size: int | None) -> ExecutionPlan:
         """Build the call's :class:`~repro.engine.planner.ExecutionPlan`.
 
         With a :class:`~repro.serve.WorkerPool` attached
@@ -407,28 +307,15 @@ class RetrievalEngine:
         worker count is the pool size and the planner emits a
         ``backend="processes"`` plan the executor routes to the pool.
         """
-        policy, calibration = self._effective_policy(problem, num_queries, policy_spec)
-        if self.worker_pool is not None:
-            return self.planner.plan(
-                problem=problem,
-                parameter=float(parameter),
-                num_queries=int(num_queries),
-                batch_size=self._resolve_batch_size(batch_size),
-                workers=self.worker_pool.size,
-                retriever=self.retriever,
-                backend=BACKEND_PROCESSES,
-                policy=policy,
-                calibration=calibration,
-            )
+        pool = self.worker_pool
         return self.planner.plan(
             problem=problem,
             parameter=float(parameter),
             num_queries=int(num_queries),
             batch_size=self._resolve_batch_size(batch_size),
-            workers=self.workers,
+            workers=self.workers if pool is None else pool.size,
             retriever=self.retriever,
-            policy=policy,
-            calibration=calibration,
+            backend=BACKEND_THREADS if pool is None else BACKEND_PROCESSES,
         )
 
     def use_worker_pool(self, pool) -> "RetrievalEngine":
@@ -450,20 +337,15 @@ class RetrievalEngine:
         return self
 
     def explain(self, queries, *, theta: float | None = None, k: int | None = None,
-                batch_size: int | None = None, policy=None) -> ExecutionPlan:
+                batch_size: int | None = None) -> ExecutionPlan:
         """The plan the matching call would execute, without executing it.
 
         Exactly one of ``theta`` (Above-θ) or ``k`` (Row-Top-k) selects the
         problem; ``queries`` is the query matrix — or, as a convenience, a
-        plain row count, since planning only reads the shape.  ``policy``
-        overrides the engine's configured policy for this plan (same specs
-        as the constructor: a mode string, a
-        :class:`~repro.engine.planner.PlanPolicy`, or a knob dict).  The
-        returned plan compares equal (``==``) to the
-        :attr:`EngineCall.plan` the real call records, provided the engine
-        state (index, :attr:`workers`, policy — and, in the auto mode, the
-        cost model, which every completed call updates) is unchanged in
-        between::
+        plain row count, since planning only reads the shape.  The returned
+        plan compares equal (``==``) to the :attr:`EngineCall.plan` the real
+        call records, provided the engine state (index, :attr:`workers`,
+        attached worker pool) is unchanged in between::
 
             plan = engine.explain(queries, k=10, batch_size=4096)
             print(plan.describe())
@@ -483,13 +365,13 @@ class RetrievalEngine:
         if theta is not None:
             require_positive(theta, "theta")
             _require_method(self.retriever, "above_theta")
-            return self._plan("above_theta", float(theta), num_queries, batch_size, policy)
+            return self._plan("above_theta", float(theta), num_queries, batch_size)
         require_positive_int(k, "k")
         _require_method(self.retriever, "row_top_k")
-        return self._plan("row_top_k", float(k), num_queries, batch_size, policy)
+        return self._plan("row_top_k", float(k), num_queries, batch_size)
 
     def _executor(self, workers: int) -> ThreadPoolExecutor:
-        """The engine-owned chunk-axis pool, (re)created lazily.
+        """The engine-owned worker thread pool, (re)created lazily.
 
         Reused across calls so worker threads — and their per-thread kernel
         scratch buffers — stay warm; recreated only when :attr:`workers`
@@ -506,34 +388,13 @@ class RetrievalEngine:
             self._pool_size = workers
         return self._pool
 
-    def _probe_executor(self) -> ThreadPoolExecutor:
-        """The engine-owned probe-shard pool, separate from the chunk pool.
-
-        Probe-shard subtasks are pure leaves (they never submit further
-        work), while chunk tasks *block* on their probe subtasks; keeping
-        the two task kinds on separate pools makes the combined-axis
-        composition deadlock-free by construction.  Sized like the chunk
-        pool: a plan dispatches at most ``workers × (shards - 1)`` probe
-        tasks — but shard 0 of every probe runs inline on its chunk's
-        thread, so ``workers`` threads bound the genuinely concurrent ones.
-        """
-        if self._probe_pool is None or self._probe_pool_size != self.workers:
-            if self._probe_pool is not None:
-                self._probe_pool.shutdown(wait=False)
-            self._probe_pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-probe-shard"
-            )
-            self._probe_pool_size = self.workers
-        return self._probe_pool
-
     def _iter_above(self, queries: np.ndarray, theta: float, plan: ExecutionPlan):
-        def solve(retriever, block, **probe_kwargs):
-            return retriever.above_theta(block, theta, **probe_kwargs)
+        def solve(retriever, block):
+            return retriever.above_theta(block, theta)
 
         yield from self._plan_executor.run(plan, queries, solve)
 
-    def iter_above_theta(self, queries, theta: float, batch_size: int | None = None,
-                         policy=None):
+    def iter_above_theta(self, queries, theta: float, batch_size: int | None = None):
         """Yield ``(row_offset, AboveThetaResult)`` per query batch.
 
         Batch results carry batch-local query ids; add ``row_offset`` (or use
@@ -556,20 +417,16 @@ class RetrievalEngine:
         queries = as_float_matrix(queries, "queries")
         require_positive(theta, "theta")
         _require_method(self.retriever, "above_theta")
-        plan = self._plan("above_theta", float(theta), queries.shape[0], batch_size, policy)
+        plan = self._plan("above_theta", float(theta), queries.shape[0], batch_size)
         yield from self._iter_above(queries, theta, plan)
 
-    def above_theta(self, queries, theta: float, batch_size: int | None = None,
-                    policy=None) -> AboveThetaResult:
-        """Solve Above-θ over the full query matrix in bounded batches.
-
-        ``policy`` overrides the engine's configured plan policy for this
-        one call (same specs as the constructor's ``plan_policy``).
-        """
+    def above_theta(self, queries, theta: float,
+                    batch_size: int | None = None) -> AboveThetaResult:
+        """Solve Above-θ over the full query matrix in bounded batches."""
         queries = as_float_matrix(queries, "queries")
         require_positive(theta, "theta")
         _require_method(self.retriever, "above_theta")
-        plan = self._plan("above_theta", float(theta), queries.shape[0], batch_size, policy)
+        plan = self._plan("above_theta", float(theta), queries.shape[0], batch_size)
         offsets: list[int] = []
         parts: list[AboveThetaResult] = []
         hits_before, misses_before = self._tuning_counters()
@@ -583,31 +440,25 @@ class RetrievalEngine:
         return merged
 
     def _iter_top_k(self, queries: np.ndarray, k: int, plan: ExecutionPlan):
-        def solve(retriever, block, **probe_kwargs):
-            return retriever.row_top_k(block, k, **probe_kwargs)
+        def solve(retriever, block):
+            return retriever.row_top_k(block, k)
 
         yield from self._plan_executor.run(plan, queries, solve)
 
-    def iter_row_top_k(self, queries, k: int, batch_size: int | None = None,
-                       policy=None):
+    def iter_row_top_k(self, queries, k: int, batch_size: int | None = None):
         """Yield ``(row_offset, TopKResult)`` per query batch."""
         queries = as_float_matrix(queries, "queries")
         require_positive_int(k, "k")
         _require_method(self.retriever, "row_top_k")
-        plan = self._plan("row_top_k", float(k), queries.shape[0], batch_size, policy)
+        plan = self._plan("row_top_k", float(k), queries.shape[0], batch_size)
         yield from self._iter_top_k(queries, k, plan)
 
-    def row_top_k(self, queries, k: int, batch_size: int | None = None,
-                  policy=None) -> TopKResult:
-        """Solve Row-Top-k over the full query matrix in bounded batches.
-
-        ``policy`` overrides the engine's configured plan policy for this
-        one call (same specs as the constructor's ``plan_policy``).
-        """
+    def row_top_k(self, queries, k: int, batch_size: int | None = None) -> TopKResult:
+        """Solve Row-Top-k over the full query matrix in bounded batches."""
         queries = as_float_matrix(queries, "queries")
         require_positive_int(k, "k")
         _require_method(self.retriever, "row_top_k")
-        plan = self._plan("row_top_k", float(k), queries.shape[0], batch_size, policy)
+        plan = self._plan("row_top_k", float(k), queries.shape[0], batch_size)
         parts: list[TopKResult] = []
         hits_before, misses_before = self._tuning_counters()
         with Timer() as timer:
@@ -629,10 +480,6 @@ class RetrievalEngine:
         self.history.append(call)
         if self.history_limit is not None and len(self.history) > self.history_limit:
             del self.history[: len(self.history) - self.history_limit]
-        # The model ingests every completed call regardless of policy mode,
-        # so flipping to "auto" later starts from a warm estimate — and it
-        # ingests *after* planning, so explain() == the recorded plan.
-        self.cost_model.observe(call, spec=self._model_spec(), num_probes=self.num_probes)
 
     # ------------------------------------------------------------ persistence
 
@@ -669,9 +516,7 @@ class QueryBuilder:
 
     Terminal methods: :meth:`top_k`, :meth:`above` (merged results),
     :meth:`top_k_batches`, :meth:`above_batches` (streaming per-batch), and
-    :meth:`explain` (the plan, not executed).  :meth:`policy` overrides the
-    engine's plan policy for the built call —
-    ``engine.query(q).policy("auto").top_k(10)``.
+    :meth:`explain` (the plan, not executed).
     """
 
     def __init__(self, engine: RetrievalEngine, queries) -> None:
@@ -679,86 +524,37 @@ class QueryBuilder:
         self._engine = engine
         self._queries = queries
         self._batch_size: int | None = None
-        self._policy = None
 
     def batch_size(self, size: int) -> "QueryBuilder":
         """Set the chunk size used to split the query matrix."""
         self._batch_size = require_positive_int(size, "batch_size")
         return self
 
-    def policy(self, spec) -> "QueryBuilder":
-        """Override the engine's plan policy for this call.
-
-        Accepts the same specs as ``RetrievalEngine(plan_policy=...)``:
-        ``"fixed"`` / ``"auto"`` / ``"calibrated"``, a
-        :class:`~repro.engine.planner.PlanPolicy`, or a dict of knobs.
-        Validated eagerly so a typo fails here, not at the terminal call.
-        """
-        resolve_policy_spec(spec)
-        self._policy = spec
-        return self
-
     def top_k(self, k: int) -> TopKResult:
         """Run Row-Top-k and return the merged result."""
-        return self._engine.row_top_k(
-            self._queries, k, batch_size=self._batch_size, policy=self._policy
-        )
+        return self._engine.row_top_k(self._queries, k, batch_size=self._batch_size)
 
     def above(self, theta: float) -> AboveThetaResult:
         """Run Above-θ and return the merged result."""
-        return self._engine.above_theta(
-            self._queries, theta, batch_size=self._batch_size, policy=self._policy
-        )
+        return self._engine.above_theta(self._queries, theta, batch_size=self._batch_size)
 
     def top_k_batches(self, k: int):
         """Yield ``(row_offset, TopKResult)`` per batch without merging."""
-        return self._engine.iter_row_top_k(
-            self._queries, k, self._batch_size, policy=self._policy
-        )
+        return self._engine.iter_row_top_k(self._queries, k, self._batch_size)
 
     def above_batches(self, theta: float):
         """Yield ``(row_offset, AboveThetaResult)`` per batch without merging."""
-        return self._engine.iter_above_theta(
-            self._queries, theta, self._batch_size, policy=self._policy
-        )
+        return self._engine.iter_above_theta(self._queries, theta, self._batch_size)
 
     def explain(self, *, theta: float | None = None, k: int | None = None) -> ExecutionPlan:
         """The plan the matching terminal would execute, without executing it.
 
         Exactly one of ``theta`` or ``k`` infers the problem, mirroring
-        :meth:`RetrievalEngine.explain`; the builder's batch size and policy
-        override apply.
+        :meth:`RetrievalEngine.explain`; the builder's batch size applies.
         """
         return self._engine.explain(
-            self._queries, theta=theta, k=k,
-            batch_size=self._batch_size, policy=self._policy,
+            self._queries, theta=theta, k=k, batch_size=self._batch_size
         )
-
-    def explain_top_k(self, k: int) -> ExecutionPlan:
-        """Deprecated alias for ``explain(k=...)``.
-
-        .. deprecated:: 2.6
-            Use the unified :meth:`explain`.
-        """
-        warnings.warn(
-            "QueryBuilder.explain_top_k(k) is deprecated; use explain(k=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.explain(k=k)
-
-    def explain_above(self, theta: float) -> ExecutionPlan:
-        """Deprecated alias for ``explain(theta=...)``.
-
-        .. deprecated:: 2.6
-            Use the unified :meth:`explain`.
-        """
-        warnings.warn(
-            "QueryBuilder.explain_above(theta) is deprecated; use explain(theta=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.explain(theta=theta)
 
 
 def _require_method(retriever, method: str):

@@ -3,12 +3,8 @@
 A saved index is a directory with two files:
 
 * ``meta.json`` — format version, library version, the retriever spec string
-  and its constructor arguments, basic shape information, the engine's
-  non-default :class:`~repro.engine.planner.PlanPolicy` knobs (under
-  ``"plan_policy"``), its calibration state (``"plan_mode"`` when not
-  ``"fixed"``, plus the fitted
-  :class:`~repro.engine.calibration.CostModel` under ``"cost_model"``), and
-  (for retrievers with a :class:`~repro.core.tuning_cache.TuningCache`) the
+  and its constructor arguments, basic shape information, and (for
+  retrievers with a :class:`~repro.core.tuning_cache.TuningCache`) the
   cached tuning entries keyed by content fingerprints;
 * ``index.npz`` — the normalised probe matrix plus, when the retriever
   implements :meth:`~repro.core.api.Retriever.index_state`, the fitted index
@@ -51,10 +47,8 @@ from repro.exceptions import NotPreparedError, PersistenceError
 #:    never serialised), but a version-1 LEMP-BLSH index answers queries with
 #:    the new order-free base, so a ``FutureWarning`` is emitted (shown by
 #:    default, unlike ``DeprecationWarning`` — the note targets end users).
-#:    The planner layer later added the optional ``meta["plan_policy"]``
-#:    object (the engine's non-default cost-model knobs); purely additive,
-#:    so the format number stays 2 — readers without the planner ignore the
-#:    key, and readers with it ignore unknown knobs saved by newer versions.
+#:    Versions 2.x also wrote optional planner settings into ``meta.json``;
+#:    the planner no longer has settings, and readers ignore those keys.
 #: 3. same layout, with the guarantee that every ``index.npz`` member is
 #:    written *uncompressed* (``ZIP_STORED``) so the arrays can be
 #:    memory-mapped in place (``meta["mmap_layout"]`` records it).  Purely
@@ -71,15 +65,6 @@ from repro.exceptions import NotPreparedError, PersistenceError
 #:    readers would choke only on the unknown ``state.`` members, hence the
 #:    bump; format-1/2/3 indexes keep loading here — without tier arrays the
 #:    tier is rebuilt lazily on the first screened query.
-#:    The calibration layer later added two more optional meta keys —
-#:    ``meta["plan_mode"]`` (the engine's policy mode when not ``"fixed"``)
-#:    and ``meta["cost_model"]`` (the fitted
-#:    :class:`~repro.engine.calibration.CostModel` state, so a reloaded
-#:    engine plans from its learned costs — veto armed — immediately, with
-#:    no re-learning).  Purely additive, so the format number stays 4:
-#:    readers without the calibration layer ignore both keys, and
-#:    ``CostModel.from_dict`` loads leniently (malformed or newer-version
-#:    entries are dropped, never fatal).
 #: 5. additive compressed-generation members: an engine saved with an active
 #:    ``gen_dtype`` *distinct from* ``screen_dtype`` writes that tier as
 #:    ``state.gen_data`` (plus ``state.gen_scale`` / ``state.gen_offset``
@@ -156,16 +141,6 @@ def save_engine(engine, path) -> None:
         # arrays can be memory-mapped in place (load_engine(mmap_mode="r")).
         "mmap_layout": True,
     }
-    plan_policy = engine.plan_policy.non_default_dict()
-    if plan_policy:
-        meta["plan_policy"] = plan_policy
-    from repro.engine.calibration import MODE_FIXED
-
-    if getattr(engine, "plan_mode", MODE_FIXED) != MODE_FIXED:
-        meta["plan_mode"] = engine.plan_mode
-    cost_model = getattr(engine, "cost_model", None)
-    if cost_model is not None and cost_model.num_entries:
-        meta["cost_model"] = cost_model.to_dict()
     if _is_blsh_retriever(engine.retriever):
         meta["blsh_base"] = BLSH_BASE_SEMANTICS
     cache = getattr(engine.retriever, "tuning_cache", None)
@@ -234,25 +209,9 @@ def load_engine(path, mmap_mode: str | None = None):
                 if key.startswith(_STATE_PREFIX)
             }
 
-    # Lenient knob parsing: an index saved by a newer library may carry plan
-    # policy knobs this version does not know; they are dropped, not fatal.
-    from repro.engine.planner import PlanPolicy
-
-    plan_policy = PlanPolicy.from_dict(meta.get("plan_policy", {}), strict=False)
     engine = RetrievalEngine(
-        meta["spec"], workers=int(meta.get("workers", 1)),
-        plan_policy=plan_policy, **meta.get("kwargs", {})
+        meta["spec"], workers=int(meta.get("workers", 1)), **meta.get("kwargs", {})
     )
-    # Calibration state travels additively: the policy mode (when not
-    # "fixed") and the fitted cost model, both loaded leniently so an index
-    # saved by a newer — or hand-edited — library still opens.
-    from repro.engine.calibration import POLICY_MODES, CostModel
-
-    saved_mode = meta.get("plan_mode")
-    if saved_mode in POLICY_MODES:
-        engine.plan_mode = saved_mode
-    if meta.get("cost_model"):
-        engine.cost_model = CostModel.from_dict(meta["cost_model"])
     if _is_blsh_retriever(engine.retriever) and meta.get("blsh_base") != BLSH_BASE_SEMANTICS:
         # A ratchet-era LEMP-BLSH index: the saved index itself is fine (the
         # signature filter was never serialised), but queries now run with

@@ -1,226 +1,39 @@
-"""Execution planning: how one engine call is sharded, as an inspectable value.
+"""Execution planning: how one engine call is chunked, as an inspectable value.
 
-Before this layer existed, the decision of *how* a call runs — chunk-shard
-across worker threads, probe-shard inside each batch, or stay serial — lived
-as ad-hoc heuristics inside :class:`~repro.engine.facade.RetrievalEngine`
-(``_effective_workers`` / ``_effective_probe_shards``), and the two sharding
-axes could never combine.  :class:`ExecutionPlanner` lifts that decision into
-an explicit, frozen :class:`ExecutionPlan` built from three inputs only:
+:class:`ExecutionPlanner` turns a call shape into a frozen
+:class:`ExecutionPlan` built from two inputs only:
 
 * the **call shape** — problem, parameter, query count, batch size, and the
-  engine's configured worker count;
+  engine's configured worker count (or its attached process pool's size);
 * the **retriever capabilities** —
-  :attr:`~repro.core.api.Retriever.supports_parallel_queries` +
-  ``worker_view`` for the chunk axis,
-  :attr:`~repro.core.api.Retriever.supports_probe_sharding` for the probe
-  axis (plus bucket sizes for the concrete shard ranges);
-* a small **cost model** (:class:`PlanPolicy`) whose knobs estimate dispatch
-  overhead and per-pair scoring cost.
+  :attr:`~repro.core.api.Retriever.supports_parallel_queries` plus
+  ``worker_view``.
+
+The engine has one parallel axis.  A call is cut into ``batch_size``
+chunks.  With ``workers > 1`` and a retriever that supports worker views,
+the first chunk runs serially as a warm-up and the remaining chunks run
+concurrently on ``worker_view`` threads, so a call needs at least three
+chunks to run anything in parallel.  With a
+:class:`~repro.serve.WorkerPool` attached, every chunk runs on a worker
+process instead.  Otherwise the call is serial.
 
 Because those inputs are all value-like, planning is a pure function: calling
 :meth:`~repro.engine.facade.RetrievalEngine.explain` before a call returns a
 plan equal (``==``) to the one the executed call records on its
-:class:`~repro.engine.facade.EngineCall`.  Plans may use **both axes in one
-call** — e.g. 3 chunks on a 4-worker pool become 2 chunk workers × 2 probe
-shards — and the executor (:mod:`repro.engine.executor`) preserves the
-byte-identical-to-serial guarantee on any composition: chunks merge in query
-order, probe shards merge in plan order, worker statistics merge in batch
-order.
-
-The cost model's estimates are attached to the plan for explainability; by
-default they never veto a shape (``cost_veto=False``), so routing is a
-deterministic function of shape + capabilities alone.  The knobs ship with
-defaults calibrated on the CI smoke workload and can be overridden per engine
-(``RetrievalEngine(..., plan_policy={...})``); they persist with the index in
-``meta.json``.  To *learn* them from observed calls instead, put the engine
-in the ``"auto"`` policy mode (:mod:`repro.engine.calibration`): the engine's
-:class:`~repro.engine.calibration.CostModel` then supplies measured
-per-shape knobs — with ``cost_veto`` armed — as the per-call ``policy``
-override of :meth:`ExecutionPlanner.plan`, and the plan carries a
-``calibration`` line naming the estimates used.
+:class:`~repro.engine.facade.EngineCall`.  The executor
+(:mod:`repro.engine.executor`) keeps every plan byte-identical to serial:
+chunks merge in query order and worker statistics merge in batch order.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import asdict, dataclass, fields, replace
-
-from repro.exceptions import InvalidParameterError
-
-#: ``ExecutionPlan.probe_axis`` value for Above-θ probe shards (contiguous
-#: bucket ranges, balanced by probe count).
-PROBE_AXIS_BUCKETS = "buckets"
-
-#: ``ExecutionPlan.probe_axis`` value for Row-Top-k probe shards (contiguous
-#: query-row ranges within each chunk).
-PROBE_AXIS_ROWS = "rows"
+from dataclasses import asdict, dataclass
 
 #: ``ExecutionPlan.backend`` values: chunks run inline on the calling thread
-#: (possibly probe-sharded), on the engine's thread pool, or on an attached
+#: or on the engine's thread pool, or on an attached
 #: :class:`~repro.serve.WorkerPool` of index-mapping processes.
 BACKEND_THREADS = "threads"
 BACKEND_PROCESSES = "processes"
-
-
-@dataclass(frozen=True)
-class PlanPolicy:
-    """Cost-model knobs and limits steering the :class:`ExecutionPlanner`.
-
-    The default values keep planning a pure function of call shape and
-    retriever capabilities: the cost fields only feed the *estimates* on the
-    plan unless ``cost_veto`` is enabled.  Policies are immutable; derive
-    variants with :func:`dataclasses.replace` or :meth:`calibrated`.
-
-    Parameters
-    ----------
-    combine_axes:
-        Whether a chunk-sharded call may also probe-shard inside each chunk
-        when workers are left over (the two-axis composition).  Disabling
-        restores the pre-planner either/or routing.
-    max_chunk_workers, max_probe_shards:
-        Hard caps on either axis: ``None`` (no cap beyond the engine's
-        worker count) or a positive int.  ``max_probe_shards=1`` disables
-        the probe axis, ``max_chunk_workers=1`` the chunk axis — the knobs
-        behind the serial / chunk-only / probe-only / combined ablation.
-    dispatch_seconds:
-        Estimated pool submit/gather overhead per dispatched task.
-    pair_seconds:
-        Estimated serial cost of scoring one (query, probe) pair, including
-        the amortised share of pruning work.
-    cost_veto:
-        When ``True`` the planner falls back to a fully serial plan whenever
-        the modelled sharded cost is not below the modelled serial cost
-        (small calls on small indexes).  Off by default so plans — and the
-        determinism tests pinning them — do not depend on the cost knobs.
-    """
-
-    combine_axes: bool = True
-    max_chunk_workers: int | None = None
-    max_probe_shards: int | None = None
-    dispatch_seconds: float = 2e-4
-    pair_seconds: float = 2e-9
-    cost_veto: bool = False
-
-    def __post_init__(self) -> None:
-        """Validate knob types up front, so a bad value (a hand-edited
-        ``meta.json``, a typo'd literal) fails here with a named knob
-        instead of surfacing later as an opaque ``TypeError`` mid-plan."""
-        for name in ("combine_axes", "cost_veto"):
-            if not isinstance(getattr(self, name), bool):
-                raise InvalidParameterError(
-                    f"plan policy knob {name} must be a bool, got {getattr(self, name)!r}"
-                )
-        for name in ("max_chunk_workers", "max_probe_shards"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidParameterError(
-                    f"plan policy knob {name} must be None or a positive int, got {value!r}"
-                )
-        for name in ("dispatch_seconds", "pair_seconds"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-                raise InvalidParameterError(
-                    f"plan policy knob {name} must be a non-negative number, got {value!r}"
-                )
-
-    def to_dict(self) -> dict:
-        """All knobs as a plain JSON-able dict."""
-        return asdict(self)
-
-    def non_default_dict(self) -> dict:
-        """Only the knobs that differ from the defaults (for ``meta.json``)."""
-        default = PlanPolicy()
-        return {
-            field.name: getattr(self, field.name)
-            for field in fields(self)
-            if getattr(self, field.name) != getattr(default, field.name)
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, strict: bool = True) -> "PlanPolicy":
-        """Build a policy from a dict of knobs.
-
-        With ``strict`` (the default for user input) unknown keys raise
-        :class:`~repro.exceptions.InvalidParameterError`; persistence loads
-        with ``strict=False`` so indexes saved by a newer library — with
-        knobs this version does not know — still open.
-        """
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown and strict:
-            raise InvalidParameterError(
-                f"unknown plan policy knob(s) {sorted(unknown)}; known: {sorted(known)}"
-            )
-        return cls(**{key: value for key, value in data.items() if key in known})
-
-    @classmethod
-    def coerce(cls, value) -> "PlanPolicy":
-        """Accept ``None`` (defaults), a :class:`PlanPolicy`, or a knob dict."""
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            return cls.from_dict(value)
-        raise InvalidParameterError(
-            f"plan_policy must be a PlanPolicy or a dict of knobs, got {type(value).__name__}"
-        )
-
-    def calibrated(self, calls, num_probes: int) -> "PlanPolicy":
-        """A copy with ``pair_seconds`` measured from recorded engine calls.
-
-        .. deprecated:: 2.6
-            Use the ``"auto"`` policy mode instead
-            (``RetrievalEngine(..., plan_policy="auto")``): the engine's
-            :class:`~repro.engine.calibration.CostModel` learns per-shape
-            estimates online, arms ``cost_veto`` once confident, and
-            persists with the index — this one-shot median has no shape
-            awareness, no dispatch estimate, and no confidence rule.
-
-        ``calls`` is an iterable of :class:`~repro.engine.facade.EngineCall`
-        records (e.g. ``engine.history``); only serial, non-empty calls are
-        used (sharded timings would under-estimate the serial pair cost).
-        """
-        warnings.warn(
-            "PlanPolicy.calibrated() is deprecated; use the 'auto' policy "
-            "mode (RetrievalEngine(..., plan_policy=\"auto\")) — the engine's "
-            "CostModel learns per-shape estimates online and persists them",
-            FutureWarning,
-            stacklevel=2,
-        )
-        samples = [
-            call.seconds / (call.num_queries * num_probes)
-            for call in calls
-            if call.num_queries > 0 and num_probes > 0
-            and call.workers == 1 and call.probe_shards == 1 and call.seconds > 0.0
-        ]
-        if not samples:
-            return self
-        samples.sort()
-        return replace(self, pair_seconds=samples[len(samples) // 2])
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    """The cost model's view of one plan, for explainability only.
-
-    Seconds are modelled from :class:`PlanPolicy` knobs, not measured; they
-    exist so ``explain`` output can say *why* a shape was chosen, and they
-    participate in plan equality (same inputs → same estimate).
-    """
-
-    serial_seconds: float
-    planned_seconds: float
-    dispatched_tasks: int
-
-    @property
-    def speedup(self) -> float:
-        """Modelled serial/planned ratio (1.0 for a serial plan)."""
-        if self.planned_seconds <= 0.0:
-            return 1.0
-        return self.serial_seconds / self.planned_seconds
 
 
 @dataclass(frozen=True)
@@ -243,47 +56,24 @@ class ExecutionPlan:
     #: Half-open ``(start, end)`` query-row ranges, one per chunk, in query
     #: order.  Empty for a zero-query call.
     chunks: tuple[tuple[int, int], ...]
-    #: Worker threads the chunk axis uses (1 = chunks run serially).  With
-    #: ``workers > 1`` the first chunk is the warm-up (see :attr:`warmup`)
-    #: and the remaining chunks run concurrently on ``worker_view`` clones.
+    #: Workers the chunks run on (1 = chunks run serially).  On the thread
+    #: backend the first chunk is the warm-up (see :attr:`warmup`) and the
+    #: remaining chunks run concurrently on ``worker_view`` clones.
     workers: int
-    #: Probe shards *each chunk* is split into (1 = unsharded probes).  May
-    #: combine with ``workers > 1``; the retriever may execute fewer shards
-    #: when the probe has too little to split (e.g. a one-row Row-Top-k
-    #: chunk).
-    probe_shards: int
-    #: What a probe shard is: :data:`PROBE_AXIS_BUCKETS` (Above-θ bucket
-    #: ranges), :data:`PROBE_AXIS_ROWS` (Row-Top-k row ranges), or ``None``
-    #: when the probe axis is unused.
-    probe_axis: str | None
-    #: Concrete shard ranges of the first chunk's probe, from
-    #: :func:`~repro.core.lemp.plan_shard_ranges` — bucket-index ranges for
-    #: Above-θ, batch-local row ranges for Row-Top-k.  Later chunks of a
-    #: row-sharded plan recompute with the same pure function over their own
-    #: row count (only the last, shorter chunk can differ).  Empty when the
-    #: probe axis is unused or the shape is unknown (unfitted retriever).
-    probe_shard_ranges: tuple[tuple[int, int], ...]
     #: Whether the first chunk runs serially on the engine's own retriever
     #: before any fan-out, so the sample-based tuner runs (and the shared
-    #: tuning cache is warmed) exactly once.  True iff ``workers > 1``.
+    #: tuning cache is warmed) exactly once.  True iff the plan runs on
+    #: worker threads.
     warmup: bool
-    #: Merge discipline (always ``"plan-order"``): chunks concatenate in
-    #: query order, probe shards merge in bucket/row-range order, worker
-    #: statistics merge in batch order — never in completion order, which is
-    #: what keeps any composition byte-identical to serial.
-    merge: str
     #: One-line human explanation of why this shape was chosen.
     reason: str
-    #: The cost model's estimates for this shape.
-    estimate: CostEstimate
-    #: Which execution backend carries the chunk axis:
+    #: Which execution backend carries the chunks:
     #: :data:`BACKEND_THREADS` (the engine's thread pool; also the value for
-    #: fully serial plans, whose chunk axis is degenerate) or
-    #: :data:`BACKEND_PROCESSES` (an attached
+    #: serial plans) or :data:`BACKEND_PROCESSES` (an attached
     #: :class:`~repro.serve.WorkerPool` — every chunk is dispatched to a
-    #: worker process that memory-maps the same read-only index, the probe
-    #: axis stays off, and no warm-up chunk runs because workers carry their
-    #: own persisted-warm tuning caches).
+    #: worker process that memory-maps the same read-only index, and no
+    #: warm-up chunk runs because workers carry their own persisted-warm
+    #: tuning caches).
     backend: str = BACKEND_THREADS
     #: Quantized screening tier the retriever will screen candidates with
     #: (``"f32"`` / ``"f16"`` / ``"int8"``), or ``None`` when candidates go
@@ -298,26 +88,14 @@ class ExecutionPlan:
     #: results and the plan's shape are unaffected (see
     #: :class:`~repro.core.lemp.Lemp`).
     gen_dtype: str | None = None
-    #: One-line description of the learned cost estimates this plan was
-    #: built with (the :class:`~repro.engine.calibration.Calibration`'s
-    #: :meth:`~repro.engine.calibration.Calibration.describe` output), or
-    #: ``None`` when the plan used the policy's static knobs.  Purely
-    #: informational — but part of plan equality, so ``explain()`` and the
-    #: recorded call agree on *which* estimates steered the shape.
-    calibration: str | None = None
 
     @property
     def num_batches(self) -> int:
         """Number of chunks the query matrix is split into."""
         return len(self.chunks)
 
-    @property
-    def total_parallelism(self) -> int:
-        """Peak concurrent probe work the plan asks for (``workers × shards``)."""
-        return max(1, self.workers) * max(1, self.probe_shards)
-
     def to_dict(self) -> dict:
-        """The plan as a plain JSON-able dict (nested estimate included)."""
+        """The plan as a plain JSON-able dict."""
         return asdict(self)
 
     def describe(self) -> str:
@@ -327,10 +105,8 @@ class ExecutionPlan:
             f"over {self.num_queries} queries",
             f"  backend       : {self.backend}",
             f"  chunks        : {self.num_batches} (batch_size={self.batch_size})",
-            f"  chunk workers : {self.workers}"
+            f"  workers       : {self.workers}"
             + (" (first chunk runs serially: tuning warm-up)" if self.warmup else ""),
-            f"  probe shards  : {self.probe_shards} per chunk"
-            + (f" on the {self.probe_axis} axis" if self.probe_axis else ""),
         ]
         if self.screen_dtype is not None:
             lines.append(
@@ -342,19 +118,6 @@ class ExecutionPlan:
                 f"  generation    : {self.gen_dtype} compressed index scans "
                 "(bound-widened feasible regions, exact f64 verification)"
             )
-        if self.probe_shard_ranges:
-            rendered = ", ".join(f"[{start}, {end})" for start, end in self.probe_shard_ranges)
-            lines.append(f"  shard ranges  : {rendered}")
-        lines.append(f"  merge         : {self.merge} "
-                     "(chunks in query order, shards in plan order)")
-        lines.append(
-            f"  estimate      : serial {self.estimate.serial_seconds:.2e}s, "
-            f"planned {self.estimate.planned_seconds:.2e}s "
-            f"({self.estimate.dispatched_tasks} dispatched tasks, "
-            f"modelled speedup {self.estimate.speedup:.2f}x)"
-        )
-        if self.calibration is not None:
-            lines.append(f"  calibration   : {self.calibration}")
         lines.append(f"  reason        : {self.reason}")
         return "\n".join(lines)
 
@@ -362,202 +125,75 @@ class ExecutionPlan:
 class ExecutionPlanner:
     """Builds :class:`ExecutionPlan` values for a retriever and a call shape.
 
-    Stateless apart from its (immutable) :class:`PlanPolicy`; the engine owns
-    one and consults it per call.  See the module docstring for the inputs
-    and the purity contract.
+    Stateless; the engine owns one and consults it per call.  See the module
+    docstring for the inputs and the purity contract.
     """
-
-    def __init__(self, policy: PlanPolicy | dict | None = None) -> None:
-        self.policy = PlanPolicy.coerce(policy)
-
-    # ------------------------------------------------------------------ axes
-
-    @staticmethod
-    def _chunk_capability(retriever) -> bool:
-        return (
-            bool(getattr(retriever, "supports_parallel_queries", False))
-            and getattr(retriever, "worker_view", None) is not None
-        )
-
-    @staticmethod
-    def _probe_capability(retriever) -> bool:
-        return bool(getattr(retriever, "supports_probe_sharding", False))
-
-    def _probe_shard_geometry(self, retriever, problem: str, chunks, probe_shards: int):
-        """(axis, concrete first-chunk ranges) for a probe-sharded plan."""
-        from repro.core.lemp import plan_shard_ranges  # pure; lazy to avoid an import cycle
-
-        if probe_shards <= 1 or not chunks:
-            return None, ()
-        if problem == "above_theta":
-            visit = getattr(retriever, "_visitation_buckets", None)
-            buckets = visit() if callable(visit) else getattr(retriever, "buckets", None)
-            if not buckets:
-                return PROBE_AXIS_BUCKETS, ()
-            ranges = plan_shard_ranges([bucket.size for bucket in buckets], probe_shards)
-            return PROBE_AXIS_BUCKETS, tuple(ranges)
-        rows = chunks[0][1] - chunks[0][0]
-        if rows <= 1:
-            return PROBE_AXIS_ROWS, ()
-        ranges = plan_shard_ranges([1.0] * rows, probe_shards)
-        return PROBE_AXIS_ROWS, tuple(ranges)
-
-    # ------------------------------------------------------------- cost model
-
-    @staticmethod
-    def _estimate(policy: PlanPolicy, num_queries: int, num_probes: int, chunks,
-                  workers: int, probe_shards: int) -> CostEstimate:
-        pair = policy.pair_seconds
-        serial = num_queries * num_probes * pair
-        probe_tasks_per_chunk = max(0, probe_shards - 1)
-
-        def chunk_cost(rows: int) -> float:
-            probe_cost = rows * num_probes * pair / max(1, probe_shards)
-            return probe_cost + policy.dispatch_seconds * probe_tasks_per_chunk
-
-        if not chunks:
-            return CostEstimate(0.0, 0.0, 0)
-        costs = [chunk_cost(end - start) for start, end in chunks]
-        if workers > 1:
-            planned = costs[0] + sum(costs[1:]) / workers \
-                + policy.dispatch_seconds * (len(chunks) - 1)
-            dispatched = (len(chunks) - 1) + probe_tasks_per_chunk * len(chunks)
-        else:
-            planned = sum(costs)
-            dispatched = probe_tasks_per_chunk * len(chunks)
-        return CostEstimate(serial, planned, dispatched)
-
-    # ------------------------------------------------------------------- plan
 
     def plan(self, *, problem: str, parameter: float, num_queries: int,
              batch_size: int, workers: int, retriever,
-             backend: str = BACKEND_THREADS,
-             policy: PlanPolicy | None = None,
-             calibration: str | None = None) -> ExecutionPlan:
+             backend: str = BACKEND_THREADS) -> ExecutionPlan:
         """Build the plan for one call; pure in all of its inputs.
 
         ``workers`` is the engine's configured thread count (or, for the
         process backend, the attached pool's worker count); the plan's
-        ``workers`` field is what the chunk axis will actually use.
-        ``backend`` selects where chunks run: :data:`BACKEND_THREADS` (the
-        default) or :data:`BACKEND_PROCESSES` when the engine has a
-        :class:`~repro.serve.WorkerPool` attached.  ``policy`` overrides the
-        planner's own policy for this call (how the engine applies a learned
-        :class:`~repro.engine.calibration.Calibration` or a per-call
-        ``policy=`` argument without mutating planner state); ``calibration``
-        is the one-line provenance string stamped onto the plan when the
-        overriding knobs were measured rather than configured.
+        ``workers`` field is what the call will actually use.  ``backend``
+        selects where chunks run: :data:`BACKEND_THREADS` (the default) or
+        :data:`BACKEND_PROCESSES` when the engine has a
+        :class:`~repro.serve.WorkerPool` attached.
         """
-        policy = self.policy if policy is None else policy
         chunks = tuple(
             (start, min(start + batch_size, num_queries))
             for start in range(0, num_queries, batch_size)
         )
-        num_probes = int(getattr(retriever, "num_probes", None) or 0)
         num_batches = len(chunks)
 
-        def build(chunk_workers: int, probe_shards: int, reason: str,
-                  plan_backend: str = BACKEND_THREADS,
-                  warmup: bool | None = None) -> ExecutionPlan:
-            axis, ranges = self._probe_shard_geometry(
-                retriever, problem, chunks, probe_shards
-            )
+        def build(plan_workers: int, reason: str,
+                  plan_backend: str = BACKEND_THREADS) -> ExecutionPlan:
             return ExecutionPlan(
                 problem=problem,
                 parameter=float(parameter),
                 num_queries=int(num_queries),
                 batch_size=int(batch_size),
                 chunks=chunks,
-                workers=chunk_workers,
-                probe_shards=probe_shards,
-                probe_axis=axis,
-                probe_shard_ranges=ranges,
-                warmup=chunk_workers > 1 if warmup is None else warmup,
-                merge="plan-order",
+                workers=plan_workers,
+                warmup=plan_workers > 1 and plan_backend == BACKEND_THREADS,
                 reason=reason,
-                estimate=self._estimate(
-                    policy, num_queries, num_probes, chunks, chunk_workers, probe_shards
-                ),
                 backend=plan_backend,
                 screen_dtype=getattr(retriever, "screen_dtype", None),
                 gen_dtype=getattr(retriever, "gen_dtype", None),
-                calibration=calibration,
             )
 
         if num_batches == 0:
-            return build(1, 1, "empty call: nothing to shard")
+            return build(1, "empty call: nothing to run")
         if backend == BACKEND_PROCESSES:
             # Process workers each map the same read-only index and carry
             # their own (persisted-warm) tuning caches, so every chunk —
             # including the first — is dispatched: there is no shared cache
             # for a warm-up chunk to populate, and keeping the parent free
-            # is the point of the backend.  The probe axis stays off: shards
-            # would have to run inside a worker process, and one chunk per
-            # worker already saturates the pool.
-            chunk_workers = max(1, min(workers, num_batches))
-            if policy.max_chunk_workers is not None:
-                chunk_workers = min(chunk_workers, policy.max_chunk_workers)
+            # is the point of the backend.
+            plan_workers = max(1, min(workers, num_batches))
             return build(
-                chunk_workers, 1,
+                plan_workers,
                 f"process pool: {num_batches} chunk"
-                f"{'s' if num_batches != 1 else ''} across {chunk_workers} "
+                f"{'s' if num_batches != 1 else ''} across {plan_workers} "
                 "index-mapping worker processes",
                 plan_backend=BACKEND_PROCESSES,
-                warmup=False,
             )
         if workers <= 1:
-            return build(1, 1, "serial: engine configured with workers=1")
-
-        can_chunk = num_batches > 1 and self._chunk_capability(retriever)
-        can_probe = self._probe_capability(retriever)
-        probe_cap = workers if policy.max_probe_shards is None else policy.max_probe_shards
-
-        chunk_workers = min(workers, num_batches - 1) if can_chunk else 1
-        if policy.max_chunk_workers is not None:
-            chunk_workers = min(chunk_workers, policy.max_chunk_workers)
-        chunk_workers = max(1, chunk_workers)
-
-        if chunk_workers > 1:
-            spare = workers // chunk_workers
-            probe_shards = (
-                min(spare, probe_cap)
-                if policy.combine_axes and can_probe and spare > 1
-                else 1
-            )
-            if probe_shards > 1:
-                reason = (
-                    f"combined: {num_batches} chunks feed {chunk_workers} workers, "
-                    f"{probe_shards} probe shards each use the spare capacity"
-                )
-            else:
-                reason = f"chunk-sharded: {num_batches} chunks across {chunk_workers} workers"
-        elif can_probe:
-            chunk_workers, probe_shards = 1, max(1, min(workers, probe_cap))
-            reason = (
-                "probe-sharded: too few chunks to occupy the pool "
-                f"({num_batches} batch{'es' if num_batches != 1 else ''}), "
-                "the probe itself is split instead"
-                if probe_shards > 1
-                else "serial: probe axis capped to one shard"
-            )
-        else:
-            chunk_workers, probe_shards = 1, 1
-            reason = (
-                "serial: retriever supports neither worker views nor probe sharding"
-                if not can_chunk
-                else "serial: chunk axis degenerate and no probe sharding support"
-            )
-
-        plan = build(chunk_workers, probe_shards, reason)
-        if (
-            policy.cost_veto
-            and (plan.workers > 1 or plan.probe_shards > 1)
-            and plan.estimate.planned_seconds >= plan.estimate.serial_seconds
-        ):
+            return build(1, "serial: engine configured with workers=1")
+        if not (getattr(retriever, "supports_parallel_queries", False)
+                and getattr(retriever, "worker_view", None) is not None):
+            return build(1, "serial: retriever does not support worker views")
+        # The warm-up chunk finishes before any fan-out, so only the chunks
+        # after it can run concurrently.
+        plan_workers = min(workers, num_batches - 1)
+        if plan_workers <= 1:
             return build(
-                1, 1,
-                "serial: cost veto — modelled sharded cost "
-                f"{plan.estimate.planned_seconds:.2e}s does not beat serial "
-                f"{plan.estimate.serial_seconds:.2e}s",
+                1, f"serial: {num_batches} chunk{'s' if num_batches != 1 else ''}, "
+                "so nothing runs concurrently with the warm-up chunk"
             )
-        return plan
+        return build(
+            plan_workers,
+            f"chunked: {num_batches} chunks, the first as warm-up, "
+            f"the rest across {plan_workers} workers",
+        )

@@ -258,7 +258,7 @@ def available_specs() -> tuple[str, ...]:
     return tuple(specs)
 
 
-def spec_capabilities(spec: str, engine=None) -> dict:
+def spec_capabilities(spec: str) -> dict:
     """Capability flags of the method behind ``spec``, as a plain dict.
 
     The flags are what the :class:`~repro.engine.planner.ExecutionPlanner`
@@ -269,21 +269,12 @@ def spec_capabilities(spec: str, engine=None) -> dict:
     * ``exact`` — returns exactly the requested entries of ``Q·Pᵀ``
       (:func:`spec_is_exact`);
     * ``parallel_queries`` — query chunks may run concurrently on
-      :meth:`~repro.core.api.Retriever.worker_view` clones (the chunk axis);
-    * ``probe_sharding`` — one probe call can split across concurrent
-      shards (the probe axis);
+      :meth:`~repro.core.api.Retriever.worker_view` clones;
     * ``updates`` — ``partial_fit`` / ``remove`` are implemented.
 
     Flags are probed once per concrete spec on a default-constructed,
     unfitted instance (capabilities are class-level contracts, not fitted
     state) and cached on the registration.
-
-    Pass a live :class:`~repro.engine.facade.RetrievalEngine` as ``engine``
-    to additionally report instance state: ``calibrated`` — whether that
-    engine's :class:`~repro.engine.calibration.CostModel` currently holds a
-    confident estimate (i.e. the ``"auto"`` policy mode would already plan
-    from measured costs).  The key is only present when ``engine`` is given,
-    keeping the spec-level dict purely class-level.
     """
     canonical = normalize_spec(spec)
     name, _, _ = split_spec(canonical)
@@ -294,14 +285,9 @@ def spec_capabilities(spec: str, engine=None) -> dict:
             "exact": spec_is_exact(canonical),
             "parallel_queries": bool(getattr(instance, "supports_parallel_queries", False))
             and getattr(instance, "worker_view", None) is not None,
-            "probe_sharding": bool(getattr(instance, "supports_probe_sharding", False)),
             "updates": bool(getattr(instance, "supports_updates", False)),
         }
-    flags = dict(registration._capabilities[canonical])
-    if engine is not None:
-        model = getattr(engine, "cost_model", None)
-        flags["calibrated"] = bool(model is not None and model.has_confident_estimates())
-    return flags
+    return dict(registration._capabilities[canonical])
 
 
 def spec_is_exact(spec: str) -> bool:

@@ -200,19 +200,6 @@ class ServingEngine:
         """Rows admitted but not yet answered (queued + solving)."""
         return self._inflight_rows
 
-    @property
-    def cost_model(self):
-        """The wrapped engine's :class:`~repro.engine.calibration.CostModel`.
-
-        Served traffic calibrates for free: every flushed micro-batch runs
-        through the engine's normal call path on the solver thread, so each
-        batch is observed by the same model — and steered by it when the
-        engine's policy mode is ``"auto"`` / ``"calibrated"``.  Batches of
-        similar size land in the same shape bucket, which is exactly the
-        shape whose costs matter for this server's plans.
-        """
-        return getattr(self.engine, "cost_model", None)
-
     # --------------------------------------------------------------- requests
 
     async def above_theta(self, queries, theta: float, *,
@@ -408,8 +395,8 @@ def serve_compatibility(engine) -> dict:
 
     Returns a JSON-able dict: the problems the retriever answers, whether
     micro-batching preserves byte-identity (always true for registered
-    retrievers — per-row independence is a library-wide invariant), the
-    parallel axes available inside a batch, and whether the index can be
+    retrievers — per-row independence is a library-wide invariant), whether
+    a batch's chunks can run on worker views, and whether the index can be
     persisted in the mmap layout the process backend
     (:class:`~repro.serve.WorkerPool`) requires.
     """
@@ -421,21 +408,17 @@ def serve_compatibility(engine) -> dict:
         if callable(getattr(retriever, problem, None))
     ]
     mmap_capable = hasattr(retriever, "index_state") and _overrides_restore(retriever)
-    model = getattr(engine, "cost_model", None)
     return {
         "spec": engine.spec,
         "problems": problems,
         "micro_batching": bool(problems),
         "parallel_queries": bool(getattr(retriever, "supports_parallel_queries", False)),
-        "probe_sharding": bool(getattr(retriever, "supports_probe_sharding", False)),
         "mmap_index": mmap_capable,
         "process_backend": mmap_capable,
         "deterministic_counters": (
             "warm tuning cache" if getattr(retriever, "tuning_cache", None) is not None
             else "always"
         ),
-        "plan_mode": getattr(engine, "plan_mode", "fixed"),
-        "calibrated": bool(model is not None and model.has_confident_estimates()),
     }
 
 
@@ -447,11 +430,8 @@ def describe_serve_compatibility(engine) -> str:
         f"  problems         : {', '.join(compat['problems']) or 'none'}",
         f"  micro-batching   : {'yes (byte-identical demux)' if compat['micro_batching'] else 'no'}",
         f"  parallel queries : {'yes' if compat['parallel_queries'] else 'no'}",
-        f"  probe sharding   : {'yes' if compat['probe_sharding'] else 'no'}",
         f"  mmap index       : {'yes' if compat['mmap_index'] else 'no (refit on load)'}",
         f"  process backend  : {'yes' if compat['process_backend'] else 'no'}",
         f"  counters         : deterministic ({compat['deterministic_counters']})",
-        f"  plan policy      : {compat['plan_mode']} "
-        f"({'confident cost model' if compat['calibrated'] else 'no confident cost model yet'})",
     ]
     return "\n".join(lines)

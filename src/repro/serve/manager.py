@@ -23,10 +23,10 @@ once, under a bounded memory footprint:
   post-mutation index, and its result is byte-identical to the same call on
   a quiesced engine in that state.
 * **Per-tenant stats survive eviction.**  Admission counters
-  (admitted / shed / timed-out / rows served), tuning-cache hit rate, and
-  cost-model confidence are folded into the tenant record whenever its
-  engine is evicted, so :meth:`stats` reports lifetime totals regardless of
-  how often the tenant cycled through residency.
+  (admitted / shed / timed-out / rows served) and the tuning-cache hit rate
+  are folded into the tenant record whenever its engine is evicted, so
+  :meth:`stats` reports lifetime totals regardless of how often the tenant
+  cycled through residency.
 
 Residency changes are serialised by one asyncio lock; request submission
 happens outside it, so queries on resident tenants never wait on a reload.
@@ -156,8 +156,6 @@ class _Tenant:
     rows_served: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    model_entries: int = 0
-    model_confident: bool = False
     extra: dict = field(default_factory=dict)
 
 
@@ -402,10 +400,6 @@ class EngineManager:
         if cache is not None:
             record.cache_hits += int(cache.hits)
             record.cache_misses += int(cache.misses)
-        model = getattr(engine, "cost_model", None)
-        if model is not None:
-            record.model_entries = int(model.num_entries)
-            record.model_confident = bool(model.has_confident_estimates())
 
     async def activate(self, name: str) -> dict:
         """Make one tenant resident now (budget applies) and return its stats."""
@@ -488,9 +482,8 @@ class EngineManager:
 
         Counters cover the tenant's whole service life, across every
         evict/reload cycle: ``admitted`` / ``shed`` / ``timed_out`` /
-        ``rows_served`` admission totals, the tuning cache's cumulative
-        ``hit_rate`` (``None`` before any lookup), and the cost model's
-        entry count and confidence flag.
+        ``rows_served`` admission totals and the tuning cache's cumulative
+        ``hit_rate`` (``None`` before any lookup).
         """
         if name is not None:
             return self._tenant_stats(self._require(name))
@@ -503,7 +496,6 @@ class EngineManager:
         admitted, shed = record.admitted, record.shed
         timed_out, rows_served = record.timed_out, record.rows_served
         cache_hits, cache_misses = record.cache_hits, record.cache_misses
-        entries, confident = record.model_entries, record.model_confident
         pending = 0
         if record.serving is not None:
             serving, engine = record.serving, record.engine
@@ -516,10 +508,6 @@ class EngineManager:
             if cache is not None:
                 cache_hits += int(cache.hits)
                 cache_misses += int(cache.misses)
-            model = getattr(engine, "cost_model", None)
-            if model is not None:
-                entries = int(model.num_entries)
-                confident = bool(model.has_confident_estimates())
         lookups = cache_hits + cache_misses
         return {
             "name": record.name,
@@ -541,7 +529,6 @@ class EngineManager:
                 "misses": cache_misses,
                 "hit_rate": round(cache_hits / lookups, 4) if lookups else None,
             },
-            "cost_model": {"entries": entries, "confident": confident},
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -9,14 +9,6 @@ from repro.core.vector_store import PreparedQueries, VectorStore
 from repro.core.bucketize import bucketize
 
 
-def pytest_configure(config):
-    """Register the repo's custom markers (no pytest.ini ships with the repo)."""
-    config.addinivalue_line(
-        "markers",
-        "slow: long-running concurrency stress tests; also run in a dedicated CI job",
-    )
-
-
 def make_factors(num_vectors, rank=16, length_cov=0.8, seed=0, sparsity=0.0, nonnegative=False):
     """Small synthetic factor matrix with a log-normal length distribution."""
     rng = np.random.default_rng(seed)

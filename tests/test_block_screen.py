@@ -14,8 +14,7 @@ check that this changes nothing observable:
   product up to rounding at θ and tie-breaking at the k-th score.
 * **Batch composition.**  The block product's rounding depends on which
   queries share a block, so a query row must get byte-identical results
-  alone, inside a 7-row and a 1000-row call, with ``probe_shards=2`` and
-  with ``workers=2``.
+  alone, inside a 7-row and a 1000-row call, and with ``workers=2``.
 """
 
 from __future__ import annotations
@@ -245,7 +244,6 @@ def test_row_answer_is_independent_of_batch_composition(composition_engine, prob
         return getattr(engine, problem)(block, parameter, **kwargs)
 
     full = solve(queries)
-    sharded = getattr(lemp, problem)(queries, parameter, probe_shards=2)
     engine.workers = 2
     try:
         parallel = solve(queries, batch_size=250)
@@ -259,6 +257,5 @@ def test_row_answer_is_independent_of_batch_composition(composition_engine, prob
         start = min(max(row - 3, 0), len(queries) - 7)
         assert _row_answer(solve(queries[start:start + 7]), row - start) == alone
         assert _row_answer(full, row) == alone
-        assert _row_answer(sharded, row) == alone
         assert _row_answer(parallel, row) == alone
     assert answered >= 3

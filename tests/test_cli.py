@@ -117,10 +117,9 @@ class TestCommands:
         )
         assert code == 0
         assert "row_top_k" in output
-        assert "chunk workers" in output
-        assert "probe shards" in output
+        assert "workers" in output
         assert "reason" in output
-        assert "probe_sharding=yes" in output
+        assert "parallel_queries=yes" in output
         assert "executed" not in output  # nothing ran
 
     def test_explain_execute_verifies_recorded_plan(self):

@@ -15,7 +15,7 @@ every axis it could break on:
   calls, incrementally updated engines (``partial_fit`` / ``remove`` patch
   the shared tier row-locally), engines reloaded from disk (eagerly and
   memory-mapped, with the tier travelling in the index state), and
-  probe-sharded calls;
+  chunk-sharded calls on worker threads;
 * an adversarial hypothesis generator that plants probe scores — and with
   them the probes' focus-coordinate values — within a few ULPs of the
   feasible-region edges derived from θ, proving the widened regions never
@@ -49,7 +49,7 @@ K = 5
 
 ALGORITHMS = ("L", "I", "LI", "L2AP", "BLSH")
 
-ENGINE_STATES = ("warm", "updated", "reloaded_eager", "reloaded_mmap", "sharded")
+ENGINE_STATES = ("warm", "updated", "reloaded_eager", "reloaded_mmap")
 
 
 @pytest.fixture(scope="module")
@@ -165,19 +165,27 @@ def _lifecycle_pair(algorithm, dtype_name, probes, state):
     return build(None), build(dtype_name)
 
 
-@pytest.mark.parametrize("state", ENGINE_STATES)
+@pytest.mark.parametrize("state", ENGINE_STATES + ("sharded",))
 @pytest.mark.parametrize("dtype_name", SCREEN_DTYPES)
 def test_lifecycle_byte_identity(problem, state, dtype_name):
     queries, probes, theta = problem
     exact, compressed = _lifecycle_pair("LI", dtype_name, probes, state)
-    shards = 4 if state == "sharded" else 1
+    if state == "sharded":
+        # Chunk-sharded: 4 chunks of 15 rows, the three after the warm-up
+        # chunk on two worker threads, against the exact tier run serially
+        # over the same chunks (Above-θ output follows chunk order).
+        exact = RetrievalEngine(exact)
+        compressed = RetrievalEngine(compressed, workers=2)
+        assert compressed.explain(queries, k=K, batch_size=15).workers == 2
+        kwargs = {"batch_size": 15}
+    else:
+        kwargs = {}
     assert_above_equal(
-        compressed.above_theta(queries, theta, probe_shards=shards),
-        exact.above_theta(queries, theta),
+        compressed.above_theta(queries, theta, **kwargs),
+        exact.above_theta(queries, theta, **kwargs),
     )
     assert_topk_equal(
-        compressed.row_top_k(queries, K, probe_shards=shards),
-        exact.row_top_k(queries, K),
+        compressed.row_top_k(queries, K, **kwargs), exact.row_top_k(queries, K, **kwargs)
     )
 
 
@@ -283,15 +291,14 @@ def test_widened_regions_never_drop_a_near_edge_candidate(
     bounds, TA stopping rule, L2AP reduction/prefix bounds, BLSH signature
     build) must keep a probe that ties or barely clears θ — across dtypes,
     algorithms, and engine lifecycles (warm / updated / reloaded eager and
-    mmap / probe-sharded).
+    mmap).
     """
     queries, probes = _near_edge_problem(
         rank, theta, ulp_offsets, background=40, seed=seed
     )
     exact, compressed = _lifecycle_pair(algorithm, dtype_name, probes, state)
-    shards = 3 if state == "sharded" else 1
     reference = exact.above_theta(queries, theta)
-    result = compressed.above_theta(queries, theta, probe_shards=shards)
+    result = compressed.above_theta(queries, theta)
     assert_above_equal(result, reference)
     offsets = np.asarray(ulp_offsets)
     if state != "updated" and (offsets > 0).any():

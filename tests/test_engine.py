@@ -276,6 +276,105 @@ class TestPersistence:
         )
 
 
+class TestPersistenceFormat:
+    """Format versions, the BLSH base semantics marker, and old meta keys."""
+
+    def test_saved_meta_records_format_and_blsh_semantics(self, workload, tmp_path):
+        _, probes, _ = workload
+        RetrievalEngine("lemp:BLSH", seed=0).fit(probes).save(tmp_path / "blsh")
+        meta = json.loads((tmp_path / "blsh" / "meta.json").read_text())
+        assert meta["format"] == FORMAT_VERSION
+        assert meta["blsh_base"] == "per-query-theta-b"
+        # The legacy paper-name alias must be recognised as BLSH too.
+        RetrievalEngine("LEMP-BLSH", seed=0).fit(probes).save(tmp_path / "alias")
+        meta = json.loads((tmp_path / "alias" / "meta.json").read_text())
+        assert meta["blsh_base"] == "per-query-theta-b"
+        RetrievalEngine("lemp:LI", seed=0).fit(probes).save(tmp_path / "li")
+        meta = json.loads((tmp_path / "li" / "meta.json").read_text())
+        assert meta["format"] == FORMAT_VERSION
+        assert "blsh_base" not in meta
+
+    @pytest.mark.parametrize("spec", ["lemp:BLSH", "LEMP-BLSH"])
+    def test_ratchet_era_blsh_index_loads_with_future_warning(self, spec, workload, tmp_path):
+        queries, probes, _ = workload
+        theta = pick_theta(queries, probes, 120)
+        engine = RetrievalEngine(spec, seed=0).fit(probes)
+        expected = engine.above_theta(queries, theta)
+        engine.save(tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format"] = 1
+        del meta["blsh_base"]
+        meta_path.write_text(json.dumps(meta))
+        # FutureWarning, not DeprecationWarning: the note targets end users
+        # loading old indexes, and DeprecationWarning is hidden by default
+        # outside __main__/pytest.
+        with pytest.warns(FutureWarning, match="order-independent"):
+            loaded = RetrievalEngine.load(tmp_path / "idx")
+        _assert_above_bytes_equal(expected, loaded.above_theta(queries, theta))
+
+    def test_format_1_exact_index_loads_silently(self, workload, tmp_path, recwarn):
+        _, probes, _ = workload
+        engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
+        engine.save(tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format"] = 1
+        meta_path.write_text(json.dumps(meta))
+        RetrievalEngine.load(tmp_path / "idx")
+        assert not [
+            w for w in recwarn
+            if issubclass(w.category, (DeprecationWarning, FutureWarning))
+        ]
+
+    def test_unknown_format_rejected(self, workload, tmp_path):
+        _, probes, _ = workload
+        engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
+        engine.save(tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format"] = 99
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(PersistenceError):
+            RetrievalEngine.load(tmp_path / "idx")
+
+    def test_old_planner_meta_keys_are_ignored(self, workload, tmp_path):
+        """Indexes saved by 2.x with planner settings load and answer identically."""
+        queries, probes, _ = workload
+        theta = pick_theta(queries, probes, 120)
+        engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
+        expected_top = engine.row_top_k(queries, 5)
+        expected_above = engine.above_theta(queries, theta)
+        engine.save(tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        # The keys exactly as version 2.8 wrote them.
+        meta["plan_policy"] = {"combine_axes": False}
+        meta["plan_mode"] = "auto"
+        meta["cost_model"] = {
+            "alpha": 0.25,
+            "entries": [{
+                "dispatch_observations": 0, "dispatch_seconds": None,
+                "pair_observations": 6, "pair_seconds": 1.9593189277233117e-06,
+                "problem": "row_top_k", "shape": [6, 8], "spec": "lemp:LI",
+            }],
+            "min_observations": 5,
+        }
+        meta_path.write_text(json.dumps(meta))
+        loaded = RetrievalEngine.load(tmp_path / "idx")
+        top = loaded.row_top_k(queries, 5)
+        assert np.array_equal(top.indices, expected_top.indices)
+        assert np.array_equal(top.scores, expected_top.scores)
+        _assert_above_bytes_equal(expected_above, loaded.above_theta(queries, theta))
+
+
+def _assert_above_bytes_equal(expected, observed) -> None:
+    for left, right in ((expected.query_ids, observed.query_ids),
+                        (expected.probe_ids, observed.probe_ids),
+                        (expected.scores, observed.scores)):
+        np.testing.assert_array_equal(left, right)
+
+
 def _rewrite_index(path, mutate) -> None:
     """Rewrite ``index.npz`` through ``mutate(arrays)``, keeping members stored."""
     index_path = Path(path) / "index.npz"

@@ -402,14 +402,6 @@ class TestParallelExecution:
         np.testing.assert_array_equal(expected.scores, observed.scores)
         assert parallel.history[-1].workers == 4
 
-    def test_single_batch_routes_to_probe_shards(self, small_problem):
-        probes, queries = small_problem
-        engine = RetrievalEngine("lemp:LI", workers=4).fit(probes)
-        engine.row_top_k(queries, 3)  # one default-size batch
-        # Chunk sharding has nothing to do; the batch is probe-sharded instead.
-        assert engine.history[-1].workers == 1
-        assert engine.history[-1].probe_shards == 4
-
     def test_blsh_is_chunk_shardable(self, small_problem):
         # The order-free minimum-match base made LEMP-BLSH order-independent,
         # so it chunk-shards like every exact variant (it used to fall back
@@ -418,7 +410,6 @@ class TestParallelExecution:
         blsh = RetrievalEngine("lemp:BLSH", seed=0, workers=4).fit(probes)
         blsh.row_top_k(queries, 3, batch_size=25)
         assert blsh.history[-1].workers > 1
-        assert blsh.history[-1].probe_shards == 1
 
     def test_retriever_without_worker_view_falls_back_to_serial(self, small_problem):
         probes, queries = small_problem

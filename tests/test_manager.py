@@ -167,7 +167,6 @@ def test_stats_fold_across_eviction_cycles(tenant_dirs, queries):
     # The warm persisted tuning cache keeps hitting across reloads.
     assert stats["tuning_cache"]["hits"] >= 3
     assert stats["tuning_cache"]["hit_rate"] == 1.0
-    assert stats["cost_model"]["entries"] >= 1
 
 
 # ------------------------------------------------------------ mutation + churn

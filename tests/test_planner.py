@@ -1,50 +1,37 @@
-"""Harness for the execution-planner layer: plans, policies, combined axes.
+"""Harness for the execution-planner layer: plans, explain, the chunk axis.
 
-Three contracts are locked down here:
+Two contracts are locked down here:
 
 * **Plan purity / explainability** — ``engine.explain(...)`` returns a plan
   equal to the one the matching executed call records on its
   :class:`~repro.engine.facade.EngineCall`, and planning is a deterministic
-  function of call shape, retriever capabilities, and the
-  :class:`~repro.engine.planner.PlanPolicy` knobs.
-* **Combined-axis equivalence** — plans that use *both* sharding axes in one
-  call (chunk workers × per-chunk probe shards) return byte-identical
-  results and equal integer counters compared to a serial run of the same
-  warm engine, across (workers, batch) grids, all covered algorithms, both
-  verification kernels, and after ``partial_fit`` / ``remove`` /
-  ``save`` / ``load`` round trips.
-* **Policy knobs** — ``combine_axes`` / ``max_*`` / ``cost_veto`` steer the
-  planner as documented, coerce/round-trip through ``meta.json``, and
-  calibration is an explicit step that never leaks into planning.
+  function of call shape and retriever capabilities.
+* **Combined-axis equivalence** — plans that run chunks on worker threads
+  return byte-identical results and equal integer counters compared to a
+  serial run of the same warm engine, across the combined (workers, batch)
+  grid, all covered algorithms, both verification kernels, and after
+  ``partial_fit`` / ``remove`` / ``save`` / ``load`` round trips.
 """
 
 from __future__ import annotations
-
-import json
-import threading
 
 import numpy as np
 import pytest
 
 from repro import Lemp, RetrievalEngine
 from repro.core.kernels import use_kernel
-from repro.engine import (
-    EngineCall,
-    ExecutionPlanner,
-    PlanPolicy,
-    spec_capabilities,
-)
+from repro.engine import ExecutionPlanner, spec_capabilities
 from repro.exceptions import InvalidParameterError
 from tests.conftest import make_factors, pick_theta
 
-#: Algorithms covered by the combined-axis equivalence matrix (the tuned
+#: Algorithms covered by the chunk-axis equivalence matrix (the tuned
 #: mixes plus the threshold-index variants plus the approximate BLSH).
 ALGORITHMS = ("L", "I", "LI", "L2AP", "BLSH")
 
 KERNELS = ("blocked", "einsum")
 
 #: Integer RunStats fields that must match exactly between serial and
-#: plan-sharded runs of the same warm engine.
+#: chunked runs of the same warm engine.
 COUNTERS = ("candidates", "inner_products", "buckets_examined", "buckets_pruned",
             "results", "num_queries")
 
@@ -53,16 +40,16 @@ PROBES = make_factors(220, rank=10, length_cov=1.0, seed=32)
 THETA = pick_theta(QUERIES, PROBES, 110)
 K = 5
 
-#: (workers, batch_size, expected (chunk workers, probe shards)) grid over
-#: the 48-query workload: single-batch probe-only, chunk-only, and the
-#: combined shapes on pools of different sizes.
+#: (workers, batch_size, expected (workers, warm-up)) grid over the 48-query
+#: workload.  The warm-up chunk runs before any fan-out, so only the chunks
+#: after it can run concurrently.
 GRID = (
-    (4, 16, (2, 2)),   # 3 chunks on 4 workers: the canonical combined plan
-    (6, 16, (2, 3)),   # 3 chunks on 6 workers: uneven split, 2 x 3
-    (4, 48, (1, 4)),   # one batch: all workers to the probe axis
-    (4, 24, (1, 4)),   # two batches: chunk axis degenerate, probe takes over
-    (3, 12, (3, 1)),   # 4 chunks on 3 workers: chunk axis saturates the pool
-    (2, 16, (2, 1)),   # 3 chunks on 2 workers: no spare for the probe axis
+    (4, 16, (2, True)),    # 3 chunks on 4 workers: 2 chunks left after warm-up
+    (6, 16, (2, True)),    # 3 chunks on 6 workers: same
+    (4, 48, (1, False)),   # one batch: serial
+    (4, 24, (1, False)),   # two batches: one chunk after warm-up, serial
+    (3, 12, (3, True)),    # 4 chunks on 3 workers: the pool is saturated
+    (2, 16, (2, True)),    # 3 chunks on 2 workers
 )
 
 
@@ -110,13 +97,13 @@ def warm_engine(algorithm: str, kernel: str) -> RetrievalEngine:
 
 
 class TestPlannerDecisions:
-    """Axis selection as a pure function of shape + capabilities + policy."""
+    """Plan shape as a pure function of call shape + capabilities."""
 
     def plan(self, workers, *, num_queries=48, batch_size=16, problem="row_top_k",
-             retriever=None, policy=None):
+             retriever=None):
         retriever = retriever if retriever is not None else warm_engine("LI", "blocked").retriever
         parameter = K if problem == "row_top_k" else THETA
-        return ExecutionPlanner(policy).plan(
+        return ExecutionPlanner().plan(
             problem=problem, parameter=parameter, num_queries=num_queries,
             batch_size=batch_size, workers=workers, retriever=retriever,
         )
@@ -124,75 +111,39 @@ class TestPlannerDecisions:
     @pytest.mark.parametrize("workers,batch_size,shape", GRID)
     def test_grid_shapes(self, workers, batch_size, shape):
         plan = self.plan(workers, batch_size=batch_size)
-        assert (plan.workers, plan.probe_shards) == shape
-        assert plan.total_parallelism <= workers
-        assert plan.warmup == (plan.workers > 1)
+        assert (plan.workers, plan.warmup) == shape
+        assert plan.workers <= workers
 
     def test_serial_engine_plans_serial(self):
         plan = self.plan(1)
-        assert (plan.workers, plan.probe_shards) == (1, 1)
-        assert plan.probe_axis is None and plan.probe_shard_ranges == ()
+        assert (plan.workers, plan.warmup) == (1, False)
         assert "workers=1" in plan.reason
 
     def test_empty_call(self):
         plan = self.plan(4, num_queries=0)
         assert plan.chunks == () and plan.num_batches == 0
-        assert (plan.workers, plan.probe_shards) == (1, 1)
+        assert (plan.workers, plan.warmup) == (1, False)
 
     def test_chunks_partition_queries(self):
         plan = self.plan(4, num_queries=50, batch_size=16)
         assert plan.chunks == ((0, 16), (16, 32), (32, 48), (48, 50))
         assert plan.num_batches == 4
 
-    def test_probe_axis_geometry_above_theta(self):
-        retriever = warm_engine("LI", "blocked").retriever
-        plan = self.plan(4, batch_size=48, problem="above_theta")
-        assert plan.probe_axis == "buckets"
-        ranges = plan.probe_shard_ranges
-        assert ranges[0][0] == 0 and ranges[-1][1] == retriever.num_buckets
-        assert all(end > start for start, end in ranges)
-
-    def test_probe_axis_geometry_row_top_k(self):
-        plan = self.plan(4, batch_size=16)  # combined: 2 workers x 2 shards
-        assert plan.probe_axis == "rows"
-        # Ranges cover the *first chunk's* batch-local rows.
-        assert plan.probe_shard_ranges[0][0] == 0
-        assert plan.probe_shard_ranges[-1][1] == 16
-
-    def test_combine_axes_knob(self):
-        plan = self.plan(4, policy=PlanPolicy(combine_axes=False))
-        assert (plan.workers, plan.probe_shards) == (2, 1)
-
-    def test_axis_caps(self):
-        chunk_only = self.plan(4, policy=PlanPolicy(max_probe_shards=1))
-        assert (chunk_only.workers, chunk_only.probe_shards) == (2, 1)
-        probe_only = self.plan(4, policy=PlanPolicy(max_chunk_workers=1))
-        assert (probe_only.workers, probe_only.probe_shards) == (1, 4)
-
-    def test_cost_veto_degrades_small_calls_to_serial(self):
-        vetoing = PlanPolicy(cost_veto=True, dispatch_seconds=10.0)
-        plan = self.plan(4, policy=vetoing)
-        assert (plan.workers, plan.probe_shards) == (1, 1)
-        assert "cost veto" in plan.reason
-        # A modelled-profitable shape survives the veto.
-        cheap = PlanPolicy(cost_veto=True, dispatch_seconds=0.0, pair_seconds=1.0)
-        assert self.plan(4, policy=cheap).workers == 2
-
-    def test_retriever_without_probe_sharding(self):
+    def test_baseline_retriever_chunks_like_lemp(self):
         from repro.baselines import NaiveRetriever
 
         naive = NaiveRetriever()
         single = self.plan(4, batch_size=48, retriever=naive)
-        assert (single.workers, single.probe_shards) == (1, 1)
+        assert single.workers == 1
         chunked = self.plan(2, batch_size=12, retriever=naive)
-        assert (chunked.workers, chunked.probe_shards) == (2, 1)
+        assert chunked.workers == 2
 
-    def test_retriever_without_either_axis(self):
+    def test_retriever_without_worker_views(self):
         from repro.extensions.clustered import ClusteredTopK
 
         plan = self.plan(4, retriever=ClusteredTopK())
-        assert (plan.workers, plan.probe_shards) == (1, 1)
-        assert "neither" in plan.reason
+        assert (plan.workers, plan.warmup) == (1, False)
+        assert "worker views" in plan.reason
 
     def test_planning_is_pure(self):
         assert self.plan(4) == self.plan(4)
@@ -200,8 +151,8 @@ class TestPlannerDecisions:
 
     def test_describe_mentions_the_load_bearing_facts(self):
         text = self.plan(4, problem="above_theta", batch_size=16).describe()
-        for needle in ("above_theta", "chunks", "probe shards", "buckets",
-                       "plan-order", "reason", "warm-up"):
+        for needle in ("above_theta", "backend", "chunks", "workers", "reason",
+                       "warm-up"):
             assert needle in text, needle
 
 
@@ -232,11 +183,6 @@ class TestExplain:
             assert builder.explain(k=K) == engine.explain(QUERIES, k=K, batch_size=16)
             assert builder.explain(theta=THETA) == \
                 engine.explain(QUERIES, theta=THETA, batch_size=16)
-            # The pre-unification spellings still work, but warn.
-            with pytest.warns(DeprecationWarning, match="explain_top_k"):
-                assert builder.explain_top_k(K) == builder.explain(k=K)
-            with pytest.warns(DeprecationWarning, match="explain_above"):
-                assert builder.explain_above(THETA) == builder.explain(theta=THETA)
         finally:
             engine.workers = 1
 
@@ -251,13 +197,16 @@ class TestExplain:
             call = engine.history[-1]
             assert call.plan == plan
             assert call.num_batches == plan.num_batches
-            assert (call.workers, call.probe_shards) == (plan.workers, plan.probe_shards)
+            assert call.workers == plan.workers
         finally:
             engine.workers = 1
 
 
 class TestCombinedAxisEquivalence:
-    """Serial vs plan-sharded runs: byte-identical results, equal counters."""
+    """Serial vs chunked runs over the combined (workers, batch_size) grid.
+
+    Every grid point must give byte-identical results and equal counters.
+    """
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("problem,parameter", [("above_theta", THETA), ("row_top_k", K)])
@@ -275,7 +224,7 @@ class TestCombinedAxisEquivalence:
                     engine.workers = workers
                     kwargs = {"theta": parameter} if problem == "above_theta" else {"k": parameter}
                     plan = engine.explain(QUERIES, batch_size=batch_size, **kwargs)
-                    assert (plan.workers, plan.probe_shards) == shape
+                    assert (plan.workers, plan.warmup) == shape
                     before = snapshot(engine.stats)
                     observed = run(engine, problem, parameter, batch_size)
                     context = f"{algorithm}/{problem}/{kernel}/workers={workers}/bs={batch_size}"
@@ -287,7 +236,7 @@ class TestCombinedAxisEquivalence:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_after_update_and_reload_round_trip(self, algorithm, tmp_path):
-        """Combined plans stay equivalent after partial_fit + remove + save/load."""
+        """Chunked plans stay equivalent after partial_fit + remove + save/load."""
         extra = make_factors(30, rank=10, length_cov=1.0, seed=33)
         engine = RetrievalEngine(f"lemp:{algorithm}", seed=0, workers=4).fit(PROBES)
         engine.partial_fit(extra)
@@ -308,10 +257,10 @@ class TestCombinedAxisEquivalence:
             engine.workers = 4
             kwargs = {"theta": parameter} if problem == "above_theta" else {"k": parameter}
             plan = engine.explain(QUERIES, batch_size=16, **kwargs)
-            assert (plan.workers, plan.probe_shards) == (2, 2)
+            assert (plan.workers, plan.warmup) == (2, True)
             before = snapshot(engine.stats)
             observed = run(engine, problem, parameter, batch_size=16)
-            context = f"{algorithm}/{problem}/reloaded/combined"
+            context = f"{algorithm}/{problem}/reloaded/chunked"
             assert engine.history[-1].plan == plan, context
             assert_bytes_equal(expected, observed, context)
             assert delta(engine.stats, before) == serial_delta, context
@@ -332,142 +281,18 @@ class TestCombinedAxisEquivalence:
             engine.workers = 1
 
 
-class TestChunkWorkerCapHonoured:
-    """A capped chunk axis must bound *actual* concurrency, not just the plan."""
-
-    class CountingPool:
-        """Wraps the real pool, tracking peak concurrently-running tasks."""
-
-        def __init__(self, pool):
-            self._pool = pool
-            self._lock = threading.Lock()
-            self._running = 0
-            self.peak = 0
-
-        def submit(self, fn, *args, **kwargs):
-            def tracked():
-                with self._lock:
-                    self._running += 1
-                    self.peak = max(self.peak, self._running)
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    with self._lock:
-                        self._running -= 1
-
-            return self._pool.submit(tracked)
-
-    def test_max_chunk_workers_bounds_running_chunk_tasks(self):
-        engine = RetrievalEngine(
-            "lemp:LI", seed=0, workers=4, plan_policy={"max_probe_shards": 1}
-        ).fit(PROBES)
-        engine.row_top_k(QUERIES, K, batch_size=8)  # warm (6 batches)
-        reference = engine.row_top_k(QUERIES, K, batch_size=8)
-
-        engine.planner = ExecutionPlanner(PlanPolicy(max_chunk_workers=2, max_probe_shards=1))
-        plan = engine.explain(QUERIES, k=K, batch_size=8)
-        assert (plan.workers, plan.probe_shards) == (2, 1)
-        counting = self.CountingPool(engine._executor(engine.workers))
-        engine._executor = lambda workers: counting
-        observed = engine.row_top_k(QUERIES, K, batch_size=8)
-        # The pool has 4 threads but the plan capped the chunk axis at 2:
-        # no more than plan.workers chunk tasks may ever run at once.
-        assert 1 <= counting.peak <= plan.workers, counting.peak
-        assert_bytes_equal(reference, observed, "capped-chunk-workers")
-
-
-class TestPlanPolicy:
-    def test_coerce(self):
-        assert PlanPolicy.coerce(None) == PlanPolicy()
-        policy = PlanPolicy(combine_axes=False)
-        assert PlanPolicy.coerce(policy) is policy
-        assert PlanPolicy.coerce({"max_probe_shards": 2}).max_probe_shards == 2
-        with pytest.raises(InvalidParameterError):
-            PlanPolicy.coerce("fast")
-
-    def test_knob_values_validated_up_front(self):
-        with pytest.raises(InvalidParameterError):
-            PlanPolicy(max_chunk_workers="2")  # stringly-typed meta.json edit
-        with pytest.raises(InvalidParameterError):
-            PlanPolicy(max_probe_shards=0)  # 0 is neither "no cap" nor a shard count
-        with pytest.raises(InvalidParameterError):
-            PlanPolicy(max_probe_shards=True)  # bools are not counts
-        with pytest.raises(InvalidParameterError):
-            PlanPolicy(dispatch_seconds=-1.0)
-        with pytest.raises(InvalidParameterError):
-            PlanPolicy(combine_axes="yes")
-        # A corrupt persisted value fails at load with a named knob, not as
-        # a TypeError deep inside plan().
-        with pytest.raises(InvalidParameterError):
-            PlanPolicy.from_dict({"max_chunk_workers": "2"}, strict=False)
-
-    def test_from_dict_strictness(self):
-        with pytest.raises(InvalidParameterError):
-            PlanPolicy.from_dict({"warp_drive": True})
-        # Lenient mode (persistence) drops unknown knobs instead of failing.
-        assert PlanPolicy.from_dict({"warp_drive": True}, strict=False) == PlanPolicy()
-
-    def test_non_default_dict(self):
-        assert PlanPolicy().non_default_dict() == {}
-        assert PlanPolicy(cost_veto=True).non_default_dict() == {"cost_veto": True}
-
-    def test_calibrated_from_history(self):
-        calls = [
-            EngineCall("row_top_k", 5.0, 100, 1, 0.2, 500),
-            EngineCall("row_top_k", 5.0, 100, 1, 0.4, 500),
-            EngineCall("row_top_k", 5.0, 0, 0, 0.0, 0),  # empty: ignored
-        ]
-        with pytest.warns(FutureWarning, match="'auto' policy"):
-            policy = PlanPolicy().calibrated(calls, num_probes=1000)
-        assert policy.pair_seconds == pytest.approx(0.4 / (100 * 1000))
-        # No usable samples: the policy is returned unchanged.
-        with pytest.warns(FutureWarning):
-            assert PlanPolicy().calibrated([], num_probes=1000) == PlanPolicy()
-
-    def test_policy_persists_with_the_index(self, tmp_path):
-        engine = RetrievalEngine(
-            "lemp:LI", seed=0, plan_policy={"combine_axes": False, "max_probe_shards": 2}
-        ).fit(PROBES)
-        engine.save(tmp_path / "idx")
-        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
-        assert meta["plan_policy"] == {"combine_axes": False, "max_probe_shards": 2}
-        loaded = RetrievalEngine.load(tmp_path / "idx")
-        assert loaded.plan_policy == PlanPolicy(combine_axes=False, max_probe_shards=2)
-
-    def test_default_policy_writes_no_meta_key(self, tmp_path):
-        RetrievalEngine("lemp:LI", seed=0).fit(PROBES).save(tmp_path / "idx")
-        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
-        assert "plan_policy" not in meta
-
-    def test_unknown_saved_knobs_are_dropped_on_load(self, tmp_path):
-        RetrievalEngine("lemp:LI", seed=0).fit(PROBES).save(tmp_path / "idx")
-        meta_path = tmp_path / "idx" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["plan_policy"] = {"cost_veto": True, "knob_from_the_future": 3}
-        meta_path.write_text(json.dumps(meta))
-        loaded = RetrievalEngine.load(tmp_path / "idx")
-        assert loaded.plan_policy == PlanPolicy(cost_veto=True)
-
-    def test_engine_rejects_unknown_ctor_knobs(self):
-        with pytest.raises(InvalidParameterError):
-            RetrievalEngine("lemp:LI", plan_policy={"warp_drive": True})
-
-
 class TestRegistryCapabilities:
     def test_lemp_flags(self):
         flags = spec_capabilities("lemp:LI")
-        assert flags == {"exact": True, "parallel_queries": True,
-                         "probe_sharding": True, "updates": True}
+        assert flags == {"exact": True, "parallel_queries": True, "updates": True}
         assert spec_capabilities("lemp:BLSH")["exact"] is False
-        assert spec_capabilities("lemp:BLSH")["probe_sharding"] is True
+        assert spec_capabilities("lemp:BLSH")["parallel_queries"] is True
 
     def test_baseline_and_extension_flags(self):
         naive = spec_capabilities("naive")
         assert naive["parallel_queries"] and naive["updates"]
-        assert not naive["probe_sharding"]
         clustered = spec_capabilities("clustered")
         assert not clustered["parallel_queries"]
-        assert not clustered["probe_sharding"]
         assert not clustered["exact"]
 
     def test_aliases_resolve(self):
@@ -475,5 +300,5 @@ class TestRegistryCapabilities:
 
     def test_flags_match_live_instances(self):
         lemp = Lemp(algorithm="LI")
-        assert spec_capabilities("lemp:LI")["probe_sharding"] == lemp.supports_probe_sharding
         assert spec_capabilities("lemp:LI")["parallel_queries"] == lemp.supports_parallel_queries
+        assert spec_capabilities("lemp:LI")["updates"] == lemp.supports_updates

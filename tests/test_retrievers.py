@@ -7,11 +7,15 @@ the query reaches the threshold.  BLSH is allowed a small false-negative rate.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Lemp
 from repro.core.bucketize import bucketize
 from repro.core.retrievers import (
     BlshBucketRetriever,
@@ -25,7 +29,9 @@ from repro.core.retrievers import (
 from repro.core.retrievers.coord import select_focus_coordinates
 from repro.core.thresholds import local_threshold
 from repro.core.vector_store import VectorStore
-from tests.conftest import make_factors
+from repro.datasets.synthetic import synthetic_factors
+from repro.eval.recall import theta_for_result_count
+from tests.conftest import make_factors, pick_theta
 
 EXACT_RETRIEVERS = [
     LengthRetriever(),
@@ -340,3 +346,67 @@ class TestBlshBucketRetriever:
             total += len(expected)
         assert total > 0
         assert missed / total <= 0.10
+
+
+#: Absolute tolerance for the LEMP-BLSH recall regression pin.  The committed
+#: baseline was measured on the earlier ratcheting implementation, whose
+#: ratcheted-down base made the filter slightly *more* conservative; the
+#: order-free per-(query, bucket) base may prune marginally more, but must
+#: stay within this budget of the old recall.
+BLSH_RECALL_TOLERANCE = 0.01
+
+
+class TestBlshOrderIndependence:
+    """LEMP-BLSH's order-free minimum-match base, end to end."""
+
+    def test_blsh_independent_engines_agree(self):
+        """Two fresh retrievers (fit + probe) return identical BLSH results."""
+        queries = make_factors(60, rank=10, length_cov=1.0, seed=21)
+        probes = make_factors(240, rank=10, length_cov=1.0, seed=22)
+        theta = pick_theta(queries, probes, 120)
+        first = Lemp(algorithm="BLSH", seed=0).fit(probes)
+        second = Lemp(algorithm="BLSH", seed=0).fit(probes)
+        expected = first.above_theta(queries, theta)
+        observed = second.above_theta(queries, theta)
+        for left, right in ((expected.query_ids, observed.query_ids),
+                            (expected.probe_ids, observed.probe_ids),
+                            (expected.scores, observed.scores)):
+            np.testing.assert_array_equal(left, right)
+
+    def test_recall_pinned_to_committed_baseline(self):
+        """LEMP-BLSH recall stays within tolerance of the ratchet-era baseline.
+
+        The baseline JSON was measured on the ratcheting implementation
+        immediately before the order-free base landed (see
+        ``tools/measure_blsh_recall.py``).
+        """
+        baseline = json.loads(
+            (Path(__file__).parent / "data" / "blsh_recall_baseline.json").read_text()
+        )
+        config = baseline["config"]
+        probes = synthetic_factors(
+            config["num_probes"], rank=config["rank"],
+            length_cov=config["length_cov"], seed=config["probe_seed"],
+        )
+        queries = synthetic_factors(
+            config["num_queries"], rank=config["rank"],
+            length_cov=config["length_cov"], seed=config["query_seed"],
+        )
+        theta = theta_for_result_count(queries, probes, config["result_count"])
+        assert theta == pytest.approx(baseline["theta"], abs=1e-12)
+        product = queries @ probes.T
+
+        blsh = Lemp(algorithm="BLSH", seed=config["lemp_seed"]).fit(probes)
+        exact = set(zip(*(arr.tolist() for arr in np.nonzero(product >= theta))))
+        above_recall = len(blsh.above_theta(queries, theta).to_set() & exact) / len(exact)
+        assert above_recall >= baseline["above_theta_recall"] - BLSH_RECALL_TOLERANCE
+
+        k = config["k"]
+        top = blsh.row_top_k(queries, k)
+        exact_rows = np.argsort(-product, axis=1, kind="stable")[:, :k]
+        overlap = sum(
+            len(set(top.indices[row].tolist()) & set(exact_rows[row].tolist()))
+            for row in range(queries.shape[0])
+        )
+        topk_recall = overlap / (queries.shape[0] * k)
+        assert topk_recall >= baseline["row_top_k_recall"] - BLSH_RECALL_TOLERANCE

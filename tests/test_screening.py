@@ -190,25 +190,6 @@ def test_engine_screen_toggle_persists(tmp_path, problem):
     )
 
 
-def test_probe_sharded_screened_call_matches_serial(problem):
-    queries, probes, theta = problem
-    serial = Lemp(algorithm="LI", seed=0, screen_dtype="f16").fit(probes)
-    sharded = Lemp(algorithm="LI", seed=0, screen_dtype="f16").fit(probes)
-    serial.above_theta(queries, theta)
-    sharded.above_theta(queries, theta)  # warm both
-    serial.stats.reset(), sharded.stats.reset()
-    assert_above_equal(
-        sharded.above_theta(queries, theta, probe_shards=4),
-        serial.above_theta(queries, theta),
-    )
-    assert_topk_equal(
-        sharded.row_top_k(queries, K, probe_shards=4),
-        serial.row_top_k(queries, K),
-    )
-    assert sharded.stats.screen_products == serial.stats.screen_products
-    assert sharded.stats.screen_dropped == serial.stats.screen_dropped
-
-
 # --------------------------------------------------- adversarial near-theta
 
 

@@ -2,7 +2,7 @@
 
 Targets ``tests/data/blsh_recall_baseline.json``.  The committed baseline was
 produced by the *pre-order-free* ratcheting implementation; the regression
-test in ``tests/test_probe_sharding.py`` pins the current order-independent
+test in ``tests/test_retrievers.py`` pins the current order-independent
 base to that reference within ``BLSH_RECALL_TOLERANCE``.  The pinned file is
 only written with the explicit ``--commit`` flag; without it the script
 diffs its measurement against the committed copy and leaves it untouched, so
@@ -27,7 +27,7 @@ from repro.core.lemp import Lemp
 from repro.datasets.synthetic import synthetic_factors
 from repro.eval.recall import theta_for_result_count
 
-#: Dataset / workload configuration shared with tests/test_probe_sharding.py.
+#: Dataset / workload configuration shared with tests/test_retrievers.py.
 CONFIG = {
     "num_probes": 3000,
     "num_queries": 400,
