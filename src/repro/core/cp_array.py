@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.sorted_lists import SortedListIndex
 from repro.core.thresholds import feasible_region
 
-__all__ = ["count_scan_hits", "accumulate_partial_products", "scan_ranges"]
+__all__ = ["count_scan_hits", "accumulate_partial_products", "scan_prefixes", "scan_ranges"]
 
 
 def scan_ranges(
@@ -49,6 +49,52 @@ def scan_ranges(
     return ranges
 
 
+def scan_prefixes(
+    index: SortedListIndex,
+    query_direction: np.ndarray,
+    focus: np.ndarray,
+    theta_b: float,
+    size: int,
+    partial: bool = False,
+):
+    """Walk the focus scan ranges in order, yielding the CP array after each.
+
+    Yields ``(scanned, counts, partial_dot, partial_sqnorm)`` once per focus
+    coordinate: the sorted-list entries scanned so far and the CP array
+    over the focus prefix scanned so far (the arrays are updated in place,
+    so copy what must outlive the next step).  The extended arrays are
+    accumulated only with ``partial=True`` and are ``None`` otherwise.
+    Since a focus set of size ``φ`` is a prefix of the one of size
+    ``φ_max``, one walk gives the CP array of every smaller ``φ`` on the way.
+    """
+    counts = np.zeros(size, dtype=np.int64)
+    partial_dot = np.zeros(size, dtype=np.float64) if partial else None
+    partial_sqnorm = np.zeros(size, dtype=np.float64) if partial else None
+    scanned = 0
+    for coordinate, start, end in scan_ranges(index, query_direction, focus, theta_b):
+        # ``bincount`` wants intp bins and f64 weights; converting once here
+        # (a no-op view on an exact index) instead of letting each of the
+        # three calls convert internally keeps the compressed (gen_dtype)
+        # index's int32/f32 storage off the hot path.  The ``dtype=np.float64``
+        # on the products upcasts the stored values inside the ufunc loop —
+        # the partial products must accumulate in f64 for the widened INCR
+        # bound derivation to hold.
+        lids = np.asarray(index.lids[coordinate, start:end], dtype=np.intp)
+        counts += np.bincount(lids, minlength=size)
+        if partial:
+            values = index.values[coordinate, start:end]
+            partial_dot += np.bincount(
+                lids,
+                weights=np.multiply(values, query_direction[coordinate], dtype=np.float64),
+                minlength=size,
+            )
+            partial_sqnorm += np.bincount(
+                lids, weights=np.multiply(values, values, dtype=np.float64), minlength=size
+            )
+        scanned += end - start
+        yield scanned, counts, partial_dot, partial_sqnorm
+
+
 def count_scan_hits(
     index: SortedListIndex,
     query_direction: np.ndarray,
@@ -58,9 +104,8 @@ def count_scan_hits(
 ) -> np.ndarray:
     """CP array of COORD: per-probe count of focus scan ranges it appears in."""
     counts = np.zeros(size, dtype=np.int64)
-    for coordinate, start, end in scan_ranges(index, query_direction, focus, theta_b):
-        lids = np.asarray(index.lids[coordinate, start:end], dtype=np.intp)
-        counts += np.bincount(lids, minlength=size)
+    for _, counts, _, _ in scan_prefixes(index, query_direction, focus, theta_b, size):
+        pass
     return counts
 
 
@@ -81,25 +126,8 @@ def accumulate_partial_products(
         ``partial_sqnorm[lid]`` — accumulated ``Σ p̄_f²`` over those coordinates.
     """
     counts = np.zeros(size, dtype=np.int64)
-    partial_dot = np.zeros(size, dtype=np.float64)
-    partial_sqnorm = np.zeros(size, dtype=np.float64)
-    for coordinate, start, end in scan_ranges(index, query_direction, focus, theta_b):
-        # ``bincount`` wants intp bins and f64 weights; converting once here
-        # (a no-op view on an exact index) instead of letting each of the
-        # three calls convert internally keeps the compressed (gen_dtype)
-        # index's int32/f32 storage off the hot path.  The ``dtype=np.float64``
-        # on the products upcasts the stored values inside the ufunc loop —
-        # the partial products must accumulate in f64 for the widened INCR
-        # bound derivation to hold.
-        lids = np.asarray(index.lids[coordinate, start:end], dtype=np.intp)
-        values = index.values[coordinate, start:end]
-        counts += np.bincount(lids, minlength=size)
-        partial_dot += np.bincount(
-            lids,
-            weights=np.multiply(values, query_direction[coordinate], dtype=np.float64),
-            minlength=size,
-        )
-        partial_sqnorm += np.bincount(
-            lids, weights=np.multiply(values, values, dtype=np.float64), minlength=size
-        )
+    partial_dot, partial_sqnorm = np.zeros(size), np.zeros(size)
+    for _, counts, partial_dot, partial_sqnorm in scan_prefixes(
+            index, query_direction, focus, theta_b, size, partial=True):
+        pass
     return counts, partial_dot, partial_sqnorm

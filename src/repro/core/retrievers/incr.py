@@ -15,15 +15,14 @@ import numpy as np
 
 from repro.core.bucket import Bucket
 from repro.core.cp_array import accumulate_partial_products
-from repro.core.retrievers.base import BucketRetriever
-from repro.core.retrievers.coord import select_focus_coordinates
+from repro.core.retrievers.coord import CoordRetriever, select_focus_coordinates
 
 #: Slack subtracted from the threshold comparison to keep the filter exact in
 #: the presence of floating-point rounding.
 _FLOAT_SLACK = 1e-9
 
 
-class IncrRetriever(BucketRetriever):
+class IncrRetriever(CoordRetriever):
     """Candidate generation with incremental partial-inner-product pruning.
 
     With a compressed generation tier (``gen``, LEMP's ``gen_dtype`` knob)
@@ -40,15 +39,10 @@ class IncrRetriever(BucketRetriever):
 
     name = "INCR"
 
-    def __init__(self, gen=None) -> None:
-        #: Optional :class:`~repro.core.screening.ScreenTier` the sorted
-        #: lists are built over instead of the exact f64 directions.
-        self.gen = gen
+    partial_products = True
 
-    def _index(self, bucket: Bucket):
-        if self.gen is not None:
-            return bucket.gen_sorted_lists(self.gen)
-        return bucket.sorted_lists()
+    def unpruned(self, query_norm: float, theta: float, theta_b: float) -> bool:
+        return not np.isfinite(theta_b) or theta_b <= 0.0 or theta <= 0.0 or query_norm <= 0.0
 
     def retrieve(
         self,
@@ -59,17 +53,22 @@ class IncrRetriever(BucketRetriever):
         theta_b: float,
         phi: int = 3,
     ) -> np.ndarray:
-        if not np.isfinite(theta_b) or theta_b <= 0.0 or theta <= 0.0 or query_norm <= 0.0:
+        if self.unpruned(query_norm, theta, theta_b):
             return self.all_candidates(bucket)
         focus = select_focus_coordinates(query_direction, phi)
         index = self._index(bucket)
         counts, partial_dot, partial_sqnorm = accumulate_partial_products(
             index, query_direction, focus, theta_b, bucket.size
         )
-        seen = counts > 0
-        if not seen.any():
+        if not counts.any():
             return np.empty(0, dtype=np.intp)
+        keep = self.keep(bucket, index, query_direction, focus, query_norm, theta,
+                         counts, partial_dot, partial_sqnorm)
+        return np.nonzero(keep)[0].astype(np.intp)
 
+    def keep(self, bucket, index, query_direction, focus, query_norm, theta,
+             counts, partial_dot, partial_sqnorm) -> np.ndarray:
+        """Probes seen in a scan range whose bound can still reach ``θ_p(q)``."""
         # Upper bound on the unseen part of the cosine (Section 4.3):
         # u = sqrt(1 - ‖q̄_F‖²) · sqrt(1 - ‖p̄_F‖²).
         query_focus_sqnorm = float(np.sum(query_direction[focus] ** 2))
@@ -104,5 +103,4 @@ class IncrRetriever(BucketRetriever):
             probe_threshold = np.where(
                 lengths > 0.0, theta / (query_norm * np.where(lengths > 0.0, lengths, 1.0)), np.inf
             )
-        keep = seen & (upper_bound >= probe_threshold - threshold_slack)
-        return np.nonzero(keep)[0].astype(np.intp)
+        return (counts > 0) & (upper_bound >= probe_threshold - threshold_slack)

@@ -2,10 +2,30 @@
 
 LEMP chooses, for every bucket, (i) the focus-set size ``φ_b`` of the
 coordinate-based retriever and (ii) the local-threshold switch point ``t_b``
-below which the cheap LENGTH scan is used instead.  Both choices are made
-empirically: a small sample of query vectors is run against the bucket with
-every configuration, the wall-clock cost of candidate generation plus
-verification is measured, and the cheapest configuration wins.
+below which the LENGTH scan is used instead.  As in the paper, both choices
+come from a seeded sample of the call's queries: every sampled (query,
+bucket) pair is priced under every configuration, and the cheapest total
+wins.  The price is *counted* work weighted by per-host constants, not a
+clock reading, so tuning is a pure function of the data, the thresholds
+and the seed:
+
+* a **LENGTH** pair costs :data:`LENGTH_PAIR_S` (its verify call) plus its
+  prefix rows at the block-product rate (:func:`length_pair_costs`); one
+  :meth:`~repro.core.retrievers.length.LengthRetriever.cutoffs` search
+  gives the prefixes of all of a bucket's sampled pairs;
+* a **COORD/INCR** pair costs its retriever's :class:`ScanCosts` — a fixed
+  part per call, per bucket row and per focus coordinate, plus the
+  sorted-list entries it scans — and ``r ×`` the candidates it keeps at
+  :data:`VERIFY_ENTRY_S`.  The entries and candidates of every ``φ`` of
+  the grid come from one nested scan per pair
+  (:meth:`~repro.core.retrievers.coord.CoordRetriever.focus_counts`),
+  because the focus set of a smaller ``φ`` is a prefix of the largest one's.
+
+When LENGTH costs no more than the coordinate retriever's cheapest call on
+every sampled pair of a bucket, the tuner decides ``t_b =``
+:data:`SWITCH_ALL_LENGTH` without scanning, so no sorted list is built for
+tuning.  The constants were measured with BLAS pinned to one thread on a
+2-vCPU x86-64 host; ``tools/measure_tuner_costs.py`` re-measures them.
 """
 
 from __future__ import annotations
@@ -17,7 +37,7 @@ import numpy as np
 
 from repro.core.bucket import Bucket
 from repro.core.retrievers.base import BucketRetriever
-from repro.core.thresholds import local_threshold
+from repro.core.retrievers.length import BLOCK_ELEMENTS
 from repro.core.vector_store import PreparedQueries
 from repro.utils.rng import ensure_rng
 
@@ -26,6 +46,43 @@ DEFAULT_PHI_GRID = (1, 2, 3, 4, 5)
 
 #: Number of sample queries per tuning run.
 DEFAULT_SAMPLE_SIZE = 20
+
+#: Switch point above every local threshold a pair can have: all pairs run LENGTH.
+SWITCH_ALL_LENGTH = 1.01
+
+#: Seconds per LENGTH pair: the solver's verify call for its survivors.
+LENGTH_PAIR_S = 5.5e-6
+#: Seconds per prefix row of a LENGTH pair in the bucket's block product...
+LENGTH_ROW_S = 6e-9
+#: ...plus this much per coordinate of that row...
+LENGTH_ENTRY_S = 5e-11
+#: ...plus this much per byte of the prefix streamed from memory.  Every
+#: query block re-reads the prefix, so a pair's share is its prefix bytes
+#: over the block width; it only matters once a bucket outgrows the cache.
+LENGTH_BYTE_S = 1.4e-10
+#: Seconds per coordinate of a candidate a coordinate retriever keeps (its verification).
+VERIFY_ENTRY_S = 6.5e-10
+
+
+@dataclass(frozen=True)
+class ScanCosts:
+    """Counted-cost weights (seconds) of one coordinate retriever's calls."""
+
+    #: Fixed part of a call: focus selection, feasible regions, keep test.
+    pair_s: float
+    #: Per bucket row: the CP array and the keep test span the whole bucket.
+    row_s: float
+    #: Per focus coordinate: its two binary searches and CP-array updates.
+    coordinate_s: float
+    #: Per sorted-list entry inside a scan range.
+    entry_s: float
+
+
+#: :class:`ScanCosts` of the tuned coordinate retrievers, by retriever name.
+SCAN_COSTS = {
+    "COORD": ScanCosts(pair_s=5e-5, row_s=2e-9, coordinate_s=1e-5, entry_s=2.5e-9),
+    "INCR": ScanCosts(pair_s=1e-4, row_s=8e-9, coordinate_s=1.5e-5, entry_s=8e-9),
+}
 
 
 @dataclass
@@ -59,24 +116,6 @@ def combine_tuning(cached: dict, fresh: TuningResult | None) -> tuple[dict, dict
         phi_map.update(fresh.per_bucket_phi)
         switch_map.update(fresh.switch_thresholds)
     return phi_map, switch_map
-
-
-def _timed_retrieve(
-    retriever: BucketRetriever,
-    bucket: Bucket,
-    query_direction: np.ndarray,
-    query_norm: float,
-    theta: float,
-    theta_b: float,
-    phi: int,
-) -> float:
-    """Wall-clock cost of candidate generation plus exact verification."""
-    started = time.perf_counter()
-    candidates = retriever.retrieve(bucket, query_direction, query_norm, theta, theta_b, phi)
-    if candidates.size:
-        cosines = bucket.directions[candidates] @ query_direction
-        _ = cosines * (query_norm * bucket.lengths[candidates])
-    return time.perf_counter() - started
 
 
 def tune_phi(
@@ -147,59 +186,52 @@ def _tune(
 
     sample_count = min(sample_size, queries.size)
     sample_positions = rng.choice(queries.size, size=sample_count, replace=False)
+    sample_thetas = query_thetas[sample_positions]
+    sample_norms = queries.norms[sample_positions]
+    rank = queries.rank
+    phi_grid = list(phi_grid)
+    scan = SCAN_COSTS[coord_retriever.name]
 
     for bucket in buckets:
-        # Collect the sampled queries that are not pruned for this bucket.
-        active = []
-        for position in sample_positions:
-            theta = float(query_thetas[position])
-            theta_b = local_threshold(theta, float(queries.norms[position]), bucket.max_length)
-            if theta_b <= 1.0:
-                active.append((int(position), theta, theta_b))
-        if not active:
+        # The sampled queries that are not pruned for this bucket.
+        theta_bs = _local_thresholds(sample_thetas, sample_norms, bucket.max_length)
+        active = np.nonzero(theta_bs <= 1.0)[0]
+        if active.size == 0:
             continue
+        positions = sample_positions[active]
+        thetas, norms, theta_bs = sample_thetas[active], sample_norms[active], theta_bs[active]
 
-        coord_costs = {}
-        for phi in phi_grid:
-            total = 0.0
-            for position, theta, theta_b in active:
-                total += _timed_retrieve(
-                    coord_retriever,
-                    bucket,
-                    queries.directions[position],
-                    float(queries.norms[position]),
-                    theta,
-                    theta_b,
-                    phi,
-                )
-            coord_costs[phi] = total
-        best_phi = min(coord_costs, key=coord_costs.get)
-        result.per_bucket_phi[bucket.index] = int(best_phi)
+        fixed = scan.pair_s + bucket.size * scan.row_s
+        floor = fixed + min(phi_grid) * scan.coordinate_s
+        if length_retriever is not None:
+            length_costs = length_pair_costs(length_retriever.cutoffs(bucket, thetas, norms), rank)
+            if np.all(length_costs <= floor):
+                # No coordinate call can undercut LENGTH on any sampled pair:
+                # every pair runs LENGTH, and no sorted list is built.
+                result.switch_thresholds[bucket.index] = SWITCH_ALL_LENGTH
+                continue
 
+        # Counted cost of each (pair, φ): one nested scan per pair prices the whole grid.
+        coord_costs = np.empty((active.size, len(phi_grid)))
+        for pair, position in enumerate(positions.tolist()):
+            scanned, kept = coord_retriever.focus_counts(
+                bucket, queries.directions[position], float(norms[pair]), float(thetas[pair]),
+                float(theta_bs[pair]), phi_grid)
+            coord_costs[pair] = scanned * scan.entry_s + kept * (rank * VERIFY_ENTRY_S)
+        coord_costs += fixed + np.asarray(phi_grid) * scan.coordinate_s
+        best = int(np.argmin(coord_costs.sum(axis=0)))
+        result.per_bucket_phi[bucket.index] = int(phi_grid[best])
         if length_retriever is None:
             continue
 
-        length_times = {}
-        coord_times = {}
-        for position, theta, theta_b in active:
-            direction = queries.directions[position]
-            norm = float(queries.norms[position])
-            length_times[position] = _timed_retrieve(
-                length_retriever, bucket, direction, norm, theta, theta_b, best_phi
-            )
-            coord_times[position] = _timed_retrieve(
-                coord_retriever, bucket, direction, norm, theta, theta_b, best_phi
-            )
-
         # Candidate switch points: below t_b LENGTH runs, at or above it the
         # coordinate method runs.  Evaluate the sample cost of each candidate.
-        theta_bs = sorted({theta_b for _, _, theta_b in active})
-        candidates = [0.0] + theta_bs + [1.01]
+        coord_costs = coord_costs[:, best]
+        candidates = [0.0, *sorted(set(theta_bs.tolist())), SWITCH_ALL_LENGTH]
         best_threshold, best_cost = 0.0, np.inf
         for switch in candidates:
-            cost = 0.0
-            for position, _, theta_b in active:
-                cost += length_times[position] if theta_b < switch else coord_times[position]
+            below = theta_bs < switch
+            cost = float(length_costs[below].sum() + coord_costs[~below].sum())
             if cost < best_cost:
                 best_cost = cost
                 best_threshold = switch
@@ -207,3 +239,23 @@ def _tune(
 
     result.seconds = time.perf_counter() - started
     return result
+
+
+def length_pair_costs(cutoffs: np.ndarray, rank: int) -> np.ndarray:
+    """Counted cost of LENGTH pairs with these prefix lengths, scored by block products.
+
+    Blocks are as wide as :func:`~repro.core.retrievers.length.score_length_pairs`
+    makes them for the longest prefix.
+    """
+    width = max(1, BLOCK_ELEMENTS // max(1, int(cutoffs.max())))
+    streamed = rank * 8 / width  # f64 bytes of a prefix row, shared by a block's pairs
+    per_row = LENGTH_ROW_S + rank * LENGTH_ENTRY_S + streamed * LENGTH_BYTE_S
+    return LENGTH_PAIR_S + cutoffs * per_row
+
+
+def _local_thresholds(thetas: np.ndarray, query_norms: np.ndarray, max_length: float) -> np.ndarray:
+    """:func:`~repro.core.thresholds.local_threshold` for per-query thresholds."""
+    denominators = query_norms * max_length
+    out = np.where(thetas > 0.0, np.inf, -np.inf)
+    np.divide(thetas, denominators, out=out, where=denominators > 0.0)
+    return out

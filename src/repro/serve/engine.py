@@ -21,9 +21,10 @@ The demultiplexing step is where LEMP's determinism contract pays off:
 
 Integer work counters are per-(query, bucket) and therefore additive: the
 merged batch's :class:`~repro.core.stats.RunStats` deltas equal the sum of
-the per-request serial deltas exactly (given a warm tuning cache — the
-sample-based tuner is the one wall-clock-dependent component, so cold
-first calls are warmed or persisted, never compared).
+the per-request serial deltas exactly, as long as both sides run with the
+same tuning decisions: a warm tuning cache, or the same tuned queries (the
+tuner prices counted work, so its decisions are a pure function of the
+tuned queries, their thresholds and the seed).
 
 Concurrency model: all batching state lives on the event loop; the solver
 runs on a dedicated single-thread executor, which serialises engine calls
@@ -415,8 +416,11 @@ def serve_compatibility(engine) -> dict:
         "parallel_queries": bool(getattr(retriever, "supports_parallel_queries", False)),
         "mmap_index": mmap_capable,
         "process_backend": mmap_capable,
+        # LEMP-L2AP's threshold-reduced bucket indexes keep the base of the
+        # query that built them, so its candidate counters depend on call
+        # history until every index has settled.
         "deterministic_counters": (
-            "warm tuning cache" if getattr(retriever, "tuning_cache", None) is not None
+            "warm bucket indexes" if getattr(retriever, "algorithm", None) == "L2AP"
             else "always"
         ),
     }

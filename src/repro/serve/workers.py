@@ -16,15 +16,15 @@ contract:
   unconditionally: workers run the exact same solve on the exact same
   arrays, and the blocked verification kernel keeps each row's rounding
   independent of its co-batched rows.
-* **Integer counters** match a serial run when the saved index carries a
-  warm tuning cache (``meta["tuning_cache"]``, written by
-  :func:`~repro.engine.persistence.save_engine` for a warmed engine):
-  every worker restores the same tuned per-bucket parameters, so candidate
-  generation — and with it every :class:`~repro.core.stats.RunStats`
-  counter — is identical wherever the chunk runs.  A *cold* saved index
-  lets each worker run the wall-clock tuner independently; results stay
-  bit-identical (candidates are verified exactly) but candidate counters
-  may drift, exactly as documented for cold thread runs.
+* **Integer counters** match a serial run whenever both tune on the same
+  queries.  The tuner prices counted work, not time, so a worker tuning a
+  cold index (no ``meta["tuning_cache"]``) makes exactly the decisions a
+  serial call over the same chunk makes, and a warm index hands every
+  worker the persisted decisions.  A chunked *serial* call tunes on its
+  first chunk only; on a cold index a worker that first sees a later chunk
+  tunes on that chunk's sample instead, which can steer its candidate
+  counters (never its results).  A cold LEMP-L2AP index also drifts: its
+  threshold-reduced bucket indexes depend on which queries built them.
 
 Workers are plain ``concurrent.futures`` processes started with the
 ``spawn`` method — no state is forked from the parent, which keeps the

@@ -242,11 +242,14 @@ class TestEngineGuaranteesUnderBlockedKernel:
     @pytest.mark.parametrize("kernel", list(kernels.KERNELS))
     def test_tuning_cache_on_off_bit_identical(self, small_problem, kernel):
         probes, queries = small_problem
-        with use_kernel(kernel):
-            cached = Lemp(algorithm="LI", seed=0).fit(probes).row_top_k(queries, 7)
-            fresh = Lemp(algorithm="LI", seed=0, tune_cache=False).fit(probes).row_top_k(queries, 7)
-        np.testing.assert_array_equal(cached.indices, fresh.indices)
-        np.testing.assert_array_equal(cached.scores, fresh.scores)
+        # LI's buckets here all tune to LENGTH; I runs the INCR route too.
+        for algorithm in ("LI", "I"):
+            with use_kernel(kernel):
+                cached = Lemp(algorithm=algorithm, seed=0).fit(probes).row_top_k(queries, 7)
+                fresh = Lemp(algorithm=algorithm, seed=0, tune_cache=False).fit(probes).row_top_k(
+                    queries, 7)
+            np.testing.assert_array_equal(cached.indices, fresh.indices)
+            np.testing.assert_array_equal(cached.scores, fresh.scores)
 
     @pytest.mark.parametrize("kernel", list(kernels.KERNELS))
     def test_partial_fit_bit_identical_to_fresh_fit(self, small_problem, kernel):
@@ -273,40 +276,35 @@ class TestEngineGuaranteesUnderBlockedKernel:
     def test_kernels_agree_on_retrieved_sets(self, small_problem):
         """Both kernels retrieve the same (query, probe) pairs."""
         probes, queries = small_problem
-        with use_kernel("blocked"):
-            blocked = Lemp(algorithm="LI", seed=0).fit(probes).above_theta(queries, 0.9)
-        with use_kernel("einsum"):
-            einsum = Lemp(algorithm="LI", seed=0).fit(probes).above_theta(queries, 0.9)
-        assert blocked.to_set() == einsum.to_set()
-        np.testing.assert_allclose(
-            blocked.sorted_by_score().scores, einsum.sorted_by_score().scores,
-            rtol=1e-10, atol=1e-12,
-        )
+        # LI's buckets here all tune to LENGTH; I runs the INCR route too.
+        for algorithm in ("LI", "I"):
+            with use_kernel("blocked"):
+                blocked = Lemp(algorithm=algorithm, seed=0).fit(probes).above_theta(queries, 0.9)
+            with use_kernel("einsum"):
+                einsum = Lemp(algorithm=algorithm, seed=0).fit(probes).above_theta(queries, 0.9)
+            assert blocked.to_set() == einsum.to_set()
+            np.testing.assert_allclose(
+                blocked.sorted_by_score().scores, einsum.sorted_by_score().scores,
+                rtol=1e-10, atol=1e-12,
+            )
 
 
 # ------------------------------------------------------- parallel determinism
 
 
-#: Counters that are deterministic across *independently tuned* engines.
-#: ``candidates`` / ``inner_products`` are excluded here: LEMP's tuner picks
-#: phi and the LENGTH/coordinate switch point from *measured* sample costs
-#: (paper Section 4.4), so two engines may legitimately tune differently
-#: under timing jitter — results stay bit-identical (verification is exact),
-#: but candidate counts then differ.  Candidate counters are compared in
-#: :func:`assert_equal_call_deltas` on a single warm engine, where the
-#: cached tuning is shared and the counts are fully deterministic.
-STATS_COUNTERS = ("num_queries", "results", "buckets_examined", "buckets_pruned")
-
-#: Every counter, including the tuning-dependent ones.
-ALL_COUNTERS = STATS_COUNTERS + ("candidates", "inner_products")
+#: RunStats counters compared between runs.  Tuning is a pure function of
+#: the data, the thresholds and the seed, so every counter — candidate
+#: counts included — agrees even between independently fitted engines.
+COUNTERS = ("num_queries", "results", "buckets_examined", "buckets_pruned",
+            "candidates", "inner_products")
 
 
 def counter_snapshot(engine):
-    return {name: getattr(engine.stats, name) for name in ALL_COUNTERS}
+    return {name: getattr(engine.stats, name) for name in COUNTERS}
 
 
 def counter_delta(engine, before):
-    return {name: getattr(engine.stats, name) - before[name] for name in ALL_COUNTERS}
+    return {name: getattr(engine.stats, name) - before[name] for name in COUNTERS}
 
 
 def assert_same_call(serial_call, parallel_call, expect_workers):
@@ -332,8 +330,7 @@ class TestParallelExecution:
         np.testing.assert_array_equal(expected.indices, observed.indices)
         np.testing.assert_array_equal(expected.scores, observed.scores)
         assert_same_call(serial.history[-1], parallel.history[-1], expect_workers=4)
-        for counter in STATS_COUNTERS:
-            assert getattr(parallel.stats, counter) == getattr(serial.stats, counter)
+        assert counter_snapshot(parallel) == counter_snapshot(serial)
 
     @pytest.mark.parametrize("spec", ["lemp:LI", "naive"])
     def test_above_theta_matches_serial(self, small_problem, spec):
@@ -346,8 +343,7 @@ class TestParallelExecution:
         np.testing.assert_array_equal(expected.probe_ids, observed.probe_ids)
         np.testing.assert_array_equal(expected.scores, observed.scores)
         assert_same_call(serial.history[-1], parallel.history[-1], expect_workers=3)
-        for counter in STATS_COUNTERS:
-            assert getattr(parallel.stats, counter) == getattr(serial.stats, counter)
+        assert counter_snapshot(parallel) == counter_snapshot(serial)
 
     def test_iter_batches_yield_in_query_order(self, small_problem):
         probes, queries = small_problem

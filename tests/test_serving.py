@@ -7,8 +7,7 @@ The central claims under test:
   to the same requests issued one at a time against a serial engine, and
   the engine's integer work counters sum to exactly the serial totals —
   on the in-process backend and across a 2-process memory-mapping
-  :class:`~repro.serve.WorkerPool` alike (warm tuning caches persisted
-  with the index make the counters well-defined).
+  :class:`~repro.serve.WorkerPool` alike.
 * **Flush boundaries.**  Groups flush exactly on the row budget
   (including the 1-row degenerate case) or on the bounded-delay timer,
   never merging incompatible (problem, parameter) keys.
@@ -615,7 +614,9 @@ def test_serve_compatibility_reports_lemp_features(index_dir):
     assert compat["micro_batching"] is True
     assert compat["mmap_index"] is True
     assert compat["process_backend"] is True
-    assert compat["deterministic_counters"] == "warm tuning cache"
+    assert compat["deterministic_counters"] == "always"
+    l2ap = RetrievalEngine("lemp:L2AP").fit(make_factors(50, rank=12, seed=21))
+    assert serve_compatibility(l2ap)["deterministic_counters"] == "warm bucket indexes"
 
 
 def test_cli_serve_reports_latency_stats(index_dir):

@@ -14,10 +14,11 @@ records
   over the unscreened run's f64 reads — the bandwidth the tier saves.
 
 A second section does the same for the compressed *generation* tier
-(``gen_dtype``): per dtype it records recall (again exactly 1.0 — widened
-feasible regions may only over-produce) and ``candidate_inflation``, the
-widened candidate count over the exact-scan candidate count on the same warm
-engine (the cost of the widening; the regression test caps int8 at 1.5x).
+(``gen_dtype``) on a pure-INCR engine, whose every pair scans the sorted
+lists: per dtype it records recall (again exactly 1.0 — widened feasible
+regions may only over-produce) and ``candidate_inflation``, the widened
+candidate count over the exact-scan candidate count on the same warm engine
+(the cost of the widening; the regression test caps int8 at 1.5x).
 
 The measurements go to ``tests/data/screening_baseline.json`` — but only
 with the explicit ``--commit`` flag.  Without it the script *diffs* its
@@ -39,8 +40,6 @@ import difflib
 import json
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.lemp import Lemp
 from repro.core.screening import SCREEN_DTYPES
 from repro.datasets.synthetic import synthetic_factors
@@ -57,6 +56,7 @@ CONFIG = {
     "result_count": 2000,
     "k": 10,
     "algorithm": "LI",
+    "generation_algorithm": "I",
     "lemp_seed": 0,
 }
 
@@ -125,8 +125,14 @@ def screening_report(config: dict = CONFIG) -> dict:
         }
     retriever.screen_dtype = None
 
-    # Compressed generation: same warm engine (shared tuning), screening off,
-    # per-dtype widened index scans vs the exact-scan candidate population.
+    # Compressed generation on a pure-INCR engine, whose every pair scans the
+    # sorted lists (the LI tuner sends this workload's cache-sized buckets to
+    # LENGTH, which reads none): per-dtype widened index scans vs the
+    # exact-scan candidate population, screening off.
+    retriever = Lemp(algorithm=config["generation_algorithm"],
+                     seed=config["lemp_seed"]).fit(probes)
+    base_above, base_top = _run_workload(retriever, queries, theta, config["k"])
+    base_candidates = retriever.stats.candidates
     generation = {}
     for dtype_name in SCREEN_DTYPES:
         retriever.gen_dtype = dtype_name
