@@ -5,7 +5,8 @@ cache-friendly order of the paper).  A bucket that no query of the call can
 reach is skipped outright.  Otherwise the local thresholds of *all* queries
 are computed in one vectorised step, whole-bucket pruning is a single
 comparison, and the surviving queries are split between LENGTH — whose
-pairs are scored together by one block product per query block, see
+pairs are screened together by one block product and verified by one
+grouped kernel call per query block, see
 :func:`~repro.core.retrievers.length.score_length_pairs` — and the
 coordinate retrievers, which run pair by pair.
 

@@ -20,7 +20,10 @@ Two kernels implement that contract:
     ``tests/test_kernels.py``) — so the kernel keeps einsum's determinism
     contract at BLAS speed.  Large candidate sets are additionally split
     into :data:`BLOCK_ROWS`-row blocks so no single BLAS call grows beyond
-    a fixed, cache- and threading-friendly shape.
+    a fixed, cache- and threading-friendly shape.  A grouped call (many
+    queries, each with its own candidates) pads every group to aligned
+    units and scores them with stacked ``np.matmul`` calls, one ``gemv``
+    of that same shape per unit (:func:`stacked_kernel_supported`).
 
 ``"einsum"``
     The historical reference: ``np.einsum("ij,j->i", rows, q)``, whose
@@ -78,6 +81,8 @@ _scratch = threading.local()
 #: Lazily computed result of :func:`blocked_kernel_supported` (None = not yet
 #: probed).  Guarded by ``_probe_lock`` so concurrent first calls probe once.
 _blocked_supported: bool | None = None
+#: Lazily computed result of :func:`stacked_kernel_supported`, same lock.
+_stacked_supported: bool | None = None
 _probe_lock = threading.Lock()
 
 
@@ -135,18 +140,49 @@ def blocked_kernel_supported() -> bool:
     if _blocked_supported is None:
         with _probe_lock:
             if _blocked_supported is None:
-                _blocked_supported = _probe_blocked_determinism()
-                if not _blocked_supported:
-                    import warnings
-
-                    warnings.warn(
-                        "this BLAS backend does not preserve per-row bit-determinism "
-                        "at aligned call shapes; the 'blocked' verification kernel "
-                        "falls back to the einsum reference",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+                _blocked_supported = _probe_or_warn(
+                    _probe_blocked_determinism,
+                    "at aligned call shapes; the 'blocked' verification kernel "
+                    "falls back to the einsum reference")
     return _blocked_supported
+
+
+def stacked_kernel_supported() -> bool:
+    """Whether stacked products give the blocked kernel's bits on this backend.
+
+    Grouped :func:`gather_matvec` calls score many queries' candidates with
+    one stacked ``np.matmul`` of aligned row units, which NumPy dispatches
+    as one BLAS ``gemv`` per unit — the same call shape as the single-query
+    ``np.dot``, so each row keeps its bits.  That is again a property of
+    the NumPy and BLAS builds (``np.einsum`` and ``np.vecdot`` over the same
+    units do *not* keep them), so it is probed once at first use like
+    :func:`blocked_kernel_supported`.  If the probe fails, grouped calls
+    score one group at a time (a :class:`RuntimeWarning` is emitted once)
+    and this function returns ``False``.
+    """
+    global _stacked_supported
+    if _stacked_supported is None:
+        with _probe_lock:
+            if _stacked_supported is None:
+                _stacked_supported = _probe_or_warn(
+                    _probe_stacked_determinism,
+                    "in stacked products; grouped verification falls back to one "
+                    "call per group")
+    return _stacked_supported
+
+
+def _probe_or_warn(probe, fallback: str) -> bool:
+    """Run a backend ``probe``; warn (naming the ``fallback``) when it fails."""
+    supported = probe()
+    if not supported:
+        import warnings
+
+        warnings.warn(
+            f"this BLAS backend does not preserve per-row bit-determinism {fallback}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return supported
 
 
 def _probe_blocked_determinism() -> bool:
@@ -175,14 +211,41 @@ def _probe_blocked_determinism() -> bool:
     return True
 
 
-def gather_matvec(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+def _probe_stacked_determinism() -> bool:
+    """Cheap self-check that stacked scoring keeps every single-query call's bits."""
+    for dtype in (np.float64, np.float32):
+        align = ALIGNMENT[np.dtype(dtype).itemsize]
+        rng = np.random.default_rng(0x5EED)
+        matrix = rng.standard_normal((8 * align, 23)).astype(dtype)
+        queries = rng.standard_normal((5, 23)).astype(dtype)
+        sizes = (1, align - 1, align, align + 1, 3 * align + 2)
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        rows = rng.integers(0, matrix.shape[0], size=groups.size)
+        expected = np.concatenate([_blocked_gather(matrix, rows[groups == g], queries[g])
+                                   for g in range(len(sizes))])
+        if not np.array_equal(_stacked_gather(matrix, rows, queries, groups), expected):
+            return False
+    return True
+
+
+def gather_matvec(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray,
+                  groups: np.ndarray | None = None) -> np.ndarray:
     """Dot product of ``matrix[rows]`` with ``query``, one score per row.
 
     The solver-facing entry point: ``rows`` are candidate indices into
     ``matrix`` (the bucket's direction matrix).  Each returned score is a
     pure function of the indexed row and ``query`` — independent of the
     other candidates, their order, and their count — under either kernel.
+
+    With ``groups``, ``query`` is a matrix and row ``rows[i]`` is scored
+    against ``query[groups[i]]``; each group's rows are contiguous.  Every
+    score has the bits of the single-query call on its group, but the
+    groups are scored together by stacked BLAS calls
+    (:func:`stacked_kernel_supported`), so many small groups cost a few
+    calls instead of one each.
     """
+    if groups is not None:
+        return _grouped_gather(matrix, np.asarray(rows), query, np.asarray(groups))
     if get_kernel() == "einsum" or not blocked_kernel_supported():
         return np.einsum("ij,j->i", matrix[rows], query)
     return _blocked_gather(matrix, rows, query)
@@ -218,12 +281,7 @@ def _blocked_gather(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray) -> 
         # indices in the padding branch and reading rows 0/1 for booleans.
         return _blocked_matvec(matrix[rows], query)
     count = int(rows.shape[0])
-    if (
-        count == 0
-        or matrix.dtype != query.dtype
-        or matrix.dtype.kind != "f"
-        or matrix.dtype.itemsize not in ALIGNMENT
-    ):
+    if count == 0 or not _aligned_dtypes(matrix, query):
         return _blocked_matvec(matrix[rows], query)
     align = ALIGNMENT[matrix.dtype.itemsize]
     padded = -(-count // align) * align
@@ -242,6 +300,76 @@ def _blocked_gather(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray) -> 
         stop = min(start + BLOCK_ROWS, padded)
         np.dot(gathered[start:stop], query, out=out[start:stop])
     return out[:count]
+
+
+def _grouped_gather(matrix: np.ndarray, rows: np.ndarray, queries: np.ndarray,
+                    groups: np.ndarray) -> np.ndarray:
+    """:func:`gather_matvec` with ``groups``: stacked when safe, else group by group."""
+    if (
+        get_kernel() == "blocked"
+        and blocked_kernel_supported()
+        and rows.dtype.kind in "iu"
+        and queries.ndim == 2
+        and _aligned_dtypes(matrix, queries)
+        and stacked_kernel_supported()
+    ):
+        return _stacked_gather(matrix, rows, queries, groups)
+    if rows.shape[0] == 0:
+        return gather_matvec(matrix, rows, np.zeros(queries.shape[-1], dtype=queries.dtype))
+    starts, stops = _group_bounds(groups)
+    return np.concatenate([gather_matvec(matrix, rows[start:stop], queries[group])
+                           for start, stop, group in zip(starts.tolist(), stops.tolist(),
+                                                         groups[starts].tolist())])
+
+
+def _stacked_gather(matrix: np.ndarray, rows: np.ndarray, queries: np.ndarray,
+                    groups: np.ndarray) -> np.ndarray:
+    """Score every group's rows against its query with stacked aligned units.
+
+    Each group's candidate indexes are padded (with index 0, whose scores
+    are discarded) to whole units of ``align`` rows, as
+    :func:`_blocked_gather` pads a single call.  One ``take`` gathers at
+    most :data:`BLOCK_ROWS` rows of units, and one ``np.matmul`` of shape
+    ``(units, align, r) @ (units, r, 1)`` scores them — a ``gemv`` of
+    ``align`` rows per unit, the shape whose row bits the single-query call
+    already has.
+    """
+    count = int(rows.shape[0])
+    if count == 0:
+        return np.empty(0, dtype=matrix.dtype)
+    align = ALIGNMENT[matrix.dtype.itemsize]
+    starts, stops = _group_bounds(groups)
+    sizes = stops - starts
+    units = -(-sizes // align)
+    total = int(units.sum())
+    # Slot of each row in the padded layout: its group's first slot plus
+    # its offset inside the group.
+    slots = np.repeat((np.cumsum(units) - units) * align - starts, sizes)
+    slots += np.arange(count)
+    indexes = np.zeros(total * align, dtype=np.intp)
+    indexes[slots] = rows
+    unit_queries = np.repeat(groups[starts], units)
+    out = np.empty(total * align, dtype=matrix.dtype)
+    step = BLOCK_ROWS // align
+    for first in range(0, total, step):
+        last = min(first + step, total)
+        gathered = matrix.take(indexes[first * align:last * align], axis=0)
+        np.matmul(gathered.reshape(last - first, align, matrix.shape[1]),
+                  queries[unit_queries[first:last], :, None],
+                  out=out[first * align:last * align].reshape(last - first, align, 1))
+    return out[slots]
+
+
+def _aligned_dtypes(matrix: np.ndarray, query: np.ndarray) -> bool:
+    """Whether the gather fast paths apply: one float dtype with a known alignment."""
+    return (matrix.dtype == query.dtype and matrix.dtype.kind == "f"
+            and matrix.dtype.itemsize in ALIGNMENT)
+
+
+def _group_bounds(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop of every run of equal entries in a non-empty ``groups``."""
+    edges = np.flatnonzero(groups[1:] != groups[:-1]) + 1
+    return np.concatenate(([0], edges)), np.concatenate((edges, [groups.size]))
 
 
 def _blocked_matvec(rows: np.ndarray, query: np.ndarray) -> np.ndarray:

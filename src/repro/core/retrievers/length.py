@@ -11,7 +11,7 @@ handles all of a bucket's LENGTH pairs at once: :meth:`LengthRetriever.cutoffs`
 finds every prefix with one ``searchsorted``, :func:`block_survivors` scores
 them with one BLAS block product per bounded query block and keeps only the
 rows that can still reach their pair's threshold, and only those survivors
-are re-scored by the exact kernel.
+are re-scored by the exact kernel — one grouped call per query block.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ def score_length_pairs(bucket: Bucket, directions: np.ndarray, positions: np.nda
     at most :data:`BLOCK_ELEMENTS` scores.  Yields ``(pairs, candidates,
     cosines)`` per block for its survivors, sorted by pair and then by
     candidate, with cosines from ``verify`` — the solver's exact kernel,
-    :func:`~repro.core.kernels.gather_matvec` — called once per pair on the
-    same query row a per-pair walk would pass.
+    :func:`~repro.core.kernels.gather_matvec` — called once per block in its
+    grouped form: each survivor is scored against its pair's query row and
+    keeps the bits a per-pair call on that row would give.
 
     Counters follow the per-pair route: every prefix row is a generated
     candidate.  Without a ``screen`` tier each one is also an inner product
@@ -134,8 +135,9 @@ def score_length_pairs(bucket: Bucket, directions: np.ndarray, positions: np.nda
         block = slice(start, start + width)
         if not cutoffs[block].any():
             continue
+        queries = directions[positions[block]]
         pairs, candidates = block_survivors(
-            bucket, directions[positions[block]], cutoffs[block], thresholds[block],
+            bucket, queries, cutoffs[block], thresholds[block],
             None if query_norms is None else query_norms[block], screen)
         if screen is not None:
             screened = np.isfinite(thresholds[block])
@@ -145,10 +147,5 @@ def score_length_pairs(bucket: Bucket, directions: np.ndarray, positions: np.nda
             stats.inner_products += int(pairs.size)
         if pairs.size == 0:
             continue
-        pairs += start
-        cosines = np.empty(pairs.size)
-        edges = (np.flatnonzero(pairs[1:] != pairs[:-1]) + 1).tolist()
-        for first, stop in zip([0, *edges], [*edges, pairs.size]):
-            cosines[first:stop] = verify(bucket.directions, candidates[first:stop],
-                                         directions[positions[pairs[first]]])
-        yield pairs, candidates, cosines
+        cosines = verify(bucket.directions, candidates, queries, groups=pairs)
+        yield pairs + start, candidates, cosines

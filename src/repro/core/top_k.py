@@ -12,10 +12,11 @@ the inner step handles every still-walking query at once, and each query
 keeps its own θ′ and top-k state.  A query still sees the buckets in the
 same order with the θ′ left by the buckets before, so its θ′ sequence — and
 every counter — is that of a per-query walk.  Per bucket, one vectorised
-step prunes finished queries and splits the rest between LENGTH (scored for
-all of them by one block product, see
-:func:`~repro.core.retrievers.length.score_length_pairs`) and the coordinate
-retrievers (run pair by pair).
+step prunes finished queries and splits the rest between LENGTH and the
+coordinate retrievers.  LENGTH pairs are screened for all of them by one
+block product and their survivors verified by one grouped kernel call per
+query block (:func:`~repro.core.retrievers.length.score_length_pairs`);
+coordinate pairs run, and are verified, pair by pair.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ wins.  The price is *counted* work weighted by per-host constants, not a
 clock reading, so tuning is a pure function of the data, the thresholds
 and the seed:
 
-* a **LENGTH** pair costs :data:`LENGTH_PAIR_S` (its verify call) plus its
-  prefix rows at the block-product rate (:func:`length_pair_costs`); one
+* a **LENGTH** pair costs :data:`LENGTH_PAIR_S` (its share of a grouped
+  verify call) plus its prefix rows at the block-product rate
+  (:func:`length_pair_costs`); one
   :meth:`~repro.core.retrievers.length.LengthRetriever.cutoffs` search
   gives the prefixes of all of a bucket's sampled pairs;
 * a **COORD/INCR** pair costs its retriever's :class:`ScanCosts` — a fixed
@@ -50,8 +51,8 @@ DEFAULT_SAMPLE_SIZE = 20
 #: Switch point above every local threshold a pair can have: all pairs run LENGTH.
 SWITCH_ALL_LENGTH = 1.01
 
-#: Seconds per LENGTH pair: the solver's verify call for its survivors.
-LENGTH_PAIR_S = 5.5e-6
+#: Seconds per LENGTH pair: its share of the grouped verify call of its query block.
+LENGTH_PAIR_S = 1.1e-6
 #: Seconds per prefix row of a LENGTH pair in the bucket's block product...
 LENGTH_ROW_S = 6e-9
 #: ...plus this much per coordinate of that row...

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,24 @@ from tests.conftest import make_factors
 def random_rows(count, rank, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((count, rank)).astype(dtype)
+
+
+def grouped_problem(sizes, rank, seed, dtype=np.float64, order=None):
+    """A matrix, one query per group and random rows, group ``order[i]`` holding ``sizes[i]``."""
+    rng = np.random.default_rng(seed)
+    matrix = random_rows(300, rank, seed, dtype)
+    queries = rng.standard_normal((len(sizes), rank)).astype(dtype)
+    groups = np.repeat(np.arange(len(sizes)) if order is None else np.asarray(order), sizes)
+    rows = rng.integers(0, matrix.shape[0], size=groups.size)
+    return matrix, rows, queries, groups
+
+
+def per_group(matrix, rows, queries, groups):
+    """The reference for a grouped call: one single-query call per run of equal groups."""
+    starts = [i for i in range(rows.size) if i == 0 or groups[i] != groups[i - 1]]
+    stops = [*starts[1:], rows.size]
+    return np.concatenate([gather_matvec(matrix, rows[a:b], queries[groups[a]])
+                           for a, b in zip(starts, stops)])
 
 
 # --------------------------------------------------------------- kernel choice
@@ -97,6 +116,30 @@ class TestKernelSelection:
         with use_kernel("blocked"):
             scores = gather_matvec(matrix, rows, query)
         np.testing.assert_array_equal(scores, np.einsum("ij,j->i", matrix[rows], query))
+
+    def test_stacked_support_probe_and_fallback(self, monkeypatch):
+        """The stacked probe passes here; a failing probe scores group by group."""
+        assert kernels.stacked_kernel_supported() is True
+        matrix, rows, queries, groups = grouped_problem((1, 15, 16, 17, 40), rank=9, seed=3)
+        with use_kernel("blocked"):
+            stacked = gather_matvec(matrix, rows, queries, groups)
+        # Simulate a backend whose stacked products change a row's bits.
+        monkeypatch.setattr(kernels, "_stacked_supported", None)
+        monkeypatch.setattr(kernels, "_probe_stacked_determinism", lambda: False)
+
+        def refuse(*args):
+            raise AssertionError("stacked scoring ran after its probe failed")
+
+        monkeypatch.setattr(kernels, "_stacked_gather", refuse)
+        with use_kernel("blocked"):
+            with pytest.warns(RuntimeWarning, match="falls back to one call per group"):
+                scores = gather_matvec(matrix, rows, queries, groups)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                again = gather_matvec(matrix, rows, queries, groups)
+            expected = per_group(matrix, rows, queries, groups)
+        for result in (stacked, scores, again):
+            np.testing.assert_array_equal(result, expected)
 
     def test_environment_variable_selects_kernel(self):
         script = "from repro.core.kernels import get_kernel; print(get_kernel())"
@@ -185,6 +228,65 @@ class TestBlockedKernelDeterminism:
         size = int(rng.integers(1, count + 1))
         selection = np.sort(rng.choice(count, size=size, replace=False))
         np.testing.assert_array_equal(matvec(rows[selection], query), full[selection])
+
+
+class TestGroupedGather:
+    """A grouped call keeps the bits of one single-query call per group."""
+
+    @pytest.mark.parametrize("kernel", kernels.KERNELS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rank", [1, 23])
+    def test_group_sizes_around_alignment_and_block(self, kernel, dtype, rank):
+        align = ALIGNMENT[np.dtype(dtype).itemsize]
+        sizes = (1, 15, 16, 17, align - 1, align, align + 1, BLOCK_ROWS + 5, 2, 3 * align)
+        matrix, rows, queries, groups = grouped_problem(sizes, rank, seed=rank, dtype=dtype)
+        with use_kernel(kernel):
+            scores = gather_matvec(matrix, rows, queries, groups)
+            expected = per_group(matrix, rows, queries, groups)
+        assert scores.dtype == dtype
+        np.testing.assert_array_equal(scores, expected)
+
+    @pytest.mark.parametrize("kernel", kernels.KERNELS)
+    def test_many_small_groups_in_any_group_order(self, kernel):
+        # ~700 groups span several BLOCK_ROWS-row stacked calls; group ids
+        # need not be sorted, only contiguous.
+        rng = np.random.default_rng(8)
+        sizes = rng.integers(1, 21, size=700)
+        matrix, rows, queries, groups = grouped_problem(
+            sizes, rank=50, seed=8, order=rng.permutation(700))
+        with use_kernel(kernel):
+            np.testing.assert_array_equal(gather_matvec(matrix, rows, queries, groups),
+                                          per_group(matrix, rows, queries, groups))
+
+    @pytest.mark.parametrize("kernel", kernels.KERNELS)
+    def test_non_contiguous_and_mixed_dtype_inputs(self, kernel):
+        matrix, rows, queries, groups = grouped_problem((3, 16, 17, 40), rank=12, seed=4)
+        with use_kernel(kernel):
+            reference = gather_matvec(matrix, rows, queries, groups)
+            for m, r, q in (
+                (matrix, rows, np.asfortranarray(queries)),
+                (matrix, rows, np.repeat(queries, 2, axis=0)[::2]),
+                (matrix, rows, np.repeat(queries, 2, axis=1)[:, ::2]),
+                (np.asfortranarray(matrix), rows.astype(np.int32), queries),
+            ):
+                scores = gather_matvec(m, r, q, groups)
+                np.testing.assert_array_equal(scores, per_group(m, r, q, groups))
+                if kernel == "blocked":
+                    # einsum's own bits depend on the layout; the blocked kernel's do not.
+                    np.testing.assert_array_equal(scores, reference)
+            # Mixed dtypes take the single-query fallback, group by group.
+            matrix32 = matrix.astype(np.float32)
+            mixed = gather_matvec(matrix32, rows, queries, groups)
+            np.testing.assert_array_equal(mixed, per_group(matrix32, rows, queries, groups))
+
+    @pytest.mark.parametrize("kernel", kernels.KERNELS)
+    def test_empty_rows(self, kernel):
+        matrix, _, queries, _ = grouped_problem((1,), rank=5, seed=2)
+        empty = np.empty(0, dtype=np.intp)
+        with use_kernel(kernel):
+            for q in (queries, queries[:0]):
+                scores = gather_matvec(matrix, empty, q, empty)
+                assert scores.shape == (0,) and scores.dtype == np.float64
 
 
 class TestKernelAgreement:

@@ -1,8 +1,8 @@
 """Re-measure the counted-cost tuner's constants (``repro.core.tuner``) on this host.
 
-Times block products, verify calls and coordinate-retriever scans with BLAS pinned to one
-thread, fits the weights and prints them beside the committed values (nothing reads them at
-runtime): ``PYTHONPATH=src python tools/measure_tuner_costs.py``.
+Times block products, grouped and single verify calls and coordinate-retriever scans with
+BLAS pinned to one thread, fits the weights and prints them beside the committed values
+(nothing reads them at runtime): ``PYTHONPATH=src python tools/measure_tuner_costs.py``.
 """
 
 import os
@@ -51,11 +51,18 @@ def main():
     # LENGTH: cache-sized buckets at three ranks, then streaming on one that is not.
     row_s, entry_s = fit([[1, r] for r in (10, 50, 200)], [per_row(500, r) for r in (10, 50, 200)])
     byte_s = (per_row(5000, 400) - row_s - 400 * entry_s) / (400 * 8 / (BLOCK_ELEMENTS // 5000))
+    # A LENGTH pair's share of its query block's one grouped verify call: 300 pairs × 8 rows.
+    bucket, queries = bucket_of(200, 50)
+    groups = np.repeat(np.arange(300), 8)
+    rows = np.tile(np.arange(8), 300)
+    grouped_s = best(lambda: gather_matvec(bucket.directions, rows, queries[:300], groups), 200)
+    # A coordinate retriever's pair is verified alone: one call of 8 rows, one of 2000.
     bucket, queries = bucket_of(2000, 50)
-    pair_s = best(lambda: gather_matvec(bucket.directions, np.arange(8), queries[0]), 200)
+    call_s = best(lambda: gather_matvec(bucket.directions, np.arange(8), queries[0]), 200)
     all_s = best(lambda: gather_matvec(bucket.directions, np.arange(2000), queries[0]), 200)
-    measured = {"LENGTH_PAIR_S": pair_s, "LENGTH_ROW_S": row_s, "LENGTH_ENTRY_S": entry_s,
-                "LENGTH_BYTE_S": byte_s, "VERIFY_ENTRY_S": (all_s - pair_s) / 1992 / 50}
+    measured = {"LENGTH_PAIR_S": grouped_s / 300, "LENGTH_ROW_S": row_s,
+                "LENGTH_ENTRY_S": entry_s, "LENGTH_BYTE_S": byte_s,
+                "VERIFY_ENTRY_S": (all_s - call_s) / 1992 / 50}
     committed = {name: getattr(tuner, name) for name in measured}
     # Coordinate retrievers: θ_b ≈ 1 fits call, row and focus parts; θ_b small, entries.
     for retriever in (CoordRetriever(), IncrRetriever()):
