@@ -80,8 +80,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "(< sum of both, so alternation forces LRU churn)")
     parser.add_argument("--max-batch-rows", type=int, default=64,
                         help="per-tenant micro-batch flush budget")
-    parser.add_argument("--max-wait-us", type=int, default=1000,
-                        help="per-tenant micro-batch bounded delay")
     parser.add_argument("--min-hit-rate", type=float, default=0.5,
                         help="required cumulative tuning-cache hit rate on tenant A")
     parser.add_argument("--seed", type=int, default=0, help="dataset/workload seed")
@@ -149,7 +147,6 @@ def run_bench(args: argparse.Namespace) -> dict:
         {"A": index_root / "A", "B": index_root / "B"},
         max_resident_rows=budget,
         max_batch_rows=args.max_batch_rows,
-        max_wait_us=args.max_wait_us,
     )
 
     workload_rng = np.random.default_rng(args.seed + 100)
@@ -280,7 +277,7 @@ def run_bench(args: argparse.Namespace) -> dict:
             "requests_per_client_per_round": args.requests, "rows": args.rows,
             "pool": args.pool, "zipf_s": args.zipf_s,
             "update_rows": args.update_rows, "max_resident_rows": budget,
-            "max_batch_rows": args.max_batch_rows, "max_wait_us": args.max_wait_us,
+            "max_batch_rows": args.max_batch_rows,
             "seed": args.seed,
         },
         "wall_seconds": round(wall, 5),

@@ -66,8 +66,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--rows", type=int, default=1, help="query rows per request")
     parser.add_argument("--max-batch-rows", type=int, default=64,
                         help="serving micro-batch flush budget")
-    parser.add_argument("--max-wait-us", type=int, default=1000,
-                        help="serving micro-batch bounded delay")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repeats per level (best is kept)")
     parser.add_argument("--min-speedup", type=float, default=1.5,
@@ -119,9 +117,7 @@ def serve_sweep(engine, requests, num_clients, args):
                 results[position] = await serving.above_theta(block, args.theta)
                 latencies[position] = time.perf_counter() - started
 
-        async with ServingEngine(
-            engine, max_batch_rows=args.max_batch_rows, max_wait_us=args.max_wait_us
-        ) as serving:
+        async with ServingEngine(engine, max_batch_rows=args.max_batch_rows) as serving:
             started = time.perf_counter()
             await asyncio.gather(
                 *(client(blocks, positions)
@@ -250,7 +246,7 @@ def run_bench(args: argparse.Namespace) -> dict:
             "probes": args.probes, "rank": args.rank, "theta": args.theta,
             "max_bucket_size": args.max_bucket_size,
             "requests": args.requests, "rows": args.rows, "seed": args.seed,
-            "max_batch_rows": args.max_batch_rows, "max_wait_us": args.max_wait_us,
+            "max_batch_rows": args.max_batch_rows,
             "screen_dtype": args.screen_dtype, "mmap_index": args.mmap_index,
         },
         "serial_loop": {

@@ -60,7 +60,7 @@ from repro.exceptions import (
     UnsupportedOperationError,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "ALGORITHMS",

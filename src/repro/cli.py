@@ -167,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "single-tenant mode only)")
     serve.add_argument("--max-batch-rows", type=int, default=256,
                        help="micro-batch flush budget in query rows")
-    serve.add_argument("--max-wait-us", type=int, default=2000,
-                       help="bounded micro-batch delay in microseconds")
     serve.add_argument("--clients", type=int, default=8,
                        help="concurrent asyncio clients")
     serve.add_argument("--requests", type=int, default=8,
@@ -363,7 +361,6 @@ def _command_serve_multi(args, out) -> int:
         tenants,
         max_resident_rows=args.max_resident_rows,
         max_batch_rows=args.max_batch_rows,
-        max_wait_us=args.max_wait_us,
     )
     latencies: list[float] = []
     answered = {name: 0 for name, _ in tenants}
@@ -475,9 +472,7 @@ def _command_serve_single(args, out) -> int:
             latencies.append(time.perf_counter() - started)
 
     async def drive():
-        async with ServingEngine(
-            engine, max_batch_rows=args.max_batch_rows, max_wait_us=args.max_wait_us
-        ) as serving:
+        async with ServingEngine(engine, max_batch_rows=args.max_batch_rows) as serving:
             await asyncio.gather(*(client(serving, requests) for requests in workload))
             return serving
 

@@ -5,12 +5,12 @@ into an online service without giving up its determinism contract:
 
 * :class:`ServingEngine` — an asyncio facade admitting concurrent
   ``above_theta`` / ``row_top_k`` requests, coalescing compatible ones in
-  a bounded-delay micro-batcher, executing each micro-batch through the
+  a work-conserving micro-batcher, executing each micro-batch through the
   engine's planner/executor, and demultiplexing per-request results that
   are byte-identical to standalone calls.
 * :class:`MicroBatcher` / :class:`BatchKey` — the coalescing mechanism:
   requests group by (problem, exact parameter) and flush on a row budget
-  or a microsecond-bounded timer.
+  or as soon as the solver is idle, so they coalesce only while it is busy.
 * :class:`EngineManager` — the multi-tenant layer above it: many named
   persisted indexes served at once with LRU row-budgeted residency
   (evict back to disk / reload on demand via the mmap path), per-tenant
@@ -29,7 +29,7 @@ processes sharing one index mapping::
     engine = RetrievalEngine.load(index_dir, mmap_mode="r")
     with WorkerPool(index_dir, workers=4) as pool:
         engine.use_worker_pool(pool)
-        async with ServingEngine(engine, max_wait_us=500) as serving:
+        async with ServingEngine(engine) as serving:
             ...await serving.row_top_k(rows, 10)...
 """
 
@@ -41,7 +41,6 @@ from repro.exceptions import (
 )
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH_ROWS,
-    DEFAULT_MAX_WAIT_US,
     BatchKey,
     FlushRecord,
     MicroBatcher,
@@ -61,7 +60,6 @@ __all__ = [
     "DEFAULT_FLUSH_LOG_LIMIT",
     "DEFAULT_MAX_BATCH_ROWS",
     "DEFAULT_MAX_PENDING_ROWS",
-    "DEFAULT_MAX_WAIT_US",
     "BatchKey",
     "EngineManager",
     "FlushRecord",

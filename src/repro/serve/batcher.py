@@ -1,16 +1,26 @@
-"""Dynamic micro-batching: coalesce compatible requests, bounded delay.
+"""Work-conserving micro-batching: dispatch when idle, coalesce while busy.
 
-The batcher implements the inference-server pattern on top of LEMP's
-batched solvers: requests that share a :class:`BatchKey` — the same problem
-and the same parameter (θ or k) — are appended to one pending group, and
-the group is flushed to the solver when either
+The batcher implements the continuous batching of inference servers on top
+of LEMP's batched solvers: requests that share a :class:`BatchKey` — the
+same problem and the same parameter (θ or k) — are appended to one pending
+group, and a group is flushed to the solver
 
-* its total row count reaches ``max_batch_rows`` (flushed *synchronously*
-  inside the submit that crossed the budget — a request is never split, so
-  a single request larger than the budget forms its own batch), or
-* ``max_wait_us`` microseconds elapse since the group's first request
-  (an event-loop timer, so a lone request is never stalled longer than the
-  configured bound).
+* when its total row count reaches ``max_batch_rows`` (flushed
+  *synchronously* inside the submit that crossed the budget — a request is
+  never split, so a single request larger than the budget forms its own
+  batch), or
+* as soon as the solver is free.  A submit to an idle solver schedules
+  one dispatch with ``loop.call_soon``, so requests admitted in the same
+  event-loop turn (an ``asyncio.gather`` of many clients) still share one
+  batch; a submit to a busy solver only queues, and every pending group
+  flushes when the solver finishes a work item (the engine calls
+  :meth:`MicroBatcher.flush_all`).
+
+No request waits on a timer: a lone request reaches an idle solver in the
+loop turn that admitted it, and batches form exactly while load keeps the
+solver busy.  A pending group waits for at most one work item to finish,
+then queues behind the work already handed off, so a key kept at its row
+budget cannot starve the others.
 
 Coalescing is *correctness-free* by construction: every LEMP solve treats
 query rows independently (per-row kernel rounding, per-(query, bucket)
@@ -23,22 +33,20 @@ on this.
 The batcher is an event-loop-affine object: all methods must be called
 from the loop passed at construction.  It performs no admission control of
 its own — :class:`~repro.serve.ServingEngine` bounds in-flight rows before
-requests ever reach it.
+requests ever reach it — and keeps no count of solver work: the engine
+owns that and answers the ``idle`` callable.
 """
 
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 #: Default flush budget: rows across one group before an immediate flush.
 DEFAULT_MAX_BATCH_ROWS = 256
-
-#: Default bounded delay: microseconds a group may wait for co-batchable
-#: requests before the timer flushes it.
-DEFAULT_MAX_WAIT_US = 2000
 
 
 @dataclass(frozen=True)
@@ -83,9 +91,15 @@ class FlushRecord:
     key: BatchKey
     num_requests: int
     num_rows: int
-    #: ``"rows"`` (budget reached), ``"timer"`` (bounded delay elapsed) or
+    #: ``"rows"`` (the group reached ``max_batch_rows``), ``"idle"`` (the
+    #: solver had no outstanding work, or it finished a work item) or
     #: ``"drain"`` (engine shutdown flushed the remainder).
     reason: str
+    #: Seconds from the group's first admission to the start of its solve.
+    #: Both timings stay 0.0 until the solve has run.
+    wait_s: float = 0.0
+    #: Seconds of the engine call on the solver thread.
+    solve_s: float = 0.0
 
 
 @dataclass
@@ -94,27 +108,30 @@ class _Group:
 
     requests: list = field(default_factory=list)
     rows: int = 0
-    timer: asyncio.TimerHandle | None = None
+    #: ``time.perf_counter()`` at the group's first admission.
+    opened: float = field(default_factory=time.perf_counter)
 
 
 class MicroBatcher:
-    """Per-key request coalescing with a row budget and a bounded delay.
+    """Per-key request coalescing with a row budget and idle dispatch.
 
-    ``flush(key, requests, reason)`` is the engine-provided callback that
-    takes ownership of a flushed group; it is invoked on the event loop
-    (synchronously from :meth:`submit` for budget flushes, from a timer
-    callback for delay flushes).
+    ``flush(key, requests, reason, opened)`` is the engine-provided callback
+    that takes ownership of a flushed group (``opened`` is the group's
+    first-admission ``perf_counter`` time); it is invoked on the event loop,
+    synchronously from :meth:`submit` for budget flushes and from
+    :meth:`flush_all` otherwise.  ``idle()`` tells whether the solver has no
+    outstanding work.
     """
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, flush, *,
-                 max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
-                 max_wait_us: int = DEFAULT_MAX_WAIT_US) -> None:
-        """Bind the batcher to a loop and a flush callback."""
+    def __init__(self, loop: asyncio.AbstractEventLoop, flush, idle, *,
+                 max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS) -> None:
+        """Bind the batcher to a loop, a flush callback and an idle test."""
         self._loop = loop
         self._flush_callback = flush
+        self._idle = idle
         self.max_batch_rows = int(max_batch_rows)
-        self.max_wait_us = int(max_wait_us)
         self._groups: dict[BatchKey, _Group] = {}
+        self._dispatch: asyncio.Handle | None = None
 
     @property
     def pending_rows(self) -> int:
@@ -122,7 +139,11 @@ class MicroBatcher:
         return sum(group.rows for group in self._groups.values())
 
     def submit(self, key: BatchKey, request: PendingRequest) -> None:
-        """Queue one request; may flush its group synchronously (row budget)."""
+        """Queue one request; flush its group now if it reached the row budget.
+
+        Below the budget, a submit to an idle solver schedules one dispatch
+        at the end of this loop turn; a submit to a busy solver only queues.
+        """
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = _Group()
@@ -130,21 +151,21 @@ class MicroBatcher:
         group.rows += request.rows
         if group.rows >= self.max_batch_rows:
             self._flush(key, "rows")
-        elif group.timer is None:
-            group.timer = self._loop.call_later(
-                self.max_wait_us / 1e6, self._flush, key, "timer"
-            )
+        elif self._dispatch is None and self._idle():
+            self._dispatch = self._loop.call_soon(self._dispatch_if_idle)
+
+    def _dispatch_if_idle(self) -> None:
+        """Scheduled dispatch: flush every group unless the solver got busy."""
+        self._dispatch = None
+        if self._idle():
+            self.flush_all("idle")
 
     def _flush(self, key: BatchKey, reason: str) -> None:
         """Detach a group and hand it to the flush callback."""
-        group = self._groups.pop(key, None)
-        if group is None:  # pragma: no cover - timer raced a budget flush
-            return
-        if group.timer is not None:
-            group.timer.cancel()
-        self._flush_callback(key, group.requests, reason)
+        group = self._groups.pop(key)
+        self._flush_callback(key, group.requests, reason, group.opened)
 
-    def drain(self) -> None:
-        """Flush every pending group immediately (engine shutdown)."""
+    def flush_all(self, reason: str) -> None:
+        """Flush every pending group (the solver finished a work item, or shutdown)."""
         for key in list(self._groups):
-            self._flush(key, "drain")
+            self._flush(key, reason)

@@ -7,6 +7,15 @@ concurrently, compatible requests are coalesced by the
 :class:`~repro.serve.batcher.MicroBatcher` into one solver call per
 micro-batch, and each caller receives exactly the rows it submitted.
 
+Dispatch is work-conserving: a request that finds the solver idle is
+solved in the event-loop turn that admitted it, and requests that arrive
+while the solver is busy coalesce until it finishes a work item.  The
+engine tracks that outstanding work — flushed batches and
+:meth:`~ServingEngine.mutate` calls alike — from hand-off until each work
+item is done, and flushes every pending group when one finishes.  There
+is no delay setting: batches form exactly while load keeps the solver
+busy.
+
 The demultiplexing step is where LEMP's determinism contract pays off:
 
 * **Row-Top-k** output is in original query-row order, so request ``i``'s
@@ -41,6 +50,7 @@ batch itself runs to completion for its other members.
 from __future__ import annotations
 
 import asyncio
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -55,7 +65,6 @@ from repro.exceptions import (
 )
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH_ROWS,
-    DEFAULT_MAX_WAIT_US,
     BatchKey,
     FlushRecord,
     MicroBatcher,
@@ -91,9 +100,9 @@ class ServingEngine:
         :class:`~repro.serve.WorkerPool` attached via
         :meth:`~repro.engine.facade.RetrievalEngine.use_worker_pool` —
         the serving layer only serialises the *calls*, not their insides.
-    max_batch_rows / max_wait_us:
-        The micro-batcher's flush budget and bounded delay (see
-        :mod:`repro.serve.batcher`).
+    max_batch_rows:
+        The micro-batcher's row budget: a group that reaches it flushes at
+        once, even while the solver is busy (see :mod:`repro.serve.batcher`).
     max_pending_rows:
         Admission bound on rows admitted but not yet answered.  A request
         that would exceed it is shed with
@@ -114,7 +123,7 @@ class ServingEngine:
     Use as an async context manager (or call :meth:`start` /
     :meth:`aclose` explicitly)::
 
-        async with ServingEngine(engine, max_wait_us=500) as serving:
+        async with ServingEngine(engine) as serving:
             results = await asyncio.gather(
                 *(serving.row_top_k(rows, 10) for rows in workload)
             )
@@ -122,14 +131,12 @@ class ServingEngine:
 
     def __init__(self, engine, *,
                  max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
-                 max_wait_us: int = DEFAULT_MAX_WAIT_US,
                  max_pending_rows: int = DEFAULT_MAX_PENDING_ROWS,
                  default_timeout: float | None = None,
                  flush_log_limit: int | None = DEFAULT_FLUSH_LOG_LIMIT) -> None:
         """Configure the front-end; no loop is touched until :meth:`start`."""
         self.engine = engine
         self.max_batch_rows = require_positive_int(max_batch_rows, "max_batch_rows")
-        self.max_wait_us = require_positive_int(max_wait_us, "max_wait_us")
         self.max_pending_rows = require_positive_int(max_pending_rows, "max_pending_rows")
         if default_timeout is not None:
             require_positive(default_timeout, "default_timeout")
@@ -140,7 +147,9 @@ class ServingEngine:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._batcher: MicroBatcher | None = None
         self._solver: ThreadPoolExecutor | None = None
-        self._tasks: set[asyncio.Task] = set()
+        #: Solver work items handed off and not yet done: batch tasks and
+        #: mutation futures.  Empty exactly when the solver is idle.
+        self._work: set[asyncio.Future] = set()
         self._inflight_rows = 0
         self._closing = False
         #: Served-traffic counters (monotonic over the engine's lifetime).
@@ -163,26 +172,29 @@ class ServingEngine:
             max_workers=1, thread_name_prefix="repro-serve-solver"
         )
         self._batcher = MicroBatcher(
-            self._loop, self._on_flush,
-            max_batch_rows=self.max_batch_rows, max_wait_us=self.max_wait_us,
+            self._loop, self._on_flush, self._solver_idle,
+            max_batch_rows=self.max_batch_rows,
         )
         return self
 
     async def aclose(self) -> None:
-        """Drain pending groups, wait for in-flight batches, stop the solver.
+        """Drain pending groups, wait for in-flight work, stop the solver.
 
         The closing flag is raised *before* the first await: a request
         submitted while the drain loop runs is shed with
         :class:`~repro.exceptions.ServingError` instead of landing in a
         fresh group that no one would ever flush (its future would never
         resolve and its rows would leak from the admission budget).
+        In-flight batches *and* mutations are awaited on the loop, so other
+        coroutines keep running meanwhile and the final executor shutdown
+        has nothing left to wait for.
         """
         if self._loop is None:
             return
         self._closing = True
-        self._batcher.drain()
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        self._batcher.flush_all("drain")
+        while self._work:
+            await asyncio.gather(*list(self._work), return_exceptions=True)
         self._solver.shutdown(wait=True)
         self._loop = None
         self._batcher = None
@@ -232,7 +244,10 @@ class ServingEngine:
 
         The awaited return value is whatever ``mutation`` returns; its
         exceptions propagate to this caller only.  Mutations bypass row
-        accounting and the micro-batcher entirely.
+        accounting and the micro-batcher, but they keep the solver busy:
+        requests that arrive meanwhile coalesce and flush when it finishes.
+        Cancelling the caller does not cancel a mutation once handed to the
+        solver: it is still applied, and :meth:`aclose` waits for it.
         """
         if self._closing:
             raise ServingError(
@@ -243,9 +258,11 @@ class ServingEngine:
                 "ServingEngine is not started; use 'async with ServingEngine(...)' "
                 "or call await serving.start() first"
             )
-        return await self._loop.run_in_executor(
+        work = self._loop.run_in_executor(
             self._solver, partial(mutation, *args, **kwargs)
         )
+        self._hand_off(work)
+        return await asyncio.shield(work)
 
     async def _submit(self, key: BatchKey, queries: np.ndarray,
                       timeout: float | None):
@@ -297,16 +314,38 @@ class ServingEngine:
 
     # ------------------------------------------------------- batch execution
 
-    def _on_flush(self, key: BatchKey, requests: list, reason: str) -> None:
-        """Batcher callback: record the flush and schedule the solve."""
-        self.flushes.append(
-            FlushRecord(key, len(requests), sum(r.rows for r in requests), reason)
-        )
+    def _solver_idle(self) -> bool:
+        """Whether no solver work item is outstanding (the batcher's test)."""
+        return not self._work
+
+    def _hand_off(self, work: asyncio.Future) -> None:
+        """Count ``work`` as outstanding solver work until it is done."""
+        self._work.add(work)
+        work.add_done_callback(self._work_done)
+
+    def _work_done(self, work: asyncio.Future) -> None:
+        """Release one work item and flush the groups that queued behind it.
+
+        Flushing on every finished item, not only the last, bounds a
+        group's wait: work handed off later (a key kept at its row budget)
+        cannot keep it pending.  This runs as a done callback, so it also
+        runs after :meth:`aclose` has dropped the batcher (the groups were
+        drained there).
+        """
+        self._work.discard(work)
+        if self._batcher is not None:
+            self._batcher.flush_all("idle")
+
+    def _on_flush(self, key: BatchKey, requests: list, reason: str,
+                  opened: float) -> None:
+        """Batcher callback: record the flush and hand the solve off."""
+        record = FlushRecord(key, len(requests), sum(r.rows for r in requests), reason)
+        self.flushes.append(record)
         if self.flush_log_limit is not None and len(self.flushes) > self.flush_log_limit:
             del self.flushes[: len(self.flushes) - self.flush_log_limit]
-        task = self._loop.create_task(self._run_group(key, requests))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        self._hand_off(self._loop.create_task(
+            self._run_group(key, requests, record, opened)
+        ))
 
     def _release(self, request) -> None:
         """Return one request's rows to the admission budget, exactly once."""
@@ -314,7 +353,8 @@ class ServingEngine:
             request.released = True
             self._inflight_rows -= request.rows
 
-    async def _run_group(self, key: BatchKey, requests: list) -> None:
+    async def _run_group(self, key: BatchKey, requests: list,
+                         record: FlushRecord, opened: float) -> None:
         """Solve one flushed group off-loop, then demultiplex to the callers.
 
         A request's rows are released the moment its future resolves — the
@@ -326,7 +366,7 @@ class ServingEngine:
         """
         try:
             merged = await self._loop.run_in_executor(
-                self._solver, self._solve_group, key, requests
+                self._solver, self._timed_solve, key, requests, record, opened
             )
         except Exception as error:  # noqa: BLE001 - forwarded to every caller
             for request in requests:
@@ -338,6 +378,16 @@ class ServingEngine:
         finally:
             for request in requests:
                 self._release(request)
+
+    def _timed_solve(self, key: BatchKey, requests: list,
+                     record: FlushRecord, opened: float):
+        """Solver-thread wrapper: time one solve into its flush record."""
+        started = time.perf_counter()
+        try:
+            return self._solve_group(key, requests)
+        finally:
+            record.wait_s = started - opened
+            record.solve_s = time.perf_counter() - started
 
     def _solve_group(self, key: BatchKey, requests: list):
         """Solver-thread body: one engine call over the stacked request rows."""
@@ -386,7 +436,7 @@ class ServingEngine:
         """Debug representation with batching knobs and traffic counters."""
         return (
             f"ServingEngine(max_batch_rows={self.max_batch_rows}, "
-            f"max_wait_us={self.max_wait_us}, admitted={self.requests_admitted}, "
+            f"admitted={self.requests_admitted}, "
             f"shed={self.requests_shed}, timed_out={self.requests_timed_out})"
         )
 

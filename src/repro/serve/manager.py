@@ -67,7 +67,7 @@ from repro.exceptions import (
     ServingError,
     UnknownTenantError,
 )
-from repro.serve.batcher import DEFAULT_MAX_BATCH_ROWS, DEFAULT_MAX_WAIT_US
+from repro.serve.batcher import DEFAULT_MAX_BATCH_ROWS
 from repro.serve.engine import (
     DEFAULT_FLUSH_LOG_LIMIT,
     DEFAULT_MAX_PENDING_ROWS,
@@ -178,10 +178,12 @@ class EngineManager:
     mmap_mode:
         Forwarded to :meth:`RetrievalEngine.load` per tenant (default
         ``"r"``: memory-mapped, so evict/reload cycles stay cheap).
-    max_batch_rows / max_wait_us / max_pending_rows / default_timeout /
-    flush_log_limit:
+    max_batch_rows / max_pending_rows / default_timeout / flush_log_limit:
         Per-tenant :class:`~repro.serve.ServingEngine` knobs, applied to
-        every tenant's front-end.
+        every tenant's front-end: the row budget that flushes a group at
+        once, the admission bound, the default per-request deadline and the
+        flush-log cap.  There is no delay knob; each tenant's solver takes
+        a request as soon as it is idle.
 
     Use as an async context manager (or call :meth:`start` /
     :meth:`aclose` explicitly).  Closing the manager quiesces every
@@ -192,7 +194,6 @@ class EngineManager:
                  max_resident_rows: int | None = None,
                  mmap_mode: str | None = "r",
                  max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
-                 max_wait_us: int = DEFAULT_MAX_WAIT_US,
                  max_pending_rows: int = DEFAULT_MAX_PENDING_ROWS,
                  default_timeout: float | None = None,
                  flush_log_limit: int | None = DEFAULT_FLUSH_LOG_LIMIT) -> None:
@@ -225,7 +226,6 @@ class EngineManager:
             require_positive(default_timeout, "default_timeout")
         self._serving_kwargs = dict(
             max_batch_rows=require_positive_int(max_batch_rows, "max_batch_rows"),
-            max_wait_us=require_positive_int(max_wait_us, "max_wait_us"),
             max_pending_rows=require_positive_int(max_pending_rows, "max_pending_rows"),
             default_timeout=default_timeout,
             flush_log_limit=(

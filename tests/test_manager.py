@@ -338,7 +338,7 @@ def test_concurrent_churn_with_lru_matches_quiesced_references(tenant_dirs, tmp_
 
     async def drive():
         async with EngineManager(
-            dirs, max_resident_rows=400, max_batch_rows=4, max_wait_us=200
+            dirs, max_resident_rows=400, max_batch_rows=4
         ) as manager:
             async def client(name, block):
                 return name, await manager.row_top_k(name, block, K)
@@ -421,7 +421,7 @@ def test_cli_serve_multi_tenant_reports_per_tenant_stats(tenant_dirs):
     code = main(
         ["serve", "--index", f"A={tenant_dirs['A']}", "--index", f"B={tenant_dirs['B']}",
          "--max-resident-rows", "350", "--clients", "4", "--requests", "2",
-         "--rows", "2", "--max-wait-us", "500"],
+         "--rows", "2"],
         out=buffer,
     )
     output = buffer.getvalue()

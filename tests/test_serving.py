@@ -9,8 +9,9 @@ The central claims under test:
   on the in-process backend and across a 2-process memory-mapping
   :class:`~repro.serve.WorkerPool` alike.
 * **Flush boundaries.**  Groups flush exactly on the row budget
-  (including the 1-row degenerate case) or on the bounded-delay timer,
-  never merging incompatible (problem, parameter) keys.
+  (including the 1-row degenerate case) or as soon as the solver is idle,
+  coalesce only while it is busy, and never merge incompatible
+  (problem, parameter) keys.
 * **Admission and deadlines.**  Overload sheds with
   :class:`~repro.exceptions.ServiceOverloadedError` before any solver
   work; elapsed deadlines raise
@@ -26,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import threading
 import time
 
 import numpy as np
@@ -113,7 +115,7 @@ def test_concurrent_serving_matches_serial_byte_for_byte(index_dir, requests_64)
 
     async def drive():
         engine = RetrievalEngine.load(index_dir)
-        async with ServingEngine(engine, max_batch_rows=32, max_wait_us=1000) as serving:
+        async with ServingEngine(engine, max_batch_rows=32) as serving:
             topk = await asyncio.gather(
                 *(serving.row_top_k(block, K) for block in requests_64)
             )
@@ -141,7 +143,7 @@ def test_serving_over_process_pool_matches_serial(index_dir, requests_64):
     )
 
     async def drive(engine):
-        async with ServingEngine(engine, max_batch_rows=16, max_wait_us=1000) as serving:
+        async with ServingEngine(engine, max_batch_rows=16) as serving:
             topk = await asyncio.gather(
                 *(serving.row_top_k(block, K) for block in requests)
             )
@@ -220,7 +222,7 @@ def test_one_row_budget_makes_every_request_its_own_batch(index_dir):
     requests = [rows[i:i + 1] for i in range(4)]
     engine = RetrievalEngine.load(index_dir)
     results, serving = asyncio.run(run_serving(
-        requests, max_batch_rows=1, max_wait_us=50_000)(engine))
+        requests, max_batch_rows=1)(engine))
     assert [record.reason for record in serving.flushes] == ["rows"] * 4
     assert [record.num_requests for record in serving.flushes] == [1] * 4
     baseline = RetrievalEngine.load(index_dir)
@@ -230,31 +232,176 @@ def test_one_row_budget_makes_every_request_its_own_batch(index_dir):
 
 def test_exactly_max_rows_flushes_synchronously(index_dir):
     rows = make_factors(8, rank=12, seed=16)
-    requests = [rows[:4], rows[4:]]
-    engine = RetrievalEngine.load(index_dir)
-    _, serving = asyncio.run(run_serving(
-        requests, max_batch_rows=8, max_wait_us=60_000_000)(engine))
-    # The wait bound is far beyond the test timeout: only the row budget
-    # (reached exactly, 4 + 4 = 8) can have flushed this batch.
-    assert [record.reason for record in serving.flushes] == ["rows"]
-    assert serving.flushes[0].num_rows == 8
-    assert serving.flushes[0].num_requests == 2
+    gate = threading.Event()
+
+    async def drive(engine):
+        async with ServingEngine(engine, max_batch_rows=8) as serving:
+            held = asyncio.ensure_future(serving.mutate(gate.wait, 10))
+            await asyncio.sleep(0)  # the mutation holds the solver busy
+            first = asyncio.ensure_future(serving.row_top_k(rows[:4], K))
+            await asyncio.sleep(0)  # admitted below the budget: it only queues
+            below_budget = list(serving.flushes)
+            second = asyncio.ensure_future(serving.row_top_k(rows[4:], K))
+            await asyncio.sleep(0)
+            # The solver is still busy, so no idle dispatch can have run: only
+            # the row budget (reached exactly, 4 + 4 = 8) flushed this batch.
+            flushed = list(serving.flushes)
+            gate.set()
+            await asyncio.gather(first, second, held)
+        return below_budget, flushed
+
+    below_budget, flushed = asyncio.run(drive(RetrievalEngine.load(index_dir)))
+    assert below_budget == []
+    assert [record.reason for record in flushed] == ["rows"]
+    assert flushed[0].num_rows == 8
+    assert flushed[0].num_requests == 2
 
 
-def test_timer_flushes_a_lone_underfull_request(index_dir):
+def test_idle_solver_dispatches_a_lone_request_at_once(index_dir):
     rows = make_factors(2, rank=12, seed=17)
-    engine = RetrievalEngine.load(index_dir)
-    _, serving = asyncio.run(run_serving(
-        [rows], max_batch_rows=1024, max_wait_us=500)(engine))
-    assert [record.reason for record in serving.flushes] == ["timer"]
-    assert serving.flushes[0].num_rows == 2
+
+    async def drive(engine):
+        async with ServingEngine(engine, max_batch_rows=1024) as serving:
+            request = asyncio.ensure_future(serving.row_top_k(rows, K))
+            await asyncio.sleep(0)  # admitted: one dispatch scheduled
+            await asyncio.sleep(0)  # the dispatch ran in the next loop turn
+            flushed = list(serving.flushes)
+            result = await request
+        return flushed, result
+
+    flushed, result = asyncio.run(drive(RetrievalEngine.load(index_dir)))
+    assert [record.reason for record in flushed] == ["idle"]
+    assert flushed[0].num_rows == 2
+    assert_topk_equal(RetrievalEngine.load(index_dir).row_top_k(rows, K), result)
+
+
+@pytest.mark.parametrize("held", ["batch", "mutation"])
+def test_requests_coalesce_while_the_solver_is_held(index_dir, held):
+    """Requests that arrive while the solver works flush together, one batch
+    per key, when the held work item finishes; results stay byte-identical."""
+    lone = make_factors(1, rank=12, seed=50)
+    top_blocks = [make_factors(2, rank=12, seed=51 + i) for i in range(3)]
+    above_blocks = [make_factors(2, rank=12, seed=54 + i) for i in range(2)]
+    extra = make_factors(20, rank=12, length_cov=1.0, seed=56)
+    gate = threading.Event()
+    held_batches = 1 if held == "batch" else 0
+
+    async def drive(engine):
+        async with ServingEngine(engine, max_batch_rows=1024) as serving:
+            if held == "batch":
+                original = serving._solve_group
+
+                def held_solve(key, requests):
+                    gate.wait(timeout=10)
+                    return original(key, requests)
+
+                serving._solve_group = held_solve
+                first = asyncio.ensure_future(serving.row_top_k(lone, K))
+            else:
+                def held_mutation():
+                    gate.wait(timeout=10)
+                    return engine.partial_fit(extra)
+
+                first = asyncio.ensure_future(serving.mutate(held_mutation))
+            while len(serving.flushes) < held_batches:
+                await asyncio.sleep(0)
+            await asyncio.sleep(0)  # the held item is on the solver thread
+            queued = [serving.row_top_k(block, K) for block in top_blocks]
+            queued += [serving.above_theta(block, THETA) for block in above_blocks]
+            queued = [asyncio.ensure_future(request) for request in queued]
+            while serving.requests_admitted < held_batches + len(queued):
+                await asyncio.sleep(0)
+            busy_flushes = len(serving.flushes)
+            gate.set()
+            first_result = await first
+            results = await asyncio.gather(*queued)
+        return first_result, results, busy_flushes, serving.flushes
+
+    first_result, results, busy_flushes, flushes = asyncio.run(
+        drive(RetrievalEngine.load(index_dir))
+    )
+    reference = RetrievalEngine.load(index_dir)
+    if held == "batch":
+        assert flushes[0].reason == "idle" and flushes[0].num_requests == 1
+        assert_topk_equal(reference.row_top_k(lone, K), first_result)
+    else:
+        reference.partial_fit(extra)
+    assert busy_flushes == held_batches  # nothing flushed while busy
+    after = flushes[busy_flushes:]
+    assert sorted((r.key.problem, r.num_requests, r.reason) for r in after) == [
+        ("above_theta", 2, "idle"), ("row_top_k", 3, "idle"),
+    ]
+    for block, actual in zip(top_blocks, results[:3]):
+        assert_topk_equal(reference.row_top_k(block, K), actual)
+    for block, actual in zip(above_blocks, results[3:]):
+        assert_above_equal(reference.above_theta(block, THETA), actual)
+    assert all(r.wait_s >= 0.0 and r.solve_s >= 0.0 for r in flushes)
+
+
+def test_a_queued_group_waits_for_one_work_item_only(index_dir):
+    """A group queued on a busy solver flushes when the next work item
+    finishes, even while work handed off after it (here a batch flushed on
+    its row budget) keeps the solver busy: one key cannot starve another."""
+    rows = make_factors(3, rank=12, seed=59)
+    mutation_gate, batch_gate = threading.Event(), threading.Event()
+
+    async def drive(engine):
+        async with ServingEngine(engine, max_batch_rows=2) as serving:
+            original = serving._solve_group
+
+            def held_solve(key, requests):
+                if key.problem == "row_top_k":
+                    batch_gate.wait(timeout=10)
+                return original(key, requests)
+
+            serving._solve_group = held_solve
+            mutation = asyncio.ensure_future(serving.mutate(mutation_gate.wait, 10))
+            await asyncio.sleep(0)  # the mutation holds the solver
+            budget = asyncio.ensure_future(serving.row_top_k(rows[:2], K))
+            queued = asyncio.ensure_future(serving.above_theta(rows[2:], THETA))
+            while serving.requests_admitted < 2:
+                await asyncio.sleep(0)
+            try:
+                mutation_gate.set()
+                await mutation
+                for _ in range(100):
+                    if len(serving.flushes) == 2:
+                        break
+                    await asyncio.sleep(0.01)
+                flushed = [(r.key.problem, r.reason) for r in serving.flushes]
+            finally:
+                batch_gate.set()
+            return flushed, await budget, await queued
+
+    flushed, top, above = asyncio.run(drive(RetrievalEngine.load(index_dir)))
+    # The above-θ group flushed while the budget batch was still held.
+    assert flushed == [("row_top_k", "rows"), ("above_theta", "idle")]
+    reference = RetrievalEngine.load(index_dir)
+    assert_topk_equal(reference.row_top_k(rows[:2], K), top)
+    assert_above_equal(reference.above_theta(rows[2:], THETA), above)
+
+
+def test_flush_record_times_wait_and_solve(index_dir):
+    rows = make_factors(2, rank=12, seed=57)
+
+    async def drive(engine):
+        async with ServingEngine(engine) as serving:
+            slow_solver(serving, 0.05)
+            await serving.row_top_k(rows, K)
+        return serving.flushes
+
+    (record,) = asyncio.run(drive(RetrievalEngine.load(index_dir)))
+    assert record.reason == "idle"
+    # Dispatched at once on an idle solver: it queued for less than it solved.
+    assert 0.0 <= record.wait_s < record.solve_s
+    assert record.solve_s >= 0.05
 
 
 def test_incompatible_parameters_never_coalesce(index_dir):
     rows = make_factors(4, rank=12, seed=18)
 
     async def drive(engine):
-        async with ServingEngine(engine, max_batch_rows=64, max_wait_us=500) as serving:
+        async with ServingEngine(engine, max_batch_rows=64) as serving:
             await asyncio.gather(
                 serving.row_top_k(rows[:2], K),
                 serving.row_top_k(rows[2:], K + 1),
@@ -290,7 +437,7 @@ def test_overload_sheds_with_typed_error(index_dir):
 
     async def drive(engine):
         async with ServingEngine(
-            engine, max_batch_rows=4, max_wait_us=500, max_pending_rows=4
+            engine, max_batch_rows=4, max_pending_rows=4
         ) as serving:
             slow_solver(serving, 0.05)
             first = asyncio.ensure_future(serving.row_top_k(rows[:4], K))
@@ -310,7 +457,7 @@ def test_oversized_request_is_admitted_when_idle(index_dir):
 
     async def drive(engine):
         async with ServingEngine(
-            engine, max_batch_rows=4, max_wait_us=500, max_pending_rows=2
+            engine, max_batch_rows=4, max_pending_rows=2
         ) as serving:
             return await serving.row_top_k(rows, K)
 
@@ -322,7 +469,7 @@ def test_deadline_raises_timeout_but_batch_completes(index_dir):
     rows = make_factors(4, rank=12, seed=21)
 
     async def drive(engine):
-        async with ServingEngine(engine, max_batch_rows=2, max_wait_us=500) as serving:
+        async with ServingEngine(engine, max_batch_rows=2) as serving:
             slow_solver(serving, 0.1)
             with pytest.raises(RequestTimeoutError, match="deadline"):
                 await serving.row_top_k(rows[:2], K, timeout=0.01)
@@ -340,7 +487,7 @@ def test_solver_errors_reach_the_caller(index_dir):
     bad_rank = make_factors(2, rank=7, seed=22)
 
     async def drive(engine):
-        async with ServingEngine(engine, max_batch_rows=2, max_wait_us=500) as serving:
+        async with ServingEngine(engine, max_batch_rows=2) as serving:
             await serving.row_top_k(bad_rank, K)
 
     with pytest.raises(DimensionMismatchError):
@@ -366,7 +513,7 @@ def test_timed_out_request_is_never_counted_served(index_dir):
     rows = make_factors(4, rank=12, seed=30)
 
     async def drive(engine):
-        async with ServingEngine(engine, max_batch_rows=2, max_wait_us=500) as serving:
+        async with ServingEngine(engine, max_batch_rows=2) as serving:
             slow_solver(serving, 0.1)
             with pytest.raises(RequestTimeoutError):
                 await serving.row_top_k(rows[:2], K, timeout=0.01)
@@ -387,7 +534,7 @@ def test_flush_log_is_bounded(index_dir):
     requests = [rows[i:i + 1] for i in range(8)]
     engine = RetrievalEngine.load(index_dir)
     _, serving = asyncio.run(run_serving(
-        requests, max_batch_rows=1, max_wait_us=50_000, flush_log_limit=3)(engine))
+        requests, max_batch_rows=1, flush_log_limit=3)(engine))
     # 8 batches flushed (admission counters say so), only the 3 newest kept.
     assert serving.requests_admitted == 8
     assert len(serving.flushes) == 3
@@ -401,7 +548,7 @@ def test_flush_log_limit_defaults_and_unbounded_opt_out(index_dir):
     rows = make_factors(8, rank=12, seed=32)
     requests = [rows[i:i + 1] for i in range(8)]
     _, serving = asyncio.run(run_serving(
-        requests, max_batch_rows=1, max_wait_us=50_000, flush_log_limit=None)(engine))
+        requests, max_batch_rows=1, flush_log_limit=None)(engine))
     assert len(serving.flushes) == 8
 
 
@@ -413,7 +560,7 @@ def test_submit_during_aclose_is_shed_not_hung(index_dir):
 
     async def drive(engine):
         serving = await ServingEngine(
-            engine, max_batch_rows=2, max_wait_us=500
+            engine, max_batch_rows=2
         ).start()
         slow_solver(serving, 0.05)
         first = asyncio.ensure_future(serving.row_top_k(rows[:2], K))
@@ -436,6 +583,51 @@ def test_submit_during_aclose_is_shed_not_hung(index_dir):
     assert serving.pending_rows == 0
 
 
+@pytest.mark.parametrize("caller", ["waiting", "cancelled"])
+def test_aclose_awaits_a_mutation_without_blocking_the_loop(index_dir, caller):
+    """aclose() waits for an in-flight mutation on the loop: other coroutines
+    keep running meanwhile, and the mutation is still applied — also when
+    its caller was cancelled after the hand-off."""
+    extra = make_factors(20, rank=12, length_cov=1.0, seed=58)
+    gate = threading.Event()
+    # Would a frozen loop never set the gate, this timer still ends the test.
+    fallback = threading.Timer(5.0, gate.set)
+
+    async def drive(engine):
+        serving = await ServingEngine(engine).start()
+
+        def held_mutation():
+            gate.wait(timeout=10)
+            return engine.partial_fit(extra)
+
+        mutation = asyncio.ensure_future(serving.mutate(held_mutation))
+        await asyncio.sleep(0)  # handed to the solver thread
+        if caller == "cancelled":
+            mutation.cancel()
+        closer = asyncio.ensure_future(serving.aclose())
+        for _ in range(5):
+            await asyncio.sleep(0.001)  # this coroutine keeps running
+        closing_while_ticking = not closer.done() and not gate.is_set()
+        gate.set()
+        await closer
+        returned = await asyncio.gather(mutation, return_exceptions=True)
+        return returned[0], closing_while_ticking
+
+    engine = RetrievalEngine.load(index_dir)
+    rows_before = engine.num_probes
+    fallback.start()
+    try:
+        returned, closing_while_ticking = asyncio.run(drive(engine))
+    finally:
+        fallback.cancel()
+    assert closing_while_ticking
+    if caller == "waiting":
+        assert returned is engine
+    else:
+        assert isinstance(returned, asyncio.CancelledError)
+    assert engine.num_probes == rows_before + 20
+
+
 def test_rows_release_before_caller_future_resolves(index_dir):
     """Regression pin for late backpressure release: each request's rows
     must return to the admission budget *before* its future resolves, on
@@ -445,7 +637,7 @@ def test_rows_release_before_caller_future_resolves(index_dir):
     events = []
 
     async def drive(engine):
-        async with ServingEngine(engine, max_batch_rows=2, max_wait_us=500) as serving:
+        async with ServingEngine(engine, max_batch_rows=2) as serving:
             original_release = serving._release
 
             def recording_release(request):
@@ -487,7 +679,7 @@ def test_mutate_runs_between_batches_and_matches_quiesced(index_dir):
     after_remove = reference.row_top_k(queries, K)
 
     async def drive(engine):
-        async with ServingEngine(engine, max_batch_rows=8, max_wait_us=500) as serving:
+        async with ServingEngine(engine, max_batch_rows=8) as serving:
             served_before = await serving.row_top_k(queries, K)
             grown = await serving.mutate(engine.partial_fit, extra)
             served_added = await serving.row_top_k(queries, K)
@@ -516,7 +708,7 @@ def test_concurrent_mutation_yields_pre_or_post_state_results(index_dir):
     post = [reference.row_top_k(block, K) for block in blocks]
 
     async def drive(engine):
-        async with ServingEngine(engine, max_batch_rows=4, max_wait_us=200) as serving:
+        async with ServingEngine(engine, max_batch_rows=4) as serving:
             slow_solver(serving, 0.002)
 
             async def mutator():
@@ -625,7 +817,7 @@ def test_cli_serve_reports_latency_stats(index_dir):
     buffer = io.StringIO()
     code = main(
         ["serve", "--index", str(index_dir), "--clients", "4", "--requests", "2",
-         "--rows", "2", "--max-wait-us", "500"],
+         "--rows", "2"],
         out=buffer,
     )
     output = buffer.getvalue()
