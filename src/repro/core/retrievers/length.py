@@ -12,6 +12,12 @@ finds every prefix with one ``searchsorted``, :func:`block_survivors` scores
 them with one BLAS block product per bounded query block and keeps only the
 rows that can still reach their pair's threshold, and only those survivors
 are re-scored by the exact kernel — one grouped call per query block.
+
+The block product spans the longest prefix in the block, so a threshold
+test over the whole block is the last step that touches every score.
+Survivors (~1 % of the block on the perfbench shapes) are pulled out by
+flat index, and each pair's shorter prefix is cut from them alone; no
+step after the test costs more than the survivors it returns.
 """
 
 from __future__ import annotations
@@ -82,7 +88,15 @@ def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.nd
     tier's per-row bound.  A row is dropped only if even that upper bound
     misses the threshold, so every row the exact kernel would keep survives.
 
-    Returns ``(pairs, rows)``, sorted by pair and then by row.
+    The product covers the longest prefix, ``[0, max(cutoffs))``.  Survivors
+    of the threshold test are read by flat index from the pair-major copy of
+    the test mask, which yields them in pair-then-row order; only then are
+    rows past their own pair's cutoff dropped, so this cut costs the
+    survivors, not the block.
+
+    Returns ``(pairs, rows)`` as ``intp`` arrays, sorted by pair and then by
+    row (``tests/test_block_screen.py`` pins this against a 2-D ``np.nonzero``
+    of the cut mask).
     """
     limit = int(cutoffs.max())
     if screen is None:
@@ -96,9 +110,11 @@ def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.nd
     else:
         upper *= np.multiply.outer(lengths, query_norms)
     keep = upper >= thresholds
+    pairs, rows = np.divmod(np.flatnonzero(np.ascontiguousarray(keep.T)), limit)
     if int(cutoffs.min()) < limit:
-        keep &= np.arange(limit)[:, None] < cutoffs
-    return np.nonzero(keep.T)
+        inside = rows < cutoffs[pairs]
+        pairs, rows = pairs[inside], rows[inside]
+    return pairs, rows
 
 
 def score_length_pairs(bucket: Bucket, directions: np.ndarray, positions: np.ndarray,

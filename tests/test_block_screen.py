@@ -15,19 +15,30 @@ check that this changes nothing observable:
 * **Batch composition.**  The block product's rounding depends on which
   queries share a block, so a query row must get byte-identical results
   alone, inside a 7-row and a 1000-row call, and with ``workers=2``.
+* **The screen itself.**  :func:`block_survivors` must equal a brute-force
+  reference (full threshold mask, cutoff mask, 2-D ``np.nonzero``) array for
+  array, in ``(pair, row)`` order, and :func:`score_length_pairs` must split
+  its pairs into query blocks, offset them and count every prefix row.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import RetrievalEngine, create_retriever
+from repro.core.bucket import Bucket
 from repro.core.kernels import gather_matvec, screen_bound, use_kernel
 from repro.core.lemp import Lemp
+from repro.core.retrievers.length import (BLOCK_ELEMENTS, LengthRetriever, block_survivors,
+                                          score_length_pairs)
+from repro.core.screening import ScreenTier
 from repro.core.stats import RunStats
 from repro.core.thresholds import local_threshold
-from repro.core.vector_store import PreparedQueries
+from repro.core.vector_store import PreparedQueries, VectorStore
 from tests.conftest import make_factors
 
 RANK = 12
@@ -259,3 +270,139 @@ def test_row_answer_is_independent_of_batch_composition(composition_engine, prob
         assert _row_answer(full, row) == alone
         assert _row_answer(parallel, row) == alone
     assert answered >= 3
+
+
+# ------------------------------------------------------- the screen itself
+
+SCREEN_RANK = 8
+
+
+@pytest.fixture(scope="module")
+def screen_store():
+    return VectorStore(make_factors(2000, rank=SCREEN_RANK, length_cov=0.8, seed=31))
+
+
+def reference_survivors(bucket, queries, cutoffs, thresholds, query_norms=None, screen=None):
+    """:func:`block_survivors` by brute force: full mask, cut mask, 2-D ``np.nonzero``."""
+    limit = int(cutoffs.max())
+    if screen is None:
+        upper = bucket.directions[:limit] @ queries.T + screen_bound(queries.shape[1])
+    else:
+        upper = screen.upper_cosine_block(bucket.start, limit, queries)
+    lengths = bucket.lengths[:limit]
+    scale = lengths[:, None] if query_norms is None else np.multiply.outer(lengths, query_norms)
+    keep = (upper * scale >= thresholds) & (np.arange(limit)[:, None] < cutoffs)
+    return np.nonzero(keep.T)
+
+
+def assert_same_survivors(actual, expected):
+    for got, wanted in zip(actual, expected):
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, wanted)
+    pairs, rows = actual
+    order = np.lexsort((rows, pairs))
+    assert np.array_equal(order, np.arange(pairs.size))
+
+
+def screen_case(store, case, rng):
+    """``(bucket, queries, cutoffs, thresholds, query_norms)`` for one named case."""
+    bucket = Bucket(store, 100, 400, 1)
+    pairs = 1 if case == "one_pair" else 37
+    queries = PreparedQueries(make_factors(pairs, rank=SCREEN_RANK, length_cov=0.5,
+                                           seed=int(rng.integers(1 << 30))))
+    directions, norms = queries.directions, queries.norms
+    if case == "equal":
+        cutoffs = np.full(pairs, 250)
+    elif case == "one_pair":
+        cutoffs = np.array([180])
+    elif case == "limit_one":
+        cutoffs = rng.integers(0, 2, pairs)
+        cutoffs[0] = 1
+    else:
+        cutoffs = rng.integers(0, bucket.size + 1, pairs)
+        cutoffs[:2] = 0, bucket.size
+    scores = bucket.directions @ directions.T * bucket.lengths[:, None]
+    thresholds = np.quantile(scores, 0.9, axis=0)
+    if case == "minus_inf":
+        thresholds[:] = -np.inf
+    elif case == "plus_inf":
+        thresholds[:] = np.inf
+    return bucket, directions, cutoffs, thresholds, norms
+
+
+SCREEN_CASES = ["mixed", "equal", "one_pair", "limit_one", "minus_inf", "plus_inf"]
+
+
+@pytest.mark.parametrize("tier", [None, "f16"])
+@pytest.mark.parametrize("with_norms", [True, False], ids=["above_theta", "row_top_k"])
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_block_survivors_match_brute_force(screen_store, case, with_norms, tier):
+    rng = np.random.default_rng(SCREEN_CASES.index(case))
+    bucket, queries, cutoffs, thresholds, norms = screen_case(screen_store, case, rng)
+    norms = norms if with_norms else None
+    screen = None if tier is None else ScreenTier.build(screen_store.directions, tier)
+    actual = block_survivors(bucket, queries, cutoffs, thresholds, norms, screen)
+    assert_same_survivors(actual, reference_survivors(bucket, queries, cutoffs, thresholds,
+                                                      norms, screen))
+    pairs, rows = actual
+    assert np.all(rows < cutoffs[pairs])
+    if case == "minus_inf":
+        assert pairs.size == cutoffs.sum()
+    # The screen is conservative: every exact score reaching its threshold survives.
+    kept = set(zip(pairs.tolist(), rows.tolist()))
+    exact = bucket.directions @ queries.T * bucket.lengths[:, None]
+    if norms is not None:
+        exact *= norms
+    for pair in range(cutoffs.size):
+        for row in np.nonzero(exact[:cutoffs[pair], pair] >= thresholds[pair])[0].tolist():
+            assert (pair, row) in kept
+
+
+@pytest.mark.parametrize("with_norms", [True, False], ids=["above_theta", "row_top_k"])
+def test_score_length_pairs_splits_into_query_blocks(screen_store, with_norms):
+    bucket = Bucket(screen_store, 0, screen_store.size, 0)
+    queries = PreparedQueries(make_factors(150, rank=SCREEN_RANK, length_cov=0.5, seed=32))
+    positions = np.arange(queries.size)[::-1].copy()
+    norms = queries.norms[positions] if with_norms else None
+    scores = bucket.directions @ queries.directions[positions].T * bucket.lengths[:, None]
+    if with_norms:
+        scores *= norms
+    quantiles = np.linspace(0.5, 0.999, positions.size)
+    thetas = np.quantile(scores, quantiles, axis=0).diagonal().copy()
+    thetas[:3] = -1.0  # non-positive θ: every row of the bucket is a candidate
+    stats = RunStats()
+    blocks = list(score_length_pairs(bucket, queries.directions, positions, norms, thetas,
+                                     thetas, stats, None, gather_matvec))
+    cutoffs = LengthRetriever.cutoffs(bucket, thetas, 1.0 if norms is None else norms)
+    width = max(1, BLOCK_ELEMENTS // int(cutoffs.max()))
+    assert width < positions.size // 2  # several query blocks
+    assert stats.candidates == stats.inner_products == int(cutoffs.sum())
+
+    expected = []
+    for start in range(0, cutoffs.size, width):
+        block = slice(start, start + width)
+        pairs, rows = reference_survivors(
+            bucket, queries.directions[positions[block]], cutoffs[block], thetas[block],
+            None if norms is None else norms[block])
+        if pairs.size:
+            expected.append((pairs + start, rows))
+    assert len(blocks) == len(expected) > 1
+    for (pairs, rows, cosines), (wanted_pairs, wanted_rows) in zip(blocks, expected):
+        assert_same_survivors((pairs, rows), (wanted_pairs, wanted_rows))
+        for pair in np.unique(pairs).tolist():
+            mine = pairs == pair
+            query = queries.directions[positions[pair]]
+            assert cosines[mine].tobytes() == gather_matvec(bucket.directions, rows[mine],
+                                                            query).tobytes()
+
+
+def test_tuner_cost_tool_still_runs(monkeypatch):
+    """``tools/measure_tuner_costs.py`` times :func:`block_survivors`; keep it importable."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # the tool sets these; restore them afterwards
+    path = Path(__file__).resolve().parents[1] / "tools" / "measure_tuner_costs.py"
+    spec = importlib.util.spec_from_file_location("measure_tuner_costs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    seconds = tool.per_row(64, 8)
+    assert np.isfinite(seconds) and seconds > 0
