@@ -31,21 +31,25 @@ class Bucket:
     store:
         The length-sorted probe store the bucket slices into.
     start, end:
-        Half-open position range ``[start, end)`` within the store.
+        Half-open buffer position range ``[start, end)`` within the store.
+        The rows up to the next bucket's ``start`` (or the buffer end) are
+        the bucket's spare rows (see :meth:`repro.core.lemp.Lemp.partial_fit`).
     index:
         Ordinal number of the bucket (0 = longest vectors).
     epoch:
         Index-mutation epoch the bucket was created in (see
-        :mod:`repro.core.tuning_cache`).  Buckets preserved across
-        ``partial_fit`` / ``remove`` keep their original epoch; rebuilt
-        buckets get the store's current epoch, which invalidates exactly
-        their cached tuning entries.
+        :mod:`repro.core.tuning_cache`).  Buckets a ``partial_fit`` /
+        ``remove`` does not touch keep their original epoch (a re-pack moves
+        them without changing their rows); rebuilt buckets get the current
+        epoch, which invalidates exactly their cached tuning entries.
     """
 
     def __init__(self, store: VectorStore, start: int, end: int, index: int,
                  epoch: int = 0) -> None:
-        if not 0 <= start < end <= store.size:
-            raise ValueError(f"invalid bucket range [{start}, {end}) for store of size {store.size}")
+        if not 0 <= start < end <= store.capacity:
+            raise ValueError(
+                f"invalid bucket range [{start}, {end}) for a store of {store.capacity} rows"
+            )
         self.store = store
         self.start = start
         self.end = end

@@ -27,6 +27,16 @@ from repro.exceptions import InvalidParameterError
 #: the KDD-like dataset is split into many buckets (as in the paper's ablation).
 DEFAULT_CACHE_KIB = 256
 
+#: Fraction by which an incrementally updated bucket may outgrow its size
+#: bound before it is split, and the spare rows a store re-pack leaves after
+#: each bucket (as a fraction of its rows).
+SLACK_FRACTION = 0.25
+
+#: A store re-pack runs a fresh greedy cut when the bucket count differs
+#: from that of :func:`greedy_boundaries` over the current lengths by more
+#: than this fraction of the latter.
+DRIFT_LIMIT = 0.5
+
 
 def max_bucket_size_for_cache(rank: int, cache_kib: float) -> int:
     """Largest bucket size whose working set fits in ``cache_kib`` KiB.
@@ -40,6 +50,19 @@ def max_bucket_size_for_cache(rank: int, cache_kib: float) -> int:
     bytes_per_vector = rank * 8 * 3 + 8 + 8 * 3
     budget = int(cache_kib * 1024)
     return max(1, budget // bytes_per_vector)
+
+
+def size_bound(rank: int, max_bucket_size: int | None,
+               cache_kib: float | None) -> int | None:
+    """The effective bucket size cap: ``max_bucket_size``, else the cache's, else ``None``."""
+    if max_bucket_size is None and cache_kib is not None:
+        return max_bucket_size_for_cache(rank, cache_kib)
+    return max_bucket_size
+
+
+def slack_bound(bound: int | None) -> int | None:
+    """Largest size an incrementally updated bucket may reach before a split."""
+    return None if bound is None else int(bound * (1.0 + SLACK_FRACTION))
 
 
 def bucketize(
@@ -100,18 +123,18 @@ def greedy_boundaries(
 ) -> list[int]:
     """Greedy bucket boundaries over a decreasing length array.
 
-    Shared by :func:`bucketize` and LEMP's incremental ``partial_fit`` /
-    ``remove``, which re-run the boundary scan after every update so that the
-    bucket layout (and therefore query results, bit for bit) matches a fresh
-    fit on the updated probe matrix.  Returns ``[0, b1, ..., len(lengths)]``.
+    :func:`bucketize` runs it over the whole store.  LEMP's ``partial_fit``
+    runs it over the rows of one changed bucket only, to split a bucket
+    past its slack bound or length ratio; a store re-pack runs it over the
+    whole store to measure the bucket-count drift, and uses its cut only
+    past :data:`DRIFT_LIMIT`.  Returns ``[0, b1, ..., len(lengths)]``.
     """
     if not 0.0 < length_ratio <= 1.0:
         raise InvalidParameterError(f"length_ratio must be in (0, 1], got {length_ratio}")
     if min_bucket_size < 1:
         raise InvalidParameterError(f"min_bucket_size must be >= 1, got {min_bucket_size}")
 
-    if max_bucket_size is None and cache_kib is not None:
-        max_bucket_size = max_bucket_size_for_cache(rank, cache_kib)
+    max_bucket_size = size_bound(rank, max_bucket_size, cache_kib)
     if max_bucket_size is not None and max_bucket_size < 1:
         raise InvalidParameterError(f"max_bucket_size must be >= 1, got {max_bucket_size}")
     if max_bucket_size is not None and max_bucket_size < min_bucket_size:

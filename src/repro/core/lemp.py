@@ -27,7 +27,15 @@ import numpy as np
 from repro.core.above_theta import solve_above_theta
 from repro.core.api import Retriever
 from repro.core.bucket import Bucket
-from repro.core.bucketize import DEFAULT_CACHE_KIB, bucketize, greedy_boundaries
+from repro.core.bucketize import (
+    DEFAULT_CACHE_KIB,
+    DRIFT_LIMIT,
+    SLACK_FRACTION,
+    bucketize,
+    greedy_boundaries,
+    size_bound,
+    slack_bound,
+)
 from repro.core.results import AboveThetaResult, TopKResult
 from repro.core.retrievers import (
     BlshBucketRetriever,
@@ -58,7 +66,12 @@ from repro.core.tuner import (
     tune_phi,
 )
 from repro.core.tuning_cache import TuningCache
-from repro.core.vector_store import PreparedQueries, VectorStore
+from repro.core.vector_store import (
+    PreparedQueries,
+    VectorStore,
+    renumber_ids,
+    span_positions,
+)
 from repro.engine.registry import register_retriever
 from repro.exceptions import DimensionMismatchError, UnknownAlgorithmError
 from repro.utils.timer import Timer
@@ -74,6 +87,16 @@ ALGORITHMS = ("L", "C", "I", "TA", "TREE", "L2AP", "BLSH", "LC", "LI")
 
 #: Number of longest probes scored exactly to seed the Row-Top-k tuner.
 _TOPK_TUNING_SEED_PROBES = 200
+
+
+def _target_buckets(longest: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The bucket each new row goes to, given each bucket's longest row.
+
+    That is the last bucket whose longest row is at least as long (the first
+    bucket for a row longer than every indexed one), so the row lands after
+    every equal-length row, where a fresh stable sort puts it.
+    """
+    return np.maximum(np.searchsorted(-longest, -lengths, side="right") - 1, 0)
 
 
 @register_retriever(
@@ -245,96 +268,216 @@ class Lemp(Retriever):
 
     # -------------------------------------------------- incremental maintenance
 
-    def _bucket_bounds(self) -> np.ndarray:
-        bounds = [bucket.start for bucket in self.buckets]
-        bounds.append(self.buckets[-1].end if self.buckets else 0)
-        return np.asarray(bounds, dtype=np.intp)
+    def _spans(self, ordinals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)`` of the buckets at ``ordinals`` (default: all)."""
+        buckets = self.buckets if ordinals is None else [
+            self.buckets[index] for index in ordinals.tolist()]
+        starts = np.fromiter((bucket.start for bucket in buckets), dtype=np.intp,
+                             count=len(buckets))
+        ends = np.fromiter((bucket.end for bucket in buckets), dtype=np.intp,
+                           count=len(buckets))
+        return starts, ends
 
-    def _preserved_spans(self, bounds: np.ndarray, kept: np.ndarray,
-                         shift: np.ndarray) -> dict[tuple[int, int], Bucket]:
-        """Map each kept old bucket's ``(start, end)`` in the updated store to it."""
-        return {
-            (int(bounds[i] + shift[i]), int(bounds[i + 1] + shift[i])): self.buckets[i]
-            for i in np.flatnonzero(kept)
-        }
+    def _has_room(self, targets: np.ndarray) -> bool:
+        """Whether every bucket's slice has spare rows for its new rows."""
+        starts, ends = self._spans()
+        room = np.append(starts[1:], self.store.capacity) - ends
+        return bool(np.all(np.bincount(targets, minlength=room.size) <= room))
 
-    def _rebucketize(self, preserved: dict[tuple[int, int], Bucket]) -> None:
-        """Re-run the greedy boundary scan, reusing unchanged buckets.
+    def _targets(self, lengths: np.ndarray) -> np.ndarray:
+        """The bucket each new row of ``lengths`` goes to (see :func:`_target_buckets`)."""
+        return _target_buckets(self.store.lengths[self._spans()[0]], lengths)
 
-        ``preserved`` maps a ``(start, end)`` span in the *updated* store to
-        the old :class:`Bucket` whose content occupies exactly that span.
-        Wherever the fresh boundaries reproduce such a span, the old bucket —
-        with its cached sorted lists / CP arrays / trees and its tuning-cache
-        epoch — is kept; only buckets whose content actually changed are
-        rebuilt, at the current (just bumped) epoch, which no tuning entry
-        can match.  Because the boundary scan is the same one :meth:`fit`
-        runs, the resulting layout (and therefore every query result, bit
-        for bit) matches a fresh fit on the updated probe matrix.  One
-        boundary shift moves every later cut under the size cap, so on
-        large indexes most buckets are rebuilt and re-tuned.
+    def _recut(self, lengths: np.ndarray, bucket: Bucket, bound: int | None) -> list[int]:
+        """Cuts of ``bucket``'s rows after a write: one piece unless it must split.
+
+        The rows stay one bucket while they fit the slack bound
+        (:func:`~repro.core.bucketize.slack_bound` of the size bound
+        ``bound``) and their length ratio (shortest over longest) is no
+        worse than ``length_ratio`` or than the bucket's own ratio before
+        the write.  Otherwise they are cut as a fresh fit cuts them.  A
+        removal never splits a bucket; an insert splits it once it outgrows
+        the slack bound, or when rows beyond its length range stretch the
+        ratio.
         """
-        boundaries = greedy_boundaries(
-            self.store.lengths,
-            self.store.rank,
-            min_bucket_size=self.min_bucket_size,
-            max_bucket_size=self.max_bucket_size,
-            length_ratio=self.length_ratio,
+        if lengths.size == 0:
+            return [0]
+        loose = slack_bound(bound)
+        before = bucket.min_length / bucket.max_length if bucket.max_length > 0.0 else 1.0
+        if ((loose is None or lengths.size <= loose)
+                and lengths[-1] >= min(before, self.length_ratio) * lengths[0]):
+            return [0, int(lengths.size)]
+        return greedy_boundaries(lengths, self.store.rank,
+                                 min_bucket_size=self.min_bucket_size, max_bucket_size=bound,
+                                 length_ratio=self.length_ratio, cache_kib=None)
+
+    def _rebucketize(self, touched: np.ndarray, sources: np.ndarray, lengths: np.ndarray,
+                     sizes: np.ndarray, batch: VectorStore | None = None) -> None:
+        """Replace each changed bucket by a local re-cut of its rows, in its own slice.
+
+        ``touched`` holds the changed buckets' ordinals (ascending) and
+        ``sizes`` their row counts after the write; ``sources`` and
+        ``lengths`` are their rows after the write, bucket after bucket in
+        store order, as :meth:`~repro.core.vector_store.VectorStore.merge`
+        sources, and those rows' lengths.  Each bucket's rows are written
+        from its ``start`` on, cut by :meth:`_recut` and wrapped in new
+        :class:`Bucket` objects at the current epoch, which no tuning entry
+        can match; a bucket left without rows disappears.  Every other
+        bucket keeps its object, its cached per-bucket indexes and its
+        tuning entries.  The cost is the changed buckets' rows times the
+        rank, plus one pass over the bucket list.
+        """
+        starts, ends = self._spans(touched)
+        bound = size_bound(self.store.rank, self.max_bucket_size, self.cache_kib)
+        replaced, offset = {}, 0
+        for index, start, size in zip(touched.tolist(), starts.tolist(), sizes.tolist()):
+            cuts = self._recut(lengths[offset:offset + size], self.buckets[index], bound)
+            replaced[index] = [
+                Bucket(self.store, start + low, start + high, index, epoch=self._epoch)
+                for low, high in zip(cuts[:-1], cuts[1:])
+            ]
+            offset += size
+        if self.tuning_cache.num_keys:
+            # Fingerprint the replaced buckets before their rows are overwritten.
+            self.tuning_cache.discard({self.buckets[index].fingerprint() for index in replaced})
+        self.store.merge(span_positions(starts, starts + sizes), sources, batch,
+                         span_positions(np.minimum(starts + sizes, ends), ends))
+        buckets: list[Bucket] = []
+        previous = 0
+        for index, pieces in replaced.items():
+            buckets.extend(self.buckets[previous:index])
+            buckets.extend(pieces)
+            previous = index + 1
+        buckets.extend(self.buckets[previous:])
+        for ordinal in range(int(touched[0]), len(buckets)):
+            bucket = buckets[ordinal]
+            if bucket.index != ordinal:
+                # BLSH signatures are seeded per bucket ordinal; drop them
+                # when the ordinal shifts, so a later build matches the one
+                # a reloaded index makes.
+                bucket.drop_index(BLSH_INDEX_KEY)
+                bucket.index = ordinal
+        self.buckets = buckets
+        self.stats.buckets_rebuilt += sum(len(pieces) for pieces in replaced.values())
+
+    def _repack(self, pending: np.ndarray | None = None) -> None:
+        """Re-pack the store with spare rows after every bucket: O(n · rank).
+
+        Each bucket's slice gets room for its rows, the ``pending`` rows
+        about to be inserted into it, and :data:`SLACK_FRACTION` of both.
+        The cuts and :class:`Bucket` objects are kept (their rows only move)
+        unless the bucket count has drifted from a fresh greedy cut of the
+        current lengths by more than :data:`DRIFT_LIMIT`; then the fresh cut
+        replaces every bucket.
+        """
+        store = self.store
+        live = store.live_positions()
+        sizes = np.fromiter((bucket.size for bucket in self.buckets), dtype=np.intp,
+                            count=len(self.buckets))
+        fresh = greedy_boundaries(
+            store.lengths[live], store.rank, min_bucket_size=self.min_bucket_size,
+            max_bucket_size=self.max_bucket_size, length_ratio=self.length_ratio,
             cache_kib=self.cache_kib,
         )
-        buckets: list[Bucket] = []
-        kept: list[Bucket] = []
-        for index, (start, end) in enumerate(zip(boundaries[:-1], boundaries[1:])):
-            bucket = preserved.get((start, end))
-            if bucket is not None:
-                if bucket.index != index:
-                    # BLSH signatures are seeded per bucket ordinal; drop them
-                    # when the ordinal shifts so a later build matches a
-                    # fresh fit on the updated matrix.
-                    bucket.drop_index(BLSH_INDEX_KEY)
-                bucket.start, bucket.end, bucket.index = start, end, index
-                kept.append(bucket)
-                buckets.append(bucket)
-            else:
-                buckets.append(Bucket(self.store, start, end, index, epoch=self._epoch))
-        self.buckets = buckets
-        if self.tuning_cache.num_keys:
-            self.tuning_cache.prune({bucket.fingerprint() for bucket in kept})
+        recut = abs(sizes.size - (len(fresh) - 1)) > DRIFT_LIMIT * (len(fresh) - 1)
+        if recut:
+            sizes = np.diff(np.asarray(fresh, dtype=np.intp))
+        capacities = sizes.copy()
+        if pending is not None:
+            longest = store.lengths[live[np.cumsum(sizes) - sizes]]
+            targets = np.maximum(np.searchsorted(-longest, -pending, side="right") - 1, 0)
+            capacities += np.bincount(targets, minlength=sizes.size)
+        capacities += np.ceil(SLACK_FRACTION * capacities).astype(np.intp)
+        starts = np.cumsum(capacities) - capacities
+        store.repack(span_positions(starts, starts + sizes), live, int(capacities.sum()))
+        if recut:
+            self.buckets = [
+                Bucket(store, int(start), int(start + size), index, epoch=self._epoch)
+                for index, (start, size) in enumerate(zip(starts, sizes))
+            ]
+            self.stats.buckets_rebuilt += sizes.size
+            self.tuning_cache.clear()
+        else:
+            for bucket, start, size in zip(self.buckets, starts.tolist(), sizes.tolist()):
+                bucket.start, bucket.end = start, start + size
+        self.stats.store_repacks += 1
 
     def partial_fit(self, new_probes) -> "Lemp":
         """Insert new probe rows into the fitted index.
 
-        Each new probe is merged into the length-sorted store (an O(n + m)
-        sorted merge, not a re-sort), the greedy bucket boundaries are
-        recomputed over the merged lengths, and every bucket that received no
-        insertion keeps its cached per-bucket indexes.  The new rows get ids
-        ``size, size + 1, ...`` and the index becomes indistinguishable from a
-        fresh :meth:`fit` on the concatenated probe matrix — query results
-        match bit for bit.
+        The new rows get ids ``size, size + 1, ...``.  Each goes to the
+        bucket whose length range covers it (one binary search over the
+        buckets' longest rows) and is merged into that bucket's slice,
+        shifting rows inside the slice only; :meth:`_rebucketize` re-cuts
+        the changed buckets alone.  A write therefore costs the rows written
+        times the touched buckets' size, not O(n · rank).  When a slice has
+        no spare rows left — and on the first write to a freshly fitted or
+        loaded index — :meth:`_repack` re-packs the whole store once.
+
+        The layout may differ from a fresh :meth:`fit` on the concatenated
+        matrix, but the results do not: Row-Top-k is byte-identical to it,
+        and Above-θ returns the same pairs with the same score bits, in the
+        solver's walk order over this layout.  A 0-row write does nothing.
+        Mutations must not run while a query runs on the same retriever;
+        :class:`~repro.serve.engine.ServingEngine` serialises them.
         """
         if not self._fitted:
             return self.fit(new_probes)
+        batch = self.store.batch(new_probes)
+        if batch.size == 0:
+            return self
         self._epoch += 1
         with Timer() as timer:
-            positions = self.store.merge(new_probes)
-            # A bucket's content stays contiguous iff no insertion fell
-            # strictly inside it (an insert at position start lands just
-            # before the bucket; one at end lands just after it): count the
-            # inserts at or before each bucket's first and last position.
-            bounds = self._bucket_bounds()
-            before, inside = np.searchsorted(
-                positions, np.stack((bounds[:-1], bounds[1:] - 1)), side="right"
-            )
-            self._rebucketize(self._preserved_spans(bounds, before == inside, before))
+            if not self.buckets:
+                # An empty index takes the rows as a fresh fit would.
+                self.store = batch
+                self.buckets = bucketize(
+                    batch, min_bucket_size=self.min_bucket_size,
+                    max_bucket_size=self.max_bucket_size, length_ratio=self.length_ratio,
+                    cache_kib=self.cache_kib,
+                )
+                for bucket in self.buckets:
+                    bucket.epoch = self._epoch
+                self.stats.buckets_rebuilt += len(self.buckets)
+            else:
+                self._insert(batch)
         self.stats.preprocessing_seconds += timer.elapsed
         return self
+
+    def _insert(self, batch: VectorStore) -> None:
+        targets = self._targets(batch.lengths)
+        if self.store.packed or not self._has_room(targets):
+            self._repack(batch.lengths)
+            targets = self._targets(batch.lengths)
+        touched, counts = np.unique(targets, return_counts=True)
+        starts, ends = self._spans(touched)
+        old = span_positions(starts, ends)
+        old_lengths = self.store.lengths[old]
+        # The touched buckets' rows, concatenated, are sorted by decreasing
+        # length, and every row of a bucket before a new row's target is at
+        # least as long as it, every row after shorter: one search over the
+        # concatenation finds each new row's place in its own bucket.
+        at = np.searchsorted(-old_lengths, -batch.lengths, side="right")
+        self._rebucketize(
+            touched,
+            np.insert(old, at, self.store.capacity + np.arange(batch.size)),
+            np.insert(old_lengths, at, batch.lengths),
+            ends - starts + counts,
+            batch,
+        )
+        self.store.size += batch.size
 
     def remove(self, probe_ids) -> "Lemp":
         """Remove probe rows by original id from the fitted index.
 
-        Surviving probes are renumbered to consecutive ids in original row
-        order, the greedy boundaries are recomputed, and buckets that lost no
-        probes keep their cached indexes — again matching a fresh :meth:`fit`
-        on the reduced probe matrix bit for bit.
+        The rows are found with one dense mask over the ids, each changed
+        bucket closes its gap inside its own slice (:meth:`_rebucketize`),
+        and the survivors are renumbered to consecutive ids in original row
+        order by a prefix count over the removed ids.  Results carry the
+        same guarantee as :meth:`partial_fit`'s; removing no rows does
+        nothing.  The first write to a freshly fitted or loaded index
+        re-packs the store once, and so does a removal that leaves more
+        gap rows than live ones (amortised over the removed rows).
         """
         self._require_fitted()
         probe_ids = validate_probe_ids(probe_ids, self.store.size)
@@ -342,13 +485,25 @@ class Lemp(Retriever):
             return self
         self._epoch += 1
         with Timer() as timer:
-            positions = np.nonzero(np.isin(self.store.ids, probe_ids))[0]
-            # Removals before each bound; a bucket with none inside survives.
-            bounds = self._bucket_bounds()
-            removed = np.searchsorted(positions, bounds, side="left")
-            preserved = self._preserved_spans(bounds, removed[:-1] == removed[1:], -removed[:-1])
-            self.store.delete(positions)
-            self._rebucketize(preserved)
+            if self.store.packed:
+                self._repack()
+            store = self.store
+            # One slot past the last id: gap rows (id -1) read it as kept.
+            removed = np.zeros(store.size + 1, dtype=bool)
+            removed[probe_ids] = True
+            positions = np.flatnonzero(removed[store.ids])
+            owners = np.searchsorted(self._spans()[0], positions, side="right") - 1
+            touched, counts = np.unique(owners, return_counts=True)
+            starts, ends = self._spans(touched)
+            old = span_positions(starts, ends)
+            rows = old[~removed[store.ids[old]]]
+            self._rebucketize(touched, rows, store.lengths[rows], ends - starts - counts)
+            store.ids = renumber_ids(store.ids, removed[:-1])
+            store.size -= probe_ids.size
+            if 2 * store.size < store.capacity:
+                # Mostly gaps: re-pack, which also re-cuts buckets that
+                # removals have left too many and too small.
+                self._repack()
         self.stats.preprocessing_seconds += timer.elapsed
         return self
 
@@ -356,6 +511,11 @@ class Lemp(Retriever):
 
     def index_state(self) -> dict[str, np.ndarray]:
         """Export the fitted length-sorted store, bucket boundaries and epochs.
+
+        The live rows are exported compactly, in store order, with the cuts
+        and epochs kept: a reloaded index has the same buckets, the same
+        Above-θ walk order and the same tuning-cache fingerprints, and the
+        persisted format does not depend on the spare rows.
 
         With an active ``screen_dtype`` the compressed screening tier is
         exported too (building it now if no query has forced it yet), so a
@@ -365,21 +525,29 @@ class Lemp(Retriever):
         shared tier travels once under the ``screen_*`` keys.
         """
         self._require_fitted()
+        store = self.store
+        live = None if store.packed else store.live_positions()
+
+        def rows(array: np.ndarray) -> np.ndarray:
+            return array if live is None else array[live]
+
+        sizes = [bucket.size for bucket in self.buckets]
         state = {
-            "ids": self.store.ids,
-            "lengths": self.store.lengths,
-            "directions": self.store.directions,
-            "bounds": self._bucket_bounds(),
+            "ids": rows(store.ids),
+            "lengths": rows(store.lengths),
+            "directions": rows(store.directions),
+            "bounds": np.cumsum([0] + sizes).astype(np.intp),
             "bucket_epochs": np.asarray([bucket.epoch for bucket in self.buckets],
                                         dtype=np.int64),
             "epoch": np.asarray(self._epoch, dtype=np.int64),
         }
         if self.screen_dtype is not None:
-            state.update(self.store.screen_tier(self.screen_dtype).state_arrays())
+            state.update({key: rows(value) for key, value in
+                          store.screen_tier(self.screen_dtype).state_arrays().items()})
         if self.gen_dtype is not None and self.gen_dtype != self.screen_dtype:
-            gen_arrays = self.store.screen_tier(self.gen_dtype).state_arrays()
+            gen_arrays = store.screen_tier(self.gen_dtype).state_arrays()
             state.update({
-                "gen_" + key[len("screen_"):]: value
+                "gen_" + key[len("screen_"):]: rows(value)
                 for key, value in gen_arrays.items()
             })
         return state
@@ -687,7 +855,9 @@ class Lemp(Retriever):
             screen_dtype=self.screen_dtype,
             gen_dtype=self.gen_dtype,
         ).fit(queries)
-        probes = self.store.vectors()[np.argsort(self.store.ids)]
+        store = self.store
+        live = store.live_positions()
+        probes = (store.directions[live] * store.lengths[live, None])[np.argsort(store.ids[live])]
         result = swapped.row_top_k(probes, k)
         self.stats.merge(swapped.stats)
         return result
@@ -702,7 +872,13 @@ class Lemp(Retriever):
         if prepared.size == 0 or self.store is None or self.store.size == 0:
             return np.zeros(prepared.size)
         seed_count = min(self.store.size, max(_TOPK_TUNING_SEED_PROBES, k))
-        seed_vectors = self.store.vectors(0, seed_count)
+        seeds, taken = [], 0
+        for bucket in self.buckets:
+            if taken == seed_count:
+                break
+            seeds.append(bucket.vectors()[:seed_count - taken])
+            taken += seeds[-1].shape[0]
+        seed_vectors = np.concatenate(seeds)
         scores = prepared.directions @ seed_vectors.T
         effective_k = min(k, seed_count)
         partition = np.partition(-scores, effective_k - 1, axis=1)

@@ -129,8 +129,9 @@ class ScreenTier:
     be shared by concurrent worker views (the same contract
     as :class:`~repro.core.retrievers.base.BucketRetriever`).  The backing
     arrays may be read-only ``numpy.memmap`` views of a persisted index;
-    the incremental-update paths (:meth:`insert` / :meth:`delete`) build
-    patched copies in RAM, exactly like the store's own arrays.
+    the store's first write re-packs them into RAM with its own arrays.
+    Rows are addressed by store buffer position (a bucket's ``start`` plus
+    a bucket-local row), so gap rows are never read.
     """
 
     def __init__(self, dtype_name: str, data: np.ndarray,
@@ -139,8 +140,20 @@ class ScreenTier:
         self.data = data
         self.scale = scale
         self.offset = offset
-        self.size, self.rank = data.shape
-        self.bounds = _cosine_bounds(dtype_name, self.rank, scale, self.size)
+        self.rank = data.shape[1]
+        self.bounds = _cosine_bounds(dtype_name, self.rank, scale, data.shape[0])
+
+    @property
+    def size(self) -> int:
+        """Number of rows (the store's buffer rows, gaps included)."""
+        return int(self.data.shape[0])
+
+    @property
+    def row_fields(self) -> tuple[str, ...]:
+        """Row-aligned attributes the store moves with its own rows on a write."""
+        if self.dtype_name == "int8":
+            return ("data", "bounds", "scale", "offset")
+        return ("data", "bounds")
 
     # ------------------------------------------------------------------ build
 
@@ -148,8 +161,9 @@ class ScreenTier:
     def build(cls, directions: np.ndarray, dtype_name: str) -> "ScreenTier":
         """Quantize a (size, rank) f64 direction matrix.
 
-        Quantization is strictly row-local, so patching rows in or out
-        (:meth:`insert` / :meth:`delete`) reproduces a fresh build on the
+        Quantization and the error bounds are strictly row-local, so moving
+        rows with the store's (``VectorStore.merge`` / ``repack``) and
+        quantizing only inserted rows reproduces a fresh build on the
         updated matrix byte for byte.
         """
         name = validate_screen_dtype(dtype_name)
@@ -314,34 +328,6 @@ class ScreenTier:
         else:
             values = self.data[start:end]
         return values, self.element_bounds(start, end)
-
-    # ---------------------------------------------------------------- updates
-
-    def insert(self, positions: np.ndarray, new_directions: np.ndarray) -> None:
-        """Patch freshly merged store rows in, mirroring ``VectorStore.merge``.
-
-        ``positions`` are the pre-insertion positions the store computed;
-        the new rows are quantized row-locally, so the patched tier equals a
-        fresh :meth:`build` on the updated direction matrix byte for byte.
-        """
-        if self.dtype_name == "int8":
-            data, scale, offset = _quantize_int8(np.asarray(new_directions, np.float64))
-            self.scale = np.insert(self.scale, positions, scale)
-            self.offset = np.insert(self.offset, positions, offset)
-        else:
-            data = np.asarray(new_directions, np.float64).astype(_STORAGE[self.dtype_name])
-        self.data = np.ascontiguousarray(np.insert(self.data, positions, data, axis=0))
-        self.size = self.data.shape[0]
-        self.bounds = _cosine_bounds(self.dtype_name, self.rank, self.scale, self.size)
-
-    def delete(self, positions: np.ndarray) -> None:
-        """Drop store rows, mirroring ``VectorStore.delete``."""
-        self.data = np.ascontiguousarray(np.delete(self.data, positions, axis=0))
-        if self.dtype_name == "int8":
-            self.scale = np.delete(self.scale, positions)
-            self.offset = np.delete(self.offset, positions)
-        self.size = self.data.shape[0]
-        self.bounds = _cosine_bounds(self.dtype_name, self.rank, self.scale, self.size)
 
     # ------------------------------------------------------------- inspection
 

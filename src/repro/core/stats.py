@@ -39,6 +39,11 @@ class RunStats:
     screen_dropped: int = 0
     buckets_examined: int = 0
     buckets_pruned: int = 0
+    #: Buckets that ``partial_fit`` / ``remove`` created: changed buckets
+    #: and their split pieces (all of them after a fresh re-cut).
+    buckets_rebuilt: int = 0
+    #: Whole-store re-packs the index mutations ran (see ``VectorStore.repack``).
+    store_repacks: int = 0
     preprocessing_seconds: float = 0.0
     tuning_seconds: float = 0.0
     retrieval_seconds: float = 0.0
@@ -82,6 +87,8 @@ class RunStats:
         self.screen_dropped += other.screen_dropped
         self.buckets_examined += other.buckets_examined
         self.buckets_pruned += other.buckets_pruned
+        self.buckets_rebuilt += other.buckets_rebuilt
+        self.store_repacks += other.store_repacks
         self.preprocessing_seconds += other.preprocessing_seconds
         self.tuning_seconds += other.tuning_seconds
         self.retrieval_seconds += other.retrieval_seconds
@@ -104,6 +111,8 @@ class RunStats:
         self.screen_dropped = 0
         self.buckets_examined = 0
         self.buckets_pruned = 0
+        self.buckets_rebuilt = 0
+        self.store_repacks = 0
         self.preprocessing_seconds = 0.0
         self.tuning_seconds = 0.0
         self.retrieval_seconds = 0.0

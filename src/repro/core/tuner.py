@@ -193,12 +193,16 @@ def _tune(
     phi_grid = list(phi_grid)
     scan = SCAN_COSTS[coord_retriever.name]
 
-    for bucket in buckets:
+    # The local thresholds of every (bucket, sampled query) pair at once;
+    # buckets no sampled query reaches are skipped without a Python step.
+    longest = np.fromiter((bucket.max_length for bucket in buckets), dtype=np.float64,
+                          count=len(buckets))
+    all_theta_bs = _local_thresholds(sample_thetas, sample_norms, longest[:, None])
+    for number in np.flatnonzero((all_theta_bs <= 1.0).any(axis=1)).tolist():
+        bucket = buckets[number]
         # The sampled queries that are not pruned for this bucket.
-        theta_bs = _local_thresholds(sample_thetas, sample_norms, bucket.max_length)
+        theta_bs = all_theta_bs[number]
         active = np.nonzero(theta_bs <= 1.0)[0]
-        if active.size == 0:
-            continue
         positions = sample_positions[active]
         thetas, norms, theta_bs = sample_thetas[active], sample_norms[active], theta_bs[active]
 
@@ -254,9 +258,13 @@ def length_pair_costs(cutoffs: np.ndarray, rank: int) -> np.ndarray:
     return LENGTH_PAIR_S + cutoffs * per_row
 
 
-def _local_thresholds(thetas: np.ndarray, query_norms: np.ndarray, max_length: float) -> np.ndarray:
-    """:func:`~repro.core.thresholds.local_threshold` for per-query thresholds."""
+def _local_thresholds(thetas: np.ndarray, query_norms: np.ndarray, max_length) -> np.ndarray:
+    """:func:`~repro.core.thresholds.local_threshold` for per-query thresholds.
+
+    ``max_length`` may be a column of bucket lengths: the result then has
+    one row per bucket.
+    """
     denominators = query_norms * max_length
-    out = np.where(thetas > 0.0, np.inf, -np.inf)
+    out = np.where(thetas > 0.0, np.inf, -np.inf) + np.zeros_like(denominators)
     np.divide(thetas, denominators, out=out, where=denominators > 0.0)
     return out

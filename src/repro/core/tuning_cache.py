@@ -78,8 +78,8 @@ def fingerprint_content(lengths: np.ndarray, hashes: np.ndarray,
                         epoch: int) -> BucketFingerprint:
     """Fingerprint a bucket from its length and row-hash slices and creation epoch."""
     hasher = hashlib.blake2b(digest_size=16)
-    hasher.update(np.ascontiguousarray(lengths, dtype=np.float64).tobytes())
-    hasher.update(np.ascontiguousarray(hashes, dtype=np.uint64).tobytes())
+    hasher.update(np.ascontiguousarray(lengths, dtype=np.float64))
+    hasher.update(np.ascontiguousarray(hashes, dtype=np.uint64))
     return BucketFingerprint(int(epoch), int(lengths.shape[0]), hasher.hexdigest())
 
 
@@ -213,24 +213,20 @@ class TuningCache:
 
     # ------------------------------------------------------------- invalidation
 
-    def prune(self, live_fingerprints: set[BucketFingerprint]) -> None:
-        """Drop entries whose bucket no longer exists.
+    def discard(self, fingerprints: set[BucketFingerprint]) -> None:
+        """Drop the entries of buckets that no longer exist.
 
-        Called after ``partial_fit`` / ``remove`` re-bucketise the store with
-        the fingerprints of the preserved buckets, which keep their
-        (still-valid) entries.  Rebuilt buckets carry the just-bumped epoch,
-        so no entry can match them; entries of the buckets they replaced are
-        garbage-collected here.
+        ``partial_fit`` / ``remove`` call it with the fingerprints of the
+        buckets they replaced, so the cost is the replaced buckets times the
+        cached keys.  Untouched buckets keep their (still valid) entries;
+        the replacements carry the just-bumped epoch, so no entry can match
+        them.
         """
         for key in list(self._entries):
-            kept = {
-                fingerprint: entry
-                for fingerprint, entry in self._entries[key].items()
-                if fingerprint in live_fingerprints
-            }
-            if kept:
-                self._entries[key] = kept
-            else:
+            entries = self._entries[key]
+            for fingerprint in fingerprints:
+                entries.pop(fingerprint, None)
+            if not entries:
                 del self._entries[key]
 
     def clear(self) -> None:

@@ -52,6 +52,25 @@ def row_hashes(directions: np.ndarray) -> np.ndarray:
     return _splitmix64(bits @ _row_hash_weights(bits.shape[1]))
 
 
+def renumber_ids(ids: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """Ids after removing the ids flagged in ``removed`` (a mask over the old ids).
+
+    Each survivor's new id is its old id minus the number of removed ids
+    below it, one prefix count over the mask.  An id of ``-1`` (a gap row of
+    the store) stays ``-1``.
+    """
+    below = np.zeros(removed.size + 1, dtype=np.intp)
+    np.cumsum(removed, out=below[:-1])
+    return ids - below[ids]
+
+
+def span_positions(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The positions of the half-open spans ``[starts[i], ends[i])``, concatenated."""
+    sizes = np.asarray(ends, dtype=np.intp) - starts
+    offsets = np.asarray(starts, dtype=np.intp) - (np.cumsum(sizes) - sizes)
+    return np.repeat(offsets, sizes) + np.arange(int(sizes.sum()), dtype=np.intp)
+
+
 class VectorStore:
     """Vectors stored as (length, direction) pairs sorted by decreasing length.
 
@@ -64,12 +83,25 @@ class VectorStore:
     Attributes
     ----------
     lengths:
-        ``(num_vectors,)`` Euclidean norms, sorted in decreasing order.
+        ``(capacity,)`` Euclidean norms, sorted in decreasing order over the
+        live rows.
     directions:
-        ``(num_vectors, rank)`` unit vectors in the same order.  Zero vectors
+        ``(capacity, rank)`` unit vectors in the same order.  Zero vectors
         keep an all-zero direction.
     ids:
-        ``(num_vectors,)`` original row index of each stored vector.
+        ``(capacity,)`` original row index of each stored vector; ``-1``
+        marks a gap row.
+    size:
+        Number of live rows.
+
+    A store built by the constructor or :meth:`from_state` is *packed*: its
+    buffers hold exactly the ``size`` live rows.  The first index mutation
+    :meth:`repack`-s it into buffers with spare rows after each bucket's
+    slice, so later writes shift rows inside one slice only (see
+    :meth:`repro.core.lemp.Lemp.partial_fit`).  Buffer order is always
+    bucket order, so the live rows, read in buffer order, are sorted by
+    decreasing length.  Gap rows hold arbitrary values and id ``-1``; only
+    :meth:`live_positions` and per-bucket views read the buffers.
     """
 
     def __init__(self, vectors) -> None:
@@ -85,6 +117,7 @@ class VectorStore:
         self.directions = np.ascontiguousarray(sorted_vectors / safe_lengths[:, None])
         self.rank = matrix.shape[1]
         self.size = matrix.shape[0]
+        self.packed = True
         #: Lazily built compressed copies of :attr:`directions`, keyed by
         #: screen dtype name (see :mod:`repro.core.screening`).
         self._screen_tiers: dict[str, ScreenTier] = {}
@@ -99,17 +132,30 @@ class VectorStore:
         store.lengths = np.ascontiguousarray(np.asarray(lengths, dtype=np.float64))
         store.directions = np.ascontiguousarray(np.asarray(directions, dtype=np.float64))
         store.size, store.rank = store.directions.shape
+        store.packed = True
         store._screen_tiers = {}
         store._row_hashes = None
         return store
 
+    @property
+    def capacity(self) -> int:
+        """Number of buffer rows, gaps included."""
+        return int(self.lengths.shape[0])
+
+    def live_positions(self) -> np.ndarray:
+        """Buffer positions of the live rows, in (decreasing-length) store order."""
+        if self.packed:
+            return np.arange(self.size, dtype=np.intp)
+        return np.flatnonzero(self.ids >= 0)
+
     def content_hashes(self) -> np.ndarray:
-        """Per-row 128-bit hashes of :attr:`directions` (``(size, 2) uint64``).
+        """Per-row 128-bit hashes of :attr:`directions` (``(capacity, 2) uint64``).
 
         Bucket fingerprints digest these instead of the direction bytes (see
-        :func:`row_hashes`).  Built on first use;
-        :meth:`merge` hashes only the inserted rows and :meth:`delete` hashes
-        none, so the cached array always equals a fresh build.  Like the
+        :func:`row_hashes`).  Built on first use over every buffer row (gap
+        rows too, which no fingerprint reads); :meth:`merge` hashes only the
+        inserted rows and moves the others with their rows, so the cached
+        array always equals :func:`row_hashes` of the buffer.  Like the
         screening tiers, a racing double-build is deterministic and
         idempotent.
         """
@@ -124,12 +170,13 @@ class VectorStore:
     def screen_tier(self, dtype_name: str) -> ScreenTier:
         """The compressed screening copy of :attr:`directions` for a dtype.
 
-        Built on first use and cached; incremental updates (:meth:`merge` /
-        :meth:`delete`) patch every built tier in sync with the store, so a
-        cached tier always equals a fresh build on the current directions.
-        A racing double-build under concurrent worker views is deterministic
-        and idempotent (quantization is a pure per-row function), matching
-        the lazy per-bucket index contract.
+        Built on first use (over every buffer row) and cached; incremental
+        updates (:meth:`merge` / :meth:`repack`) move its rows with the
+        store's and quantize only inserted rows, so a cached tier always
+        equals a fresh build on the current buffer.  A racing double-build
+        under concurrent worker views is deterministic and idempotent
+        (quantization is a pure per-row function), matching the lazy
+        per-bucket index contract.
         """
         name = validate_screen_dtype(dtype_name)
         tier = self._screen_tiers.get(name)
@@ -147,77 +194,97 @@ class VectorStore:
 
     # --------------------------------------------------------------- updates
 
-    def merge(self, vectors) -> np.ndarray:
-        """Insert new vectors into the length-sorted arrays.
+    def batch(self, vectors) -> "VectorStore":
+        """New rows prepared for :meth:`merge`: a store of their own.
 
-        The new rows receive ids ``size, size + 1, ...`` so the store is
-        indistinguishable from one built on the concatenated matrix (ties in
-        length placed after existing equal-length vectors, matching the stable
-        sort of :meth:`__init__`).
-
-        Returns the *pre-insertion* positions (into the old arrays, sorted
-        ascending) at which the new vectors were placed, so callers that slice
-        the store (buckets) can shift their boundaries.
+        The rows are sorted and normalised exactly as :meth:`__init__` does,
+        and receive ids ``size, size + 1, ...`` in input order.
         """
         matrix = as_float_matrix(vectors, "vectors")
         if matrix.shape[1] != self.rank:
             raise DimensionMismatchError(
                 f"new vectors must have rank {self.rank}, got {matrix.shape[1]}"
             )
-        new_lengths = np.linalg.norm(matrix, axis=1)
-        # Order the batch by decreasing length (stable: ties keep row order),
-        # then find where each lands in the existing descending array.  Using
-        # side="right" on the negated (ascending) lengths places new vectors
-        # after existing equal-length ones, as a fresh stable sort would.
-        batch_order = np.argsort(-new_lengths, kind="stable")
-        sorted_new_lengths = new_lengths[batch_order]
-        positions = np.searchsorted(-self.lengths, -sorted_new_lengths, side="right")
+        batch = VectorStore(matrix)
+        batch.ids += self.size
+        return batch
 
-        safe = np.where(sorted_new_lengths > 0.0, sorted_new_lengths, 1.0)
-        new_directions = matrix[batch_order] / safe[:, None]
-        new_ids = self.size + batch_order
-
-        self.lengths = np.insert(self.lengths, positions, sorted_new_lengths)
-        self.directions = np.ascontiguousarray(
-            np.insert(self.directions, positions, new_directions, axis=0)
-        )
-        self.ids = np.insert(self.ids, positions, new_ids)
-        self.size = self.lengths.shape[0]
-        for tier in self._screen_tiers.values():
-            tier.insert(positions, new_directions)
+    def _row_fields(self) -> list[tuple[object, str]]:
+        """``(holder, attribute)`` of every row-aligned array, tiers included."""
+        fields = [(self, "lengths"), (self, "directions"), (self, "ids")]
         if self._row_hashes is not None:
-            self._row_hashes = np.insert(
-                self._row_hashes, positions, row_hashes(new_directions), axis=0
-            )
-        return positions
+            fields.append((self, "_row_hashes"))
+        for tier in self._screen_tiers.values():
+            fields.extend((tier, name) for name in tier.row_fields)
+        return fields
 
-    def delete(self, positions) -> None:
-        """Remove the vectors at the given sorted-array positions.
+    def merge(self, positions, sources, batch: "VectorStore | None" = None,
+              vacated=None) -> None:
+        """Write row ``sources[i]`` to buffer row ``positions[i]``, in place.
 
-        The surviving vectors are renumbered to consecutive ids in original
-        row order, matching a fresh build on the reduced matrix.
+        A source below :attr:`capacity` names a current buffer row;
+        ``capacity + j`` names row ``j`` of ``batch`` (from :meth:`batch`).
+        Every row-aligned array moves together, so the cost is the rows
+        written times the rank: LEMP writes only the slices of the buckets
+        a write touches.
+        ``vacated`` positions become gap rows (id ``-1``).  The caller keeps
+        :attr:`size` up to date.
         """
+        self._write(positions, sources, batch, None)
+        if vacated is not None:
+            self.ids[vacated] = -1
+
+    def repack(self, positions, sources, capacity: int) -> None:
+        """Move row ``sources[i]`` to row ``positions[i]`` of fresh buffers.
+
+        The new buffers have ``capacity`` rows; rows not written are gaps.
+        This is the O(n) step LEMP amortises over many writes (and runs
+        before the first write on a packed store, whose buffers may be
+        read-only memory maps).
+        """
+        self._write(positions, sources, None, int(capacity))
+        self.packed = False
+
+    def _write(self, positions, sources, batch, capacity) -> None:
         positions = np.asarray(positions, dtype=np.intp)
-        removed = np.sort(self.ids[positions])
-        self.lengths = np.delete(self.lengths, positions)
-        self.directions = np.ascontiguousarray(np.delete(self.directions, positions, axis=0))
-        remaining = np.delete(self.ids, positions)
-        # Each survivor's new id is its old id minus the removed ids below it.
-        self.ids = remaining - np.searchsorted(removed, remaining)
-        self.size = self.lengths.shape[0]
-        for tier in self._screen_tiers.values():
-            tier.delete(positions)
-        if self._row_hashes is not None:
-            self._row_hashes = np.delete(self._row_hashes, positions, axis=0)
+        sources = np.asarray(sources, dtype=np.intp)
+        if capacity is None:
+            # Rows already in place (before an insert point, say) stay put.
+            moved = sources != positions
+            positions, sources = positions[moved], sources[moved]
+        new = sources >= self.capacity
+        old_positions, old_sources = positions[~new], sources[~new]
+        new_positions, new_sources = positions[new], sources[new] - self.capacity
+        extra = None
+        if batch is not None:
+            # The batch carries the row hashes and tiers this store has built.
+            if self._row_hashes is not None:
+                batch.content_hashes()
+            for name in self._screen_tiers:
+                batch.screen_tier(name)
+            extra = batch._row_fields()
+        for number, (holder, name) in enumerate(self._row_fields()):
+            array = getattr(holder, name)
+            # The right-hand side is gathered before any row is written.
+            values = array[old_sources]
+            if capacity is not None:
+                shape = (capacity,) + array.shape[1:]
+                array = (np.full(shape, -1, dtype=array.dtype) if name == "ids"
+                         else np.zeros(shape, dtype=array.dtype))
+                setattr(holder, name, array)
+            array[old_positions] = values
+            if new_sources.size:
+                other, other_name = extra[number]
+                array[new_positions] = getattr(other, other_name)[new_sources]
 
     def vector(self, position: int) -> np.ndarray:
         """Reconstruct the original (unnormalised) vector stored at ``position``."""
         return self.directions[position] * self.lengths[position]
 
     def vectors(self, start: int = 0, end: int | None = None) -> np.ndarray:
-        """Reconstruct the original vectors for positions ``[start, end)``."""
+        """Reconstruct the original vectors for buffer positions ``[start, end)``."""
         if end is None:
-            end = self.size
+            end = self.capacity
         return self.directions[start:end] * self.lengths[start:end, None]
 
 

@@ -70,7 +70,6 @@ class L2APIndex:
             raise ValueError("directions must be 2-D (size, rank)")
         self.size, self.rank = directions.shape
         self.base_threshold = float(np.clip(base_threshold, 0.0, 1.0))
-        self.directions = directions
         if element_bounds is None:
             self.element_bounds: np.ndarray | None = None
         else:
@@ -128,11 +127,7 @@ class L2APIndex:
         return int(sum(lids.size for lids in self._list_lids))
 
     def memory_bytes(self) -> int:
-        """Resident footprint of the inverted lists and per-row filter arrays.
-
-        The ``directions`` reference is not counted: it is a view of the
-        store (or of a compressed tier slice), not owned by the index.
-        """
+        """Resident footprint of the inverted lists and per-row filter arrays."""
         total = sum(
             int(lids.nbytes + values.nbytes)
             for lids, values in zip(self._list_lids, self._list_values)

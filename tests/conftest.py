@@ -94,3 +94,33 @@ def brute_force_top_k(queries, probes, k):
         order = np.argsort(-row, kind="stable")[:k]
         out.append(set(order.tolist()))
     return out, product
+
+
+def assert_layout_invariants(lemp):
+    """The bucket layout invariants every ``partial_fit`` / ``remove`` keeps.
+
+    Buckets occupy disjoint, ascending slices of the store and are numbered
+    in that order; none is empty or larger than its slack bound; the live
+    rows, read bucket by bucket, have non-increasing lengths and are exactly
+    the store's ``size`` live rows (every other buffer row is a gap, id -1).
+    """
+    from repro.core.bucketize import size_bound, slack_bound
+
+    store, buckets = lemp.store, lemp.buckets
+    loose = slack_bound(size_bound(store.rank, lemp.max_bucket_size, lemp.cache_kib))
+    previous_end = 0
+    for ordinal, bucket in enumerate(buckets):
+        assert bucket.index == ordinal
+        assert bucket.start >= previous_end
+        assert bucket.size >= 1
+        assert loose is None or bucket.size <= loose
+        previous_end = bucket.end
+    assert previous_end <= store.capacity
+    sizes = [bucket.size for bucket in buckets]
+    assert sum(sizes) == store.size
+    if buckets:
+        lengths = np.concatenate([bucket.lengths for bucket in buckets])
+        assert np.all(np.diff(lengths) <= 0.0)
+        ids = np.concatenate([bucket.ids for bucket in buckets])
+        assert np.array_equal(np.sort(ids), np.arange(store.size))
+    assert int(np.count_nonzero(store.ids >= 0)) == store.size

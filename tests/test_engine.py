@@ -22,7 +22,12 @@ from repro.exceptions import (
     UnknownAlgorithmError,
     UnsupportedOperationError,
 )
-from tests.conftest import make_factors, pick_theta
+from tests.conftest import (
+    assert_layout_invariants,
+    brute_force_above,
+    make_factors,
+    pick_theta,
+)
 
 #: Specs with a full Retriever interface (fit / above_theta / row_top_k).
 FULL_SPECS = [spec for spec in available_specs() if spec != "clustered"]
@@ -499,11 +504,12 @@ class TestIncrementalUpdates:
         extra = make_factors(40, rank=10, length_cov=1.0, seed=99)
         incremental = Lemp(algorithm=algorithm, seed=0).fit(probes).partial_fit(extra)
         fresh = Lemp(algorithm=algorithm, seed=0).fit(np.vstack([probes, extra]))
-        assert [(b.start, b.end) for b in incremental.buckets] == \
-            [(b.start, b.end) for b in fresh.buckets]
+        # The layout may differ from the fresh fit's; its invariants may not.
+        assert_layout_invariants(incremental)
         theta = pick_theta(queries, np.vstack([probes, extra]), 90)
-        assert incremental.above_theta(queries, theta).to_set() == \
-            fresh.above_theta(queries, theta).to_set()
+        above = incremental.above_theta(queries, theta)
+        assert above.to_set() == fresh.above_theta(queries, theta).to_set()
+        assert above.to_set() == brute_force_above(queries, np.vstack([probes, extra]), theta)
         top_inc = incremental.row_top_k(queries, 5)
         top_fresh = fresh.row_top_k(queries, 5)
         assert np.array_equal(top_inc.indices, top_fresh.indices)
@@ -521,17 +527,26 @@ class TestIncrementalUpdates:
         assert np.array_equal(top_inc.scores, top_fresh.scores)
 
     def test_lemp_untouched_buckets_keep_caches(self, workload):
-        queries, probes, _ = workload
-        lemp = Lemp(algorithm="LI", seed=0).fit(probes)
+        queries, probes, naive = workload
+        lemp = Lemp(algorithm="I", seed=0).fit(probes)
         lemp.row_top_k(queries, 3)  # builds sorted lists lazily
-        before = {id(b) for b in lemp.buckets}
-        # A vector shorter than everything else lands at the end of the sorted
-        # store, so only the last bucket changes; every earlier bucket (and
-        # its lazily built sorted lists) must be reused in place.
+        before = {id(b): b for b in lemp.buckets}
+        rebuilt = lemp.stats.buckets_rebuilt
+        # A vector shorter than everything else joins the last bucket, so
+        # only that bucket (and a piece it may split into) is rebuilt;
+        # every other bucket, with its sorted lists, is reused in place.
         tiny = np.full((1, probes.shape[1]), 1e-6)
         lemp.partial_fit(tiny)
-        reused = sum(1 for b in lemp.buckets if id(b) in before)
-        assert reused >= len(lemp.buckets) - 2
+        assert_layout_invariants(lemp)
+        new = [b for b in lemp.buckets if id(b) not in before]
+        assert lemp.stats.buckets_rebuilt - rebuilt == len(new) <= 2
+        assert all(b is lemp.buckets[-1] or b in new or b.sorted_lists_built
+                   for b in lemp.buckets)
+        assert len(lemp.buckets) - len(new) == len(before) - 1
+        reference = NaiveRetriever().fit(np.vstack([probes, tiny])).row_top_k(queries, 3)
+        result = lemp.row_top_k(queries, 3)
+        assert np.array_equal(result.indices, reference.indices)
+        assert np.allclose(result.scores, reference.scores)
 
     def test_naive_incremental_matches_fresh(self, workload):
         queries, probes, _ = workload

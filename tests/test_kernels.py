@@ -359,8 +359,12 @@ class TestEngineGuaranteesUnderBlockedKernel:
         with use_kernel(kernel):
             incremental = Lemp(algorithm="LI", seed=0).fit(probes[:700])
             incremental.partial_fit(probes[700:])
-            updated = incremental.above_theta(queries, 0.9)
-            fresh = Lemp(algorithm="LI", seed=0).fit(probes).above_theta(queries, 0.9)
+            # The layout after a write may differ from a fresh fit's, and
+            # Above-θ emits pairs in the walk order over the layout: the
+            # pairs and their score bits must match, compared sorted.
+            updated = incremental.above_theta(queries, 0.9).sorted_by_score()
+            fresh = Lemp(algorithm="LI", seed=0).fit(probes).above_theta(
+                queries, 0.9).sorted_by_score()
         np.testing.assert_array_equal(updated.query_ids, fresh.query_ids)
         np.testing.assert_array_equal(updated.probe_ids, fresh.probe_ids)
         np.testing.assert_array_equal(updated.scores, fresh.scores)

@@ -23,7 +23,12 @@ from repro.core.tuner import TuningResult
 from repro.core.tuning_cache import BucketFingerprint, BucketTuning, TuningCache
 from repro.core.vector_store import VectorStore, row_hashes
 
-from tests.conftest import brute_force_above, make_factors, pick_theta
+from tests.conftest import (
+    assert_layout_invariants,
+    brute_force_above,
+    make_factors,
+    pick_theta,
+)
 
 
 @pytest.fixture
@@ -110,7 +115,7 @@ class TestTuningCacheUnit:
         key = ("above_theta", 1.0, 0)
         cache.store(key, buckets, TuningResult())
         survivors = buckets[: len(buckets) // 2]
-        cache.prune({bucket.fingerprint() for bucket in survivors})
+        cache.discard({bucket.fingerprint() for bucket in buckets[len(buckets) // 2:]})
         cached, stale = cache.lookup(key, buckets)
         assert set(cached) == {bucket.index for bucket in survivors}
         assert stale == buckets[len(buckets) // 2:]
@@ -217,19 +222,25 @@ class TestInvalidation:
         total = retriever.num_buckets
         assert calls == [total]
 
-        # A probe shorter than everything indexed lands in a fresh bucket at
-        # the end of the store; every existing bucket is preserved.
+        # A probe shorter than everything indexed joins the last bucket;
+        # only that bucket and the pieces it splits into are rebuilt, and
+        # exactly those are re-tuned.
         shortest = float(retriever.store.lengths[-1])
         tiny = make_factors(1, rank=probes.shape[1], length_cov=0.1, seed=77)
         tiny *= 0.5 * shortest / np.linalg.norm(tiny)
         retriever.partial_fit(tiny)
+        assert_layout_invariants(retriever)
 
-        retriever.row_top_k(queries, 5)
+        result = retriever.row_top_k(queries, 5)
         assert len(calls) == 2
-        assert calls[1] < total, "only the changed buckets may be re-tuned"
+        assert calls[1] == retriever.stats.buckets_rebuilt <= 2, \
+            "only the changed buckets may be re-tuned"
 
         retriever.row_top_k(queries, 5)
         assert len(calls) == 2, "after re-tuning, the call is fully warm again"
+        reference = self.lemp(np.vstack([probes, tiny])).row_top_k(queries, 5)
+        assert np.array_equal(result.indices, reference.indices)
+        assert np.array_equal(result.scores, reference.scores)
 
     def test_remove_invalidates_and_results_stay_exact(self, monkeypatch, factors):
         queries, probes = factors
@@ -237,8 +248,10 @@ class TestInvalidation:
         retriever = self.lemp(probes)
         retriever.row_top_k(queries, 5)
         retriever.remove(np.arange(25))
+        assert_layout_invariants(retriever)
         result = retriever.row_top_k(queries, 5)
         assert len(calls) == 2, "removal must invalidate the touched buckets"
+        assert 0 < calls[1] == retriever.stats.buckets_rebuilt < retriever.num_buckets
 
         fresh = self.lemp(np.delete(probes, np.arange(25), axis=0))
         reference = fresh.row_top_k(queries, 5)
