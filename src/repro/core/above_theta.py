@@ -5,7 +5,7 @@ cache-friendly order of the paper).  A bucket that no query of the call can
 reach is skipped outright.  Otherwise the local thresholds of *all* queries
 are computed in one vectorised step, whole-bucket pruning is a single
 comparison, and the surviving queries are split between LENGTH — whose
-pairs are screened together by one block product and verified by one
+pairs are screened together by one f32 block product and verified by one
 grouped kernel call per query block, see
 :func:`~repro.core.retrievers.length.score_length_pairs` — and the
 coordinate retrievers, which run pair by pair.
@@ -86,7 +86,7 @@ def solve_above_theta(
         if length_positions.size:
             norms = queries.norms[length_positions]
             for pairs, candidates, cosines in score_length_pairs(
-                    bucket, queries.directions, length_positions, norms,
+                    bucket, queries, length_positions, norms,
                     np.full(norms.size, theta), np.full(norms.size, cutoff), stats, screen,
                     gather_matvec):
                 found_positions.append(length_positions[pairs])

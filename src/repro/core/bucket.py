@@ -5,8 +5,9 @@ matrix (Fig. 2 / Fig. 4a).  Buckets expose views on the lengths, directions and
 original identifiers of their probes and *lazily* build the auxiliary indexes
 used by the different retrieval algorithms (sorted lists for COORD/INCR/TA, a
 cover tree for LEMP-Tree, an L2AP index and LSH signatures for LEMP-L2AP /
-LEMP-BLSH).  Lazy construction mirrors the paper: buckets that are always
-pruned never pay any indexing cost.
+LEMP-BLSH) and the f32 rows of the LENGTH block screen.  Lazy construction
+mirrors the paper: buckets that are always pruned never pay any indexing
+cost.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class Bucket:
         self.index = index
         self.epoch = epoch
         self._sorted_lists: SortedListIndex | None = None
+        self._screen_rows: tuple[np.ndarray, int] | None = None
         self._extra_indexes: dict[str, object] = {}
         self._fingerprint: BucketFingerprint | None = None
 
@@ -123,6 +125,25 @@ class Bucket:
         if self._sorted_lists is None:
             self._sorted_lists = SortedListIndex(self.directions)
         return self._sorted_lists
+
+    def screen_rows(self) -> tuple[np.ndarray, int]:
+        """The LENGTH block screen's f32 rows and their scale exponent ``E``, built once.
+
+        Row ``i`` is ``directions[i] · lengths[i] · 2⁻ᴱ`` rounded once to
+        float32, where ``E`` is the exponent of ``l_b`` (``l_b = m·2ᴱ`` with
+        ``m ∈ [0.5, 1)``, ``E = 0`` for a zero-length bucket), so every
+        scaled length is below 1 and none can overflow float32 (see
+        :func:`~repro.core.kernels.screen_slack`).  Bucket content never
+        changes in place, so the copy lives as long as the bucket: ``4·r``
+        bytes per row.
+        """
+        if self._screen_rows is None:
+            exponent = int(np.frexp(self.max_length)[1])
+            scaled = np.ldexp(self.lengths, -exponent)
+            rows = np.empty((self.size, self.store.rank), dtype=np.float32)
+            np.multiply(self.directions, scaled[:, None], out=rows)
+            self._screen_rows = rows, exponent
+        return self._screen_rows
 
     def gen_sorted_lists(self, tier) -> SortedListIndex:
         """Sorted lists built over a compressed tier's values, lazily.

@@ -47,6 +47,7 @@ or the :func:`use_kernel` context manager.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from contextlib import contextmanager
@@ -411,43 +412,75 @@ def _blocked_matvec(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- block screen
 
 
-#: Unit roundoff of float64 arithmetic.
+#: Unit roundoff of float64 and of float32 arithmetic.
 _F64_EPS = 2.0**-53
+_F32_EPS = 2.0**-24
+
+#: Every underflow effect of the screen, scaled units (see :func:`screen_slack`).
+_UNDERFLOW_SLACK = 2.0**-64
 
 
-def _gamma(n: int) -> float:
-    """Higham's ``γ_n = n·u / (1 − n·u)`` for float64."""
-    nu = n * _F64_EPS
-    return nu / (1.0 - nu)
+def _gamma(n: int, unit: float) -> float:
+    """Higham's ``γ_n = n·u / (1 − n·u)`` for unit roundoff ``unit``."""
+    nu = n * unit
+    return nu / (1.0 - nu) if nu < 1.0 else np.inf
 
 
-def screen_bound(rank: int) -> float:
-    """Cosine margin that lets a BLAS block product screen for this kernel.
+@functools.lru_cache(maxsize=None)
+def screen_slack(rank: int) -> float:
+    """Margin of the float32 block screen, in units of the bucket's scale.
 
-    The bucket-major solvers score a bucket's LENGTH candidates for many
-    queries at once with one matrix product, whose summation order differs
-    from :func:`gather_matvec`'s and depends on the block shape.  A row
-    survives that screen only if its block score reaches the threshold minus
-    this margin (scaled by the row's score factor); survivors are re-scored
-    with :func:`gather_matvec`, so every reported score keeps the kernel's
-    bits.  The margin must therefore cover, for every row that the exact
-    kernel would keep, the gap between the two evaluations:
+    The bucket-major solvers screen a bucket's LENGTH pairs with one f32
+    product ``Q32 @ R32ᵀ`` per query block (``retrievers/length.py``):
+    ``Q32`` holds the query directions ``q`` rounded to f32, and ``R32`` the
+    rows ``s·l_p·p`` rounded to f32, where ``p`` is the probe direction,
+    ``l_p`` its length and ``s = 2⁻ᴱ`` the bucket's power of two with
+    ``s·l_b ∈ [0.5, 1)`` (so ``s·l_p ≤ 1`` for every row).  A pair with
+    keep-threshold ``T`` and query norm ``n`` keeps a row if its product
+    entry ``z`` reaches ``RD32(clip(T / w, −2, 2) − slack)``, with ``w =
+    n·2ᴱ`` and ``RD32`` rounding toward −∞.  Survivors are re-scored with
+    :func:`gather_matvec` in f64, so the screen only has to keep every row
+    the exact keep test ``fl(c·fl(n·l_p)) ≥ T`` would keep (``c`` the
+    kernel's cosine; Row-Top-k has ``n = 1``).  With ``u = 2⁻⁵³``, ``v =
+    2⁻²⁴`` and ``N = 1 + γ_{r+3}(u)`` bounding the norm of a direction
+    normalised in f64, the distance from ``z`` down to that test is:
 
-    * Any summation order of an ``r``-term dot product ``x·y`` — with or
-      without fused multiply-adds — lies within ``γ_r·Σ|x_i·y_i| ≤
-      γ_r·‖x‖·‖y‖`` of the exact value (Higham, *Accuracy and Stability of
-      Numerical Algorithms*, §3.1), so two orders differ by at most
-      ``2γ_r·‖x‖·‖y‖``.
-    * Query and probe directions are normalised in float64, so their norms
-      are at most ``1 + γ_{r+3}`` (sum of squares, square root, division).
-    * The solvers rescale a cosine by a length and a query norm and add the
-      margin before comparing with the threshold: at most five further
-      roundings, each within ``u`` of a quantity no larger than the row's
-      score factor.  ``8u`` covers them.
+    * **The f64 kernel.**  Any summation order of an ``r``-term dot product
+      — with or without fused multiply-adds — is within ``γ_r·Σ|x_i·y_i|
+      ≤ γ_r·‖x‖·‖y‖`` of the exact value (Higham, *Accuracy and Stability
+      of Numerical Algorithms*, §3.1), so ``c`` is within ``γ_r(u)·N²`` of
+      the exact ``p·q``; times ``s·l_p ≤ 1``.
+    * **f32 rounding of rows and queries.**  ``R32`` entries are the f64
+      product ``p_i·(s·l_p)`` rounded once to f32 (``s`` is a power of two,
+      so the scaling is exact), within ``v + 1.01u`` relative; ``Q32``
+      entries within ``v``.  Their products are within ``2.01v`` of
+      ``s·l_p·p_i·q_i``, and the sum of the magnitudes is at most ``N²``.
+    * **Any sgemm order, FMA included.**  The f32 sum is within
+      ``γ_r(v)·Σ|a_i·b_i| ≤ γ_r(v)·(1 + 2.1v)·N²`` of the exact sum of the
+      rounded products, by the same theorem in f32.
+    * **The θ/‖q‖ division and the threshold's own arithmetic.**  The keep
+      test rounds ``n·l_p`` and ``c·(n·l_p)`` (two relative errors ``u``);
+      ``T / w`` is one more rounding, as is subtracting the slack; ``w`` is
+      exact (a power-of-two scaling of ``n``).  After clipping, ``|T / w|
+      ≤ 2``, so ``16u`` covers all of them.  Clipping is safe: the scaled
+      score ``s·c·l_p`` is at most ``N²(1 + γ_r(u)) < 2``, so a pair with
+      ``T / w > 2`` keeps no row, and one with ``T / w < −2`` every row.
+    * **Subnormals.**  Underflow adds absolute errors only: below ``2⁻¹⁰⁷⁴
+      / w`` per f64 rounding (the screen requires ``w ≥ 2⁻¹⁰⁰⁰``, see
+      :func:`~repro.core.retrievers.length.screen_thresholds`) and below
+      ``2⁻¹²⁶`` per f32 input, product or sum (which also covers a BLAS
+      that flushes subnormals to zero) — under ``5r·2⁻¹²⁶ + 2⁻⁷²`` in all,
+      so ``2⁻⁶⁴`` covers them for ``r < 2⁴⁰``.
+
+    Hence ``screen_slack(r) = N²·(2.01v + (1 + 2.1v)·γ_r(v) + γ_r(u)) + 16u
+    + 2⁻⁶⁴`` — about ``3.1·10⁻⁶`` at rank 50.  Rounding the threshold
+    toward −∞ keeps the bound a lower bound in f32.
     """
     rank = max(int(rank), 1)
-    norm = 1.0 + _gamma(rank + 3)
-    return 2.0 * _gamma(rank) * norm * norm + 8.0 * _F64_EPS
+    norm = 1.0 + _gamma(rank + 3, _F64_EPS)
+    products = 2.01 * _F32_EPS + (1.0 + 2.1 * _F32_EPS) * _gamma(rank, _F32_EPS)
+    return (norm * norm * (products + _gamma(rank, _F64_EPS))
+            + 16.0 * _F64_EPS + _UNDERFLOW_SLACK)
 
 
 def _remainder_block(align: int, rank: int, dtype: np.dtype) -> np.ndarray:

@@ -13,29 +13,45 @@ them with one BLAS block product per bounded query block and keeps only the
 rows that can still reach their pair's threshold, and only those survivors
 are re-scored by the exact kernel — one grouped call per query block.
 
+The screen is conservative and runs in float32: each bucket keeps a lazily
+built f32 copy of its rows scaled by their lengths and a power of two
+(:meth:`~repro.core.bucket.Bucket.screen_rows`), the query block is
+rounded to f32, and each pair's threshold is lowered by the derived
+rounding slack :func:`~repro.core.kernels.screen_slack` and rounded toward
+−∞ (:func:`screen_thresholds`).  So the block costs one sgemm and one
+compare, and every row the exact f64 test would keep survives it.
+
 The block product spans the longest prefix in the block, so a threshold
 test over the whole block is the last step that touches every score.
-Survivors (~1 % of the block on the perfbench shapes) are pulled out by
+Survivors (~0.5 % of the block on the perfbench shapes) are pulled out by
 flat index, and each pair's shorter prefix is cut from them alone; no
 step after the test costs more than the survivors it returns.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.bucket import Bucket
-from repro.core.kernels import screen_bound
+from repro.core.kernels import screen_slack
 from repro.core.retrievers.base import BucketRetriever
+from repro.core.vector_store import PreparedQueries
 
-#: Largest number of block-product scores held at once (512 KiB of f64);
+#: Largest number of block-product scores held at once (1 MiB of f32);
 #: the query block shrinks as a bucket's longest prefix grows.
-BLOCK_ELEMENTS = 1 << 16
+BLOCK_ELEMENTS = 1 << 18
 
 #: Fewest queries a bucket must hold before the solvers score its LENGTH
 #: pairs with a block product; below it the fixed cost of the vectorised
 #: step outweighs the per-pair calls it saves, and pairs go one by one.
 MIN_BLOCK_PAIRS = 4
+
+#: Range of ``w = ‖q‖·2ᴱ`` the f32 screen covers (:func:`screen_thresholds`,
+#: :func:`~repro.core.kernels.screen_slack`); outside it a pair keeps every row.
+SCREEN_EXPONENTS = (-1000, 1020)
+SCREEN_SCALES = (2.0**SCREEN_EXPONENTS[0], 2.0**SCREEN_EXPONENTS[1])
 
 
 class LengthRetriever(BucketRetriever):
@@ -74,6 +90,45 @@ class LengthRetriever(BucketRetriever):
         return np.where(searched, cut, np.where(positive, 0, bucket.size))
 
 
+def screen_thresholds(thresholds: np.ndarray, query_norms: np.ndarray | None,
+                      exponent: int, rank: int) -> np.ndarray:
+    """Per-pair f32 thresholds of the block screen on rows scaled by ``2^-exponent``.
+
+    Pair ``j`` keeps a row whose f32 product entry reaches entry ``j``:
+    ``thresholds[j] / w`` with ``w = ‖q_j‖·2^exponent`` (``‖q‖ = 1`` when
+    ``query_norms`` is ``None``), clipped to ``[−2, 2]``, lowered by
+    :func:`~repro.core.kernels.screen_slack` and rounded toward −∞.  A pair
+    whose ``w`` lies outside ``[2⁻¹⁰⁰⁰, 2¹⁰²⁰]`` — a zero-norm query, a
+    bucket of zero-length rows, or lengths whose f64 score could underflow
+    past the slack or overflow — keeps every row (−∞).  ±∞ thresholds keep
+    every row or none; no input yields NaN.
+    """
+    unscreened = None
+    if query_norms is None:
+        if not SCREEN_EXPONENTS[0] <= exponent <= SCREEN_EXPONENTS[1]:
+            return np.full(thresholds.shape, -np.inf, dtype=np.float32)
+        # Clipping θ to ±2w first gives clip(θ / w, −2, 2) without overflow.
+        scale = math.ldexp(1.0, exponent)
+        scaled = np.minimum(thresholds, 2.0 * scale)
+        np.maximum(scaled, -2.0 * scale, out=scaled)
+        scaled /= scale
+    else:
+        # A w or θ / w past the float range is ±inf, and w = 0 gives ±inf or
+        # NaN: such pairs are unscreened below, the rest clipped.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scales = np.ldexp(query_norms, exponent)
+            scaled = thresholds / scales
+        np.minimum(scaled, 2.0, out=scaled)
+        np.maximum(scaled, -2.0, out=scaled)
+        unscreened = (scales < SCREEN_SCALES[0]) | (scales > SCREEN_SCALES[1])
+    scaled -= screen_slack(rank)
+    if unscreened is not None:
+        scaled[unscreened] = -np.inf
+    limits = scaled.astype(np.float32)
+    np.nextafter(limits, -np.inf, out=limits, where=limits > scaled)
+    return limits
+
+
 def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.ndarray,
                     thresholds: np.ndarray, query_norms: np.ndarray | None = None,
                     screen=None) -> tuple[np.ndarray, np.ndarray]:
@@ -82,17 +137,20 @@ def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.nd
     Pair ``j`` scores ``query_directions[j]`` against the bucket prefix
     ``[0, cutoffs[j])``; its exact score is ``cos · (‖q_j‖ · ‖p‖)`` —
     ``query_norms=None`` means ``‖q‖ = 1`` (Row-Top-k) — and it needs
-    ``score >= thresholds[j]``.  The cosines come from one matrix product,
-    with an upper bound added before rescaling: the kernel's
-    :func:`~repro.core.kernels.screen_bound`, or the compressed ``screen``
-    tier's per-row bound.  A row is dropped only if even that upper bound
-    misses the threshold, so every row the exact kernel would keep survives.
+    ``score >= thresholds[j]``.  The screen is one f32 product of the query
+    block (rounded to f32; pass it as ``float32`` to skip the copy) with
+    the bucket's :meth:`~repro.core.bucket.Bucket.screen_rows`, compared
+    with the :func:`screen_thresholds` of the pairs.  With a compressed
+    ``screen`` tier the cosines come from the tier instead, plus its
+    per-row bound, rescaled in f64 (``query_directions`` then in f64).  A
+    row is dropped only if even that bound misses the threshold, so every
+    row the exact kernel would keep survives.
 
     The product covers the longest prefix, ``[0, max(cutoffs))``.  Survivors
-    of the threshold test are read by flat index from the pair-major copy of
-    the test mask, which yields them in pair-then-row order; only then are
-    rows past their own pair's cutoff dropped, so this cut costs the
-    survivors, not the block.
+    of the threshold test are read by flat index from the pair-major test
+    mask, which yields them in pair-then-row order; only then are rows past
+    their own pair's cutoff dropped, so this cut costs the survivors, not
+    the block.
 
     Returns ``(pairs, rows)`` as ``intp`` arrays, sorted by pair and then by
     row (``tests/test_block_screen.py`` pins this against a 2-D ``np.nonzero``
@@ -100,35 +158,38 @@ def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.nd
     """
     limit = int(cutoffs.max())
     if screen is None:
-        upper = bucket.directions[:limit] @ query_directions.T
-        upper += screen_bound(query_directions.shape[1])
+        rows, exponent = bucket.screen_rows()
+        queries = np.asarray(query_directions, dtype=np.float32)
+        limits = screen_thresholds(thresholds, query_norms, exponent, queries.shape[1])
+        keep = np.matmul(queries, rows[:limit].T) >= limits[:, None]
     else:
         upper = screen.upper_cosine_block(bucket.start, limit, query_directions)
-    lengths = bucket.lengths[:limit]
-    if query_norms is None:
-        upper *= lengths[:, None]
-    else:
-        upper *= np.multiply.outer(lengths, query_norms)
-    keep = upper >= thresholds
-    pairs, rows = np.divmod(np.flatnonzero(np.ascontiguousarray(keep.T)), limit)
+        lengths = bucket.lengths[:limit]
+        if query_norms is None:
+            upper *= lengths[:, None]
+        else:
+            upper *= np.multiply.outer(lengths, query_norms)
+        keep = np.ascontiguousarray((upper >= thresholds).T)
+    pairs, rows = np.divmod(np.flatnonzero(keep), limit)
     if int(cutoffs.min()) < limit:
         inside = rows < cutoffs[pairs]
         pairs, rows = pairs[inside], rows[inside]
     return pairs, rows
 
 
-def score_length_pairs(bucket: Bucket, directions: np.ndarray, positions: np.ndarray,
+def score_length_pairs(bucket: Bucket, queries: PreparedQueries, positions: np.ndarray,
                        query_norms, thetas: np.ndarray, thresholds: np.ndarray, stats,
                        screen, verify):
     """Generate, screen and verify a bucket's LENGTH pairs, one query block at a time.
 
-    Pair ``j`` is the query direction ``directions[positions[j]]`` (norm
+    Pair ``j`` is the query ``positions[j]`` of ``queries`` (norm
     ``query_norms[j]``, or 1 when ``None``) with LENGTH threshold
     ``thetas[j]`` and keep-threshold ``thresholds[j]`` on the exact score.
     Pairs go through :func:`block_survivors` in blocks whose product holds
-    at most :data:`BLOCK_ELEMENTS` scores.  Yields ``(pairs, candidates,
-    cosines)`` per block for its survivors, sorted by pair and then by
-    candidate, with cosines from ``verify`` — the solver's exact kernel,
+    at most :data:`BLOCK_ELEMENTS` scores, with the queries' f32
+    directions.  Yields ``(pairs, candidates, cosines)`` per block for its
+    survivors, sorted by pair and then by candidate, with cosines from
+    ``verify`` — the solver's exact kernel,
     :func:`~repro.core.kernels.gather_matvec` — called once per block in its
     grouped form: each survivor is scored against its pair's query row and
     keeps the bits a per-pair call on that row would give.
@@ -146,14 +207,15 @@ def score_length_pairs(bucket: Bucket, directions: np.ndarray, positions: np.nda
         stats.inner_products += total
     if total == 0:
         return
+    directions = queries.directions if screen is not None else queries.directions32
     width = max(1, BLOCK_ELEMENTS // int(cutoffs.max()))
     for start in range(0, cutoffs.size, width):
         block = slice(start, start + width)
         if not cutoffs[block].any():
             continue
-        queries = directions[positions[block]]
+        members = positions[block]
         pairs, candidates = block_survivors(
-            bucket, queries, cutoffs[block], thresholds[block],
+            bucket, directions[members], cutoffs[block], thresholds[block],
             None if query_norms is None else query_norms[block], screen)
         if screen is not None:
             screened = np.isfinite(thresholds[block])
@@ -163,5 +225,6 @@ def score_length_pairs(bucket: Bucket, directions: np.ndarray, positions: np.nda
             stats.inner_products += int(pairs.size)
         if pairs.size == 0:
             continue
-        cosines = verify(bucket.directions, candidates, queries, groups=pairs)
+        cosines = verify(bucket.directions, candidates, queries.directions,
+                         groups=members[pairs])
         yield pairs + start, candidates, cosines

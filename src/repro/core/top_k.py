@@ -14,7 +14,7 @@ same order with the θ′ left by the buckets before, so its θ′ sequence — 
 every counter — is that of a per-query walk.  Per bucket, one vectorised
 step prunes finished queries and splits the rest between LENGTH and the
 coordinate retrievers.  LENGTH pairs are screened for all of them by one
-block product and their survivors verified by one grouped kernel call per
+f32 block product and their survivors verified by one grouped kernel call per
 query block (:func:`~repro.core.retrievers.length.score_length_pairs`);
 coordinate pairs run, and are verified, pair by pair.
 """
@@ -50,8 +50,8 @@ def solve_row_top_k(
 
     A score strictly below θ′ lies below all k kept entries and cannot
     change them, so only candidates that may reach θ′ need exact scores.
-    LENGTH candidates are screened with their block-product scores plus
-    :func:`~repro.core.kernels.screen_bound`; ``screen``, an optional
+    LENGTH candidates are screened by an f32 block product against θ′
+    lowered by :func:`~repro.core.kernels.screen_slack`; ``screen``, an optional
     :class:`~repro.core.screening.ScreenTier`, screens every candidate with
     compressed dot products plus the tier's error bound instead.  Every
     merged score comes from :func:`~repro.core.kernels.gather_matvec`, so
@@ -104,7 +104,7 @@ def solve_row_top_k(
         if length_rows.size:
             thresholds = theta_prime[length_rows]
             for pairs, candidates, cosines in score_length_pairs(
-                    bucket, queries.directions, length_rows, None, thresholds,
+                    bucket, queries, length_rows, None, thresholds,
                     thresholds, stats, screen, gather_matvec):
                 top.fold(bucket, length_rows[pairs], candidates, cosines)
 

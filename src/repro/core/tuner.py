@@ -53,11 +53,11 @@ SWITCH_ALL_LENGTH = 1.01
 
 #: Seconds per LENGTH pair: its share of the grouped verify call of its query block.
 LENGTH_PAIR_S = 1.1e-6
-#: Seconds per prefix row of a LENGTH pair in the bucket's block product...
-LENGTH_ROW_S = 6e-9
+#: Seconds per prefix row of a LENGTH pair in the bucket's f32 block screen...
+LENGTH_ROW_S = 9e-10
 #: ...plus this much per coordinate of that row...
-LENGTH_ENTRY_S = 5e-11
-#: ...plus this much per byte of the prefix streamed from memory.  Every
+LENGTH_ENTRY_S = 7e-12
+#: ...plus this much per byte of the f32 prefix the block product reads and packs.  Every
 #: query block re-reads the prefix, so a pair's share is its prefix bytes
 #: over the block width; it only matters once a bucket outgrows the cache.
 LENGTH_BYTE_S = 1.4e-10
@@ -247,13 +247,13 @@ def _tune(
 
 
 def length_pair_costs(cutoffs: np.ndarray, rank: int) -> np.ndarray:
-    """Counted cost of LENGTH pairs with these prefix lengths, scored by block products.
+    """Counted cost of LENGTH pairs with these prefix lengths, screened by f32 block products.
 
     Blocks are as wide as :func:`~repro.core.retrievers.length.score_length_pairs`
     makes them for the longest prefix.
     """
     width = max(1, BLOCK_ELEMENTS // max(1, int(cutoffs.max())))
-    streamed = rank * 8 / width  # f64 bytes of a prefix row, shared by a block's pairs
+    streamed = rank * 4 / width  # f32 bytes of a prefix row, shared by a block's pairs
     per_row = LENGTH_ROW_S + rank * LENGTH_ENTRY_S + streamed * LENGTH_BYTE_S
     return LENGTH_PAIR_S + cutoffs * per_row
 
@@ -266,5 +266,6 @@ def _local_thresholds(thetas: np.ndarray, query_norms: np.ndarray, max_length) -
     """
     denominators = query_norms * max_length
     out = np.where(thetas > 0.0, np.inf, -np.inf) + np.zeros_like(denominators)
-    np.divide(thetas, denominators, out=out, where=denominators > 0.0)
+    with np.errstate(over="ignore"):  # a quotient past the float range is ±inf, as above
+        np.divide(thetas, denominators, out=out, where=denominators > 0.0)
     return out

@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ import numpy as np
 CacheKey = tuple
 
 
-@dataclass(frozen=True)
-class BucketFingerprint:
+class BucketFingerprint(NamedTuple):
     """Content identity of one bucket.
 
     ``epoch`` is the index-mutation epoch the bucket was created in (buckets
@@ -66,7 +66,8 @@ class BucketFingerprint:
     buckets of distinct vectors that merely share lengths (unit-norm data!)
     do not collide.  Equal fingerprints mean equal lengths and (up to a
     128-bit row-hash collision) equal directions; a collision could only
-    steer tuning, never a result.
+    steer tuning, never a result.  A named tuple, so a cache lookup hashes
+    and compares it in C: one dict probe per bucket.
     """
 
     epoch: int
@@ -169,8 +170,9 @@ class TuningCache:
             return {}, list(buckets)
         cached: dict[int, BucketTuning] = {}
         stale = []
+        probe = entries.get
         for bucket in buckets:
-            entry = entries.get(bucket.fingerprint())
+            entry = probe(bucket.fingerprint())
             if entry is None:
                 stale.append(bucket)
             else:

@@ -64,6 +64,25 @@ def renumber_ids(ids: np.ndarray, removed: np.ndarray) -> np.ndarray:
     return ids - below[ids]
 
 
+def vector_lengths(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean row lengths that neither overflow nor underflow.
+
+    Rows whose plain ``np.linalg.norm`` is below ``2⁻⁵⁰⁰`` or above
+    ``2⁵⁰⁰`` (where the squares may have underflowed or overflowed) are
+    re-measured scaled by their largest magnitude; every other row keeps
+    the plain norm's bits.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        lengths = np.linalg.norm(matrix, axis=1)
+    risky = ~((lengths >= 2.0**-500) & (lengths <= 2.0**500))
+    if risky.any():
+        rows = matrix[risky]
+        peaks = np.max(np.abs(rows), axis=1)
+        safe = np.where(peaks > 0.0, peaks, 1.0)
+        lengths[risky] = peaks * np.linalg.norm(rows / safe[:, None], axis=1)
+    return lengths
+
+
 def span_positions(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The positions of the half-open spans ``[starts[i], ends[i])``, concatenated."""
     sizes = np.asarray(ends, dtype=np.intp) - starts
@@ -106,7 +125,7 @@ class VectorStore:
 
     def __init__(self, vectors) -> None:
         matrix = as_float_matrix(vectors, "vectors")
-        lengths = np.linalg.norm(matrix, axis=1)
+        lengths = vector_lengths(matrix)
         # Stable sort keeps ties in original order, which makes the layout
         # deterministic and easy to test.
         order = np.argsort(-lengths, kind="stable")
@@ -298,7 +317,7 @@ class PreparedQueries:
 
     def __init__(self, queries) -> None:
         matrix = as_float_matrix(queries, "queries")
-        lengths = np.linalg.norm(matrix, axis=1)
+        lengths = vector_lengths(matrix)
         order = np.argsort(-lengths, kind="stable")
         self.ids = order
         self.norms = np.ascontiguousarray(lengths[order])
@@ -310,6 +329,11 @@ class PreparedQueries:
 
     def __len__(self) -> int:
         return self.size
+
+    @functools.cached_property
+    def directions32(self) -> np.ndarray:
+        """:attr:`directions` rounded to float32: the LENGTH block screen's queries."""
+        return self.directions.astype(np.float32)
 
     def focus_coordinates(self, position: int, phi: int) -> np.ndarray:
         """Return the ``phi`` coordinates of query ``position`` with largest ``|q̄_f|``.

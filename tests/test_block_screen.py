@@ -1,44 +1,51 @@
 """The bucket-major solvers against a per-pair reference walk.
 
-The solvers score a bucket's LENGTH pairs with one block product per query
-block and re-verify only the rows whose block score comes within
-:func:`~repro.core.kernels.screen_bound` of the threshold.  These tests
+The solvers score a bucket's LENGTH pairs with one float32 block product per
+query block and re-verify only the rows whose f32 score reaches the pair's
+threshold lowered by :func:`~repro.core.kernels.screen_slack`.  These tests
 check that this changes nothing observable:
 
 * **Boundary inputs.**  Probes are crafted so exact scores sit within a few
-  ULPs of θ (and of θ minus the verification slack), and so Row-Top-k rows
-  tie exactly at — and a few ULPs around — the k-th score.  Results must be
-  byte-identical to a minimal per-pair walk that verifies every candidate,
-  with equal ``candidates`` / ``inner_products`` / bucket counters, under
-  both verification kernels; and they must agree with the naive full
-  product up to rounding at θ and tie-breaking at the k-th score.
+  ULPs of θ (and of θ minus the verification slack), within the f32 slack
+  of both, and so Row-Top-k rows tie exactly at — and a few ULPs around and
+  a few slacks below — the k-th score.  Edge inputs add lengths of 1e±300 in one
+  store, zero-length rows, zero-norm queries and θ = ±∞ or negative.
+  Results must be byte-identical to a minimal per-pair walk that verifies
+  every candidate, with equal ``candidates`` / ``inner_products`` / bucket
+  counters, under both verification kernels; and they must agree with the
+  naive full product up to rounding at θ and tie-breaking at the k-th score.
 * **Batch composition.**  The block product's rounding depends on which
   queries share a block, so a query row must get byte-identical results
   alone, inside a 7-row and a 1000-row call, and with ``workers=2``.
 * **The screen itself.**  :func:`block_survivors` must equal a brute-force
-  reference (full threshold mask, cutoff mask, 2-D ``np.nonzero``) array for
-  array, in ``(pair, row)`` order, and :func:`score_length_pairs` must split
-  its pairs into query blocks, offset them and count every prefix row.
+  reference (full f32 mask, cutoff mask, 2-D ``np.nonzero``) array for
+  array, in ``(pair, row)`` order, keep every row the exact kernel keeps,
+  and :func:`score_length_pairs` must split its pairs into query blocks,
+  offset them and count every prefix row.  The slack must cover the largest
+  gap between the f32 screen and the f64 kernel.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import RetrievalEngine, create_retriever
+from repro.core.above_theta import solve_above_theta
 from repro.core.bucket import Bucket
-from repro.core.kernels import gather_matvec, screen_bound, use_kernel
+from repro.core.kernels import gather_matvec, screen_slack, use_kernel
 from repro.core.lemp import Lemp
 from repro.core.retrievers.length import (BLOCK_ELEMENTS, LengthRetriever, block_survivors,
-                                          score_length_pairs)
+                                          score_length_pairs, screen_thresholds)
 from repro.core.screening import ScreenTier
 from repro.core.stats import RunStats
 from repro.core.thresholds import local_threshold
 from repro.core.vector_store import PreparedQueries, VectorStore
+from repro.exceptions import InvalidParameterError
 from tests.conftest import make_factors
 
 RANK = 12
@@ -49,10 +56,12 @@ SLACK = 1e-12
 COUNTERS = ("candidates", "inner_products", "buckets_examined", "buckets_pruned")
 #: Relative tolerance between two computations of one inner product.
 RTOL = 1e-9
+#: Relative steps that move a score within (and just past) the f32 screen's slack.
+SLACK_STEPS = (1.0 + np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * screen_slack(RANK))[:, None]
 
 
 def near_boundary_problem(seed: int):
-    """Queries plus probes whose scores sit within ULPs of θ and of k-th ties."""
+    """Queries plus probes whose scores sit within ULPs and slacks of θ and of k-th ties."""
     rng = np.random.default_rng(seed)
     queries = make_factors(24, rank=RANK, length_cov=1.0, seed=seed)
     rows = [make_factors(400, rank=RANK, length_cov=1.0, seed=seed + 1)]
@@ -68,13 +77,17 @@ def near_boundary_problem(seed: int):
 
         for target in (THETA, THETA - SLACK):
             for _ in range(2):
-                rows.append(((target / norm) * unit + off_axis(rng.uniform(0.1, 2.0))) * ulps)
+                row = (target / norm) * unit + off_axis(rng.uniform(0.1, 2.0))
+                rows += [row * ulps, row * SLACK_STEPS]
         # K - 3 clear leaders, a ULP-above neighbour of a probe duplicated
         # five times, and ULP-below neighbours: the k-th score is a tie.
+        # Slack-below neighbours sit where the f32 screen cannot tell them
+        # from the tie.
         rows.append(np.outer(3.0 + 0.1 * np.arange(K - 3), unit))
         tie = 2.5 * unit + off_axis(0.3)
         rows.append(np.repeat(tie[None], 4, axis=0))
         rows.append(tie * ulps[:6])
+        rows.append(tie * SLACK_STEPS[:3])
     probes = np.vstack(rows)
     return queries, probes[rng.permutation(len(probes))]
 
@@ -136,15 +149,16 @@ def reference_walk(prepared, buckets, selector, problem, parameter):
     return (indices, scores), stats
 
 
-def solve_both(spec, kernel, problem, queries, probes):
+def solve_both(spec, kernel, problem, queries, probes, parameter=None):
     """The engine's answer and counters, and the reference walk's, on one warm engine."""
-    parameter = THETA if problem == "above_theta" else K
+    if parameter is None:
+        parameter = THETA if problem == "above_theta" else K
     with use_kernel(kernel):
         lemp = Lemp(algorithm=spec).fit(probes)
         getattr(lemp, problem)(queries, parameter)  # warm: tuning cached from here on
         prepared = PreparedQueries(queries)
-        thetas = (np.full(prepared.size, THETA) if problem == "above_theta"
-                  else lemp._surrogate_topk_thresholds(prepared, K))
+        thetas = (np.full(prepared.size, parameter) if problem == "above_theta"
+                  else lemp._surrogate_topk_thresholds(prepared, parameter))
         selector = lemp._build_selector(prepared, thetas, problem, float(parameter))
         buckets = lemp.buckets
         before = {name: getattr(lemp.stats, name) for name in COUNTERS}
@@ -158,29 +172,71 @@ def solve_both(spec, kernel, problem, queries, probes):
                                         for name in COUNTERS}
 
 
+def solve_above_theta_both(spec, kernel, queries, probes, theta):
+    """:func:`solve_both` for a θ the engine rejects: the solver is called directly."""
+    with use_kernel(kernel):
+        lemp = Lemp(algorithm=spec).fit(probes)
+        with pytest.raises(InvalidParameterError):
+            lemp.above_theta(queries, theta)
+        prepared = PreparedQueries(queries)
+        selector = lemp._build_selector(prepared, np.full(prepared.size, theta), "above_theta",
+                                        theta)
+        stats = RunStats()
+        arrays = solve_above_theta(prepared, lemp.buckets, theta, selector, stats)
+        expected, reference_stats = reference_walk(prepared, lemp.buckets, selector,
+                                                   "above_theta", theta)
+    return arrays, {name: getattr(stats, name) for name in COUNTERS}, expected, {
+        name: getattr(reference_stats, name) for name in COUNTERS}
+
+
+def assert_above_theta_matches_naive(arrays, queries, probes, theta):
+    """Same pairs and scores as the naive product, up to rounding at θ."""
+    product = queries @ probes.T
+    ours = {(q, p): s for q, p, s in zip(*(a.tolist() for a in arrays))}
+    theirs = {(q, p): product[q, p] for q, p in zip(*np.nonzero(product >= theta))}
+    for pair in ours.keys() ^ theirs.keys():
+        assert abs(ours.get(pair, theirs.get(pair)) - theta) <= RTOL * max(1.0, abs(theta))
+    for pair in ours.keys() & theirs.keys():
+        assert ours[pair] == pytest.approx(theirs[pair], rel=RTOL, abs=1e-300)
+
+
+def assert_row_top_k_matches_naive(arrays, queries, probes, k):
+    """Same scores as the naive product, and the same rows up to ties at the k-th score."""
+    indices, scores = arrays
+    naive = create_retriever("naive").fit(probes).row_top_k(queries, k)
+    np.testing.assert_allclose(scores, naive.scores, rtol=RTOL, atol=1e-300)
+    for row in range(queries.shape[0]):
+        kth = scores[row, k - 1]
+        tolerance = RTOL * max(1.0, abs(kth))
+        clear = scores[row] > kth + tolerance
+        naive_clear = naive.scores[row] > kth + tolerance
+        assert set(indices[row][clear]) == set(naive.indices[row][naive_clear])
+        true_scores = probes[indices[row]] @ queries[row]
+        np.testing.assert_allclose(true_scores, scores[row], rtol=RTOL, atol=1e-300)
+
+
+def assert_matches_reference(arrays, counters, expected, reference_counters):
+    for actual, wanted in zip(arrays, expected):
+        assert actual.dtype == wanted.dtype and actual.tobytes() == wanted.tobytes()
+    assert counters == reference_counters
+
+
 @pytest.mark.parametrize("kernel", ["blocked", "einsum"])
 @pytest.mark.parametrize("spec", ["L", "LI"])
 def test_above_theta_near_threshold_matches_reference_and_naive(spec, kernel):
     queries, probes = near_boundary_problem(seed=5)
     arrays, counters, expected, reference_counters = solve_both(
         spec, kernel, "above_theta", queries, probes)
-    for actual, wanted in zip(arrays, expected):
-        assert actual.dtype == wanted.dtype and actual.tobytes() == wanted.tobytes()
-    assert counters == reference_counters
+    assert_matches_reference(arrays, counters, expected, reference_counters)
     scores = arrays[2]
     # The inputs really are adversarial: results within a few ULPs of the
-    # threshold and of the slack-lowered threshold.
+    # threshold and of the slack-lowered threshold, and within the f32
+    # screen's slack of θ without being ULPs from it.
     assert np.any(np.abs(scores - THETA) < 1e-14)
     assert np.any(np.abs(scores - (THETA - SLACK)) < 1e-14)
-
-    naive = create_retriever("naive").fit(probes).above_theta(queries, THETA)
-    ours = {(q, p): s for q, p, s in zip(*(a.tolist() for a in arrays))}
-    theirs = {(q, p): s for q, p, s in zip(naive.query_ids.tolist(), naive.probe_ids.tolist(),
-                                           naive.scores.tolist())}
-    for pair in ours.keys() ^ theirs.keys():
-        assert abs(ours.get(pair, theirs.get(pair)) - THETA) <= RTOL
-    for pair in ours.keys() & theirs.keys():
-        assert ours[pair] == pytest.approx(theirs[pair], rel=RTOL)
+    gaps = np.abs(scores - THETA)
+    assert np.any((gaps > 1e-10) & (gaps <= screen_slack(RANK) * THETA))
+    assert_above_theta_matches_naive(arrays, queries, probes, THETA)
 
 
 @pytest.mark.parametrize("kernel", ["blocked", "einsum"])
@@ -189,41 +245,111 @@ def test_row_top_k_kth_ties_match_reference_and_naive(spec, kernel):
     queries, probes = near_boundary_problem(seed=6)
     arrays, counters, expected, reference_counters = solve_both(
         spec, kernel, "row_top_k", queries, probes)
-    for actual, wanted in zip(arrays, expected):
-        assert actual.dtype == wanted.dtype and actual.tobytes() == wanted.tobytes()
-    assert counters == reference_counters
-    indices, scores = arrays
+    assert_matches_reference(arrays, counters, expected, reference_counters)
+    scores = arrays[1]
     # The inputs really are adversarial: crafted rows tie at the k-th score.
     assert np.sum(scores[:, K - 1] == scores[:, K - 2]) >= 6
+    assert_row_top_k_matches_naive(arrays, queries, probes, K)
 
-    naive = create_retriever("naive").fit(probes).row_top_k(queries, K)
-    np.testing.assert_allclose(scores, naive.scores, rtol=RTOL)
-    for row in range(queries.shape[0]):
-        kth = scores[row, K - 1]
-        tolerance = RTOL * max(1.0, abs(kth))
-        clear = scores[row] > kth + tolerance
-        naive_clear = naive.scores[row] > kth + tolerance
-        assert set(indices[row][clear]) == set(naive.indices[row][naive_clear])
-        true_scores = probes[indices[row]] @ queries[row]
-        np.testing.assert_allclose(true_scores, scores[row], rtol=RTOL)
+
+def edge_problem(case: str):
+    """Queries and probes of one named degenerate case."""
+    queries = make_factors(24, rank=RANK, length_cov=1.0, seed=41)
+    probes = make_factors(600, rank=RANK, length_cov=1.0, seed=42)
+    if case == "extreme_lengths":
+        # 1e300-long and 1e-300-long rows beside ordinary ones, in one store.
+        probes[:100] *= 1e300
+        probes[100:200] *= 1e-300
+    elif case == "zero_length_rows":
+        probes[::7] = 0.0
+    elif case == "zero_norm_queries":
+        queries[::5] = 0.0
+    return queries, probes
+
+
+EDGE_CASES = [
+    ("above_theta", "extreme_lengths", THETA * 1e300),
+    ("above_theta", "extreme_lengths", -THETA),
+    ("above_theta", "zero_length_rows", THETA),
+    ("above_theta", "zero_length_rows", -THETA),
+    ("above_theta", "zero_norm_queries", THETA),
+    ("above_theta", "zero_norm_queries", -THETA),
+    ("above_theta", "plain", math.inf),
+    ("above_theta", "plain", -math.inf),
+    ("above_theta", "plain", -THETA),
+    ("row_top_k", "extreme_lengths", K),
+    ("row_top_k", "zero_length_rows", K),
+    ("row_top_k", "zero_norm_queries", K),
+]
+
+
+@pytest.mark.parametrize("kernel", ["blocked", "einsum"])
+@pytest.mark.parametrize("spec", ["L", "LI"])
+@pytest.mark.parametrize("problem, case, parameter", EDGE_CASES,
+                         ids=[f"{p}-{c}-{v:g}" for p, c, v in EDGE_CASES])
+def test_edge_inputs_match_reference_and_naive(problem, case, parameter, spec, kernel):
+    queries, probes = edge_problem(case)
+    # Underflow and overflow to ±inf are expected here; NaN is not.
+    with np.errstate(invalid="raise"):
+        if problem == "above_theta" and not 0.0 < parameter < math.inf:
+            arrays, counters, expected, reference_counters = solve_above_theta_both(
+                spec, kernel, queries, probes, parameter)
+        else:
+            arrays, counters, expected, reference_counters = solve_both(
+                spec, kernel, problem, queries, probes, parameter)
+    assert_matches_reference(arrays, counters, expected, reference_counters)
+    assert not any(np.isnan(array).any() for array in arrays if array.dtype.kind == "f")
+    if problem == "above_theta":
+        assert_above_theta_matches_naive(arrays, queries, probes, parameter)
+        if parameter == -math.inf:
+            assert arrays[0].size == queries.shape[0] * probes.shape[0]
+        elif parameter == math.inf:
+            assert arrays[0].size == 0
+        else:
+            assert arrays[0].size > 0
+    else:
+        assert_row_top_k_matches_naive(arrays, queries, probes, parameter)
 
 
 def test_screen_bound_covers_two_summation_orders():
-    """Forward and reverse summation of rank-r unit-vector dot products
-    never differ by more than the bound (it is far from tight)."""
+    """Forward and reverse f32 summation of rank-r unit-vector dot products
+    never differ by more than the slack (it is far from tight)."""
     rng = np.random.default_rng(0)
     for rank in (1, 2, 12, 50, 300):
         x = rng.standard_normal((200, rank))
         y = rng.standard_normal((200, rank))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        forward = np.zeros(200)
-        backward = np.zeros(200)
+        x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+        y = (y / np.linalg.norm(y, axis=1, keepdims=True)).astype(np.float32)
+        forward = np.zeros(200, dtype=np.float32)
+        backward = np.zeros(200, dtype=np.float32)
         for column in range(rank):
             forward += x[:, column] * y[:, column]
             backward += x[:, rank - 1 - column] * y[:, rank - 1 - column]
-        assert np.max(np.abs(forward - backward)) <= screen_bound(rank)
-    assert screen_bound(50) < 1e-13
+        assert np.max(np.abs(forward.astype(np.float64) - backward)) <= screen_slack(rank)
+    assert screen_slack(50) < 1e-5
+
+
+@pytest.mark.parametrize("rank", [1, 50, 400])
+def test_screen_slack_covers_f32_gap(rank):
+    """The slack covers the largest gap between the f32 screen and the f64
+    kernel, and a row whose exact score equals its threshold survives."""
+    store = VectorStore(make_factors(1500, rank=rank, length_cov=0.8, seed=rank))
+    bucket = Bucket(store, 0, store.size, 0)
+    queries = PreparedQueries(make_factors(60, rank=rank, length_cov=0.8, seed=rank + 1))
+    rows, exponent = bucket.screen_rows()
+    screen = queries.directions32 @ rows.T
+    cosines = np.stack([gather_matvec(bucket.directions, np.arange(bucket.size), query)
+                        for query in queries.directions])
+    scaled = np.ldexp(cosines * bucket.lengths, -exponent)
+    gap = float(np.max(np.abs(screen - scaled)))
+    assert 0.0 < gap <= screen_slack(rank)
+    pairs = np.repeat(np.arange(queries.size), bucket.size)
+    # The solvers' exact keep tests, with each row's own score as threshold.
+    for norms, scores in ((None, cosines * bucket.lengths),
+                          (queries.norms[pairs], cosines * (queries.norms[:, None]
+                                                            * bucket.lengths))):
+        limits = screen_thresholds(scores.ravel(), norms, exponent, rank)
+        assert np.all(screen.ravel() >= limits)
 
 
 @pytest.fixture(scope="module")
@@ -282,17 +408,76 @@ def screen_store():
     return VectorStore(make_factors(2000, rank=SCREEN_RANK, length_cov=0.8, seed=31))
 
 
+@pytest.fixture(scope="module")
+def edge_stores():
+    """Stores with 1e±300-long rows and with zero-length rows."""
+    vectors = make_factors(2000, rank=SCREEN_RANK, length_cov=0.8, seed=33)
+    extreme = vectors.copy()
+    extreme[:300] *= 1e300
+    extreme[300:600] *= 1e-300
+    zeros = vectors.copy()
+    zeros[::5] = 0.0
+    return {"extreme": VectorStore(extreme), "zero_length": VectorStore(zeros)}
+
+
+def ldexp(value: float, exponent: int) -> float:
+    """``value · 2^exponent``, ``inf`` past the float range."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def reference_limit(threshold: float, norm: float, exponent: int, rank: int) -> np.float32:
+    """One pair's f32 threshold, written out scalar by scalar."""
+    scale = ldexp(norm, exponent)
+    if not 2.0**-1000 <= scale <= 2.0**1020:
+        return np.float32(-np.inf)
+    value = min(max(threshold / scale, -2.0), 2.0) - screen_slack(rank)
+    low = np.float32(value)
+    return np.nextafter(low, np.float32(-np.inf)) if float(low) > value else low
+
+
+@pytest.mark.parametrize("exponent", [-1000, -1, 0, 3, 1000])
+def test_screen_thresholds_round_down_without_nan(exponent):
+    """Each f32 threshold is the largest f32 at or below the f64 one; edge
+    thresholds and norms give a defined, NaN-free answer."""
+    rng = np.random.default_rng(exponent + 2000)
+    thresholds = np.ldexp(rng.standard_normal(400), exponent)
+    thresholds[:4] = -np.inf, np.inf, 0.0, -0.0
+    norms = rng.lognormal(size=400)
+    norms[4:8] = 0.0, 1e-310, 1e300, np.nextafter(2.0**-1000, 0.0)
+    for query_norms in (None, norms):
+        limits = screen_thresholds(thresholds, query_norms, exponent, SCREEN_RANK)
+        assert limits.dtype == np.float32 and not np.isnan(limits).any()
+        for index, limit in enumerate(limits.tolist()):
+            norm = 1.0 if query_norms is None else float(norms[index])
+            assert limit == float(reference_limit(float(thresholds[index]), norm, exponent,
+                                                  SCREEN_RANK))
+            scale = ldexp(norm, exponent)
+            if 2.0**-1000 <= scale <= 2.0**1020:
+                value = min(max(float(thresholds[index]) / scale, -2.0), 2.0) - screen_slack(
+                    SCREEN_RANK)
+                assert limit <= value < float(np.nextafter(np.float32(limit), np.float32(np.inf)))
+            else:
+                assert limit == -np.inf
+
+
 def reference_survivors(bucket, queries, cutoffs, thresholds, query_norms=None, screen=None):
     """:func:`block_survivors` by brute force: full mask, cut mask, 2-D ``np.nonzero``."""
     limit = int(cutoffs.max())
+    inside = np.arange(limit) < cutoffs[:, None]
     if screen is None:
-        upper = bucket.directions[:limit] @ queries.T + screen_bound(queries.shape[1])
-    else:
-        upper = screen.upper_cosine_block(bucket.start, limit, queries)
+        rows, exponent = bucket.screen_rows()
+        norms = np.ones(cutoffs.size) if query_norms is None else query_norms
+        limits = np.array([reference_limit(float(t), float(n), exponent, queries.shape[1])
+                           for t, n in zip(thresholds, norms)], dtype=np.float32)
+        keep = queries.astype(np.float32) @ rows[:limit].T >= limits[:, None]
+        return np.nonzero(keep & inside)
+    upper = screen.upper_cosine_block(bucket.start, limit, queries)
     lengths = bucket.lengths[:limit]
     scale = lengths[:, None] if query_norms is None else np.multiply.outer(lengths, query_norms)
-    keep = (upper * scale >= thresholds) & (np.arange(limit)[:, None] < cutoffs)
-    return np.nonzero(keep.T)
+    return np.nonzero((upper * scale >= thresholds).T & inside)
 
 
 def assert_same_survivors(actual, expected):
@@ -304,13 +489,26 @@ def assert_same_survivors(actual, expected):
     assert np.array_equal(order, np.arange(pairs.size))
 
 
-def screen_case(store, case, rng):
+#: Bucket ``[start, end)`` of each case's store.
+SCREEN_SPANS = {"extreme": (100, 400), "extreme_tail": (1500, 2000), "zero_length": (1400, 2000),
+                "all_zero": (1700, 2000)}
+
+
+def screen_case(store, stores, case, rng):
     """``(bucket, queries, cutoffs, thresholds, query_norms)`` for one named case."""
-    bucket = Bucket(store, 100, 400, 1)
+    if case in ("extreme", "extreme_tail"):
+        store = stores["extreme"]
+    elif case in ("zero_length", "all_zero"):
+        store = stores["zero_length"]
+    bucket = Bucket(store, *SCREEN_SPANS.get(case, (100, 400)), 1)
     pairs = 1 if case == "one_pair" else 37
     queries = PreparedQueries(make_factors(pairs, rank=SCREEN_RANK, length_cov=0.5,
                                            seed=int(rng.integers(1 << 30))))
-    directions, norms = queries.directions, queries.norms
+    directions, norms = queries.directions.copy(), queries.norms.copy()
+    if case == "zero_norm":
+        directions[:5], norms[:5] = 0.0, 0.0
+    elif case == "tiny_norm":
+        norms[:5] = 1e-310  # ‖q‖·2ᴱ below the screen's range: keep every row
     if case == "equal":
         cutoffs = np.full(pairs, 250)
     elif case == "one_pair":
@@ -322,46 +520,54 @@ def screen_case(store, case, rng):
         cutoffs = rng.integers(0, bucket.size + 1, pairs)
         cutoffs[:2] = 0, bucket.size
     scores = bucket.directions @ directions.T * bucket.lengths[:, None]
-    thresholds = np.quantile(scores, 0.9, axis=0)
+    thresholds = np.quantile(scores, 0.1 if case == "negative" else 0.9, axis=0)
     if case == "minus_inf":
         thresholds[:] = -np.inf
     elif case == "plus_inf":
         thresholds[:] = np.inf
+    elif case == "zero_norm":
+        thresholds[:3] = -1.0
     return bucket, directions, cutoffs, thresholds, norms
 
 
-SCREEN_CASES = ["mixed", "equal", "one_pair", "limit_one", "minus_inf", "plus_inf"]
+SCREEN_CASES = ["mixed", "equal", "one_pair", "limit_one", "minus_inf", "plus_inf", "negative",
+                "zero_norm", "tiny_norm", "extreme", "extreme_tail", "zero_length", "all_zero"]
 
 
 @pytest.mark.parametrize("tier", [None, "f16"])
 @pytest.mark.parametrize("with_norms", [True, False], ids=["above_theta", "row_top_k"])
 @pytest.mark.parametrize("case", SCREEN_CASES)
-def test_block_survivors_match_brute_force(screen_store, case, with_norms, tier):
+def test_block_survivors_match_brute_force(screen_store, edge_stores, case, with_norms, tier):
     rng = np.random.default_rng(SCREEN_CASES.index(case))
-    bucket, queries, cutoffs, thresholds, norms = screen_case(screen_store, case, rng)
+    bucket, queries, cutoffs, thresholds, norms = screen_case(screen_store, edge_stores, case,
+                                                              rng)
     norms = norms if with_norms else None
-    screen = None if tier is None else ScreenTier.build(screen_store.directions, tier)
-    actual = block_survivors(bucket, queries, cutoffs, thresholds, norms, screen)
+    screen = None if tier is None else ScreenTier.build(bucket.store.directions, tier)
+    with np.errstate(invalid="raise"):
+        actual = block_survivors(bucket, queries, cutoffs, thresholds, norms, screen)
     assert_same_survivors(actual, reference_survivors(bucket, queries, cutoffs, thresholds,
                                                       norms, screen))
     pairs, rows = actual
     assert np.all(rows < cutoffs[pairs])
     if case == "minus_inf":
         assert pairs.size == cutoffs.sum()
-    # The screen is conservative: every exact score reaching its threshold survives.
+    # The screen is conservative: every row the solvers' exact keep test
+    # keeps survives.
     kept = set(zip(pairs.tolist(), rows.tolist()))
-    exact = bucket.directions @ queries.T * bucket.lengths[:, None]
-    if norms is not None:
-        exact *= norms
     for pair in range(cutoffs.size):
-        for row in np.nonzero(exact[:cutoffs[pair], pair] >= thresholds[pair])[0].tolist():
+        candidates = np.arange(cutoffs[pair])
+        scale = bucket.lengths[candidates]
+        if norms is not None:
+            scale = norms[pair] * scale
+        exact = gather_matvec(bucket.directions, candidates, queries[pair]) * scale
+        for row in np.nonzero(exact >= thresholds[pair])[0].tolist():
             assert (pair, row) in kept
 
 
 @pytest.mark.parametrize("with_norms", [True, False], ids=["above_theta", "row_top_k"])
 def test_score_length_pairs_splits_into_query_blocks(screen_store, with_norms):
     bucket = Bucket(screen_store, 0, screen_store.size, 0)
-    queries = PreparedQueries(make_factors(150, rank=SCREEN_RANK, length_cov=0.5, seed=32))
+    queries = PreparedQueries(make_factors(400, rank=SCREEN_RANK, length_cov=0.5, seed=32))
     positions = np.arange(queries.size)[::-1].copy()
     norms = queries.norms[positions] if with_norms else None
     scores = bucket.directions @ queries.directions[positions].T * bucket.lengths[:, None]
@@ -371,8 +577,8 @@ def test_score_length_pairs_splits_into_query_blocks(screen_store, with_norms):
     thetas = np.quantile(scores, quantiles, axis=0).diagonal().copy()
     thetas[:3] = -1.0  # non-positive θ: every row of the bucket is a candidate
     stats = RunStats()
-    blocks = list(score_length_pairs(bucket, queries.directions, positions, norms, thetas,
-                                     thetas, stats, None, gather_matvec))
+    blocks = list(score_length_pairs(bucket, queries, positions, norms, thetas, thetas, stats,
+                                     None, gather_matvec))
     cutoffs = LengthRetriever.cutoffs(bucket, thetas, 1.0 if norms is None else norms)
     width = max(1, BLOCK_ELEMENTS // int(cutoffs.max()))
     assert width < positions.size // 2  # several query blocks

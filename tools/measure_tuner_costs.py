@@ -1,6 +1,6 @@
 """Re-measure the counted-cost tuner's constants (``repro.core.tuner``) on this host.
 
-Times block products, grouped and single verify calls and coordinate-retriever scans with
+Times f32 block screens, grouped and single verify calls and coordinate-retriever scans with
 BLAS pinned to one thread, fits the weights and prints them beside the committed values
 (nothing reads them at runtime): ``PYTHONPATH=src python tools/measure_tuner_costs.py``.
 """
@@ -37,9 +37,11 @@ def bucket_of(rows, rank):
 
 
 def per_row(rows, rank):
-    """Block-product seconds per (prefix row, query)."""
+    """Block-screen seconds per (prefix row, query): f32 rows and queries made beforehand."""
     bucket, queries = bucket_of(rows, rank)
-    cut, thresholds = np.full(len(queries), rows), np.full(len(queries), 0.5)
+    queries = queries.astype(np.float32)
+    cut, thresholds = np.full(len(queries), rows), np.full(len(queries), 0.9)
+    bucket.screen_rows()
     return best(lambda: block_survivors(bucket, queries, cut, thresholds), 5) / cut.sum()
 
 
@@ -50,7 +52,7 @@ def fit(design, times):
 def main():
     # LENGTH: cache-sized buckets at three ranks, then streaming on one that is not.
     row_s, entry_s = fit([[1, r] for r in (10, 50, 200)], [per_row(500, r) for r in (10, 50, 200)])
-    byte_s = (per_row(5000, 400) - row_s - 400 * entry_s) / (400 * 8 / (BLOCK_ELEMENTS // 5000))
+    byte_s = (per_row(5000, 400) - row_s - 400 * entry_s) / (400 * 4 / (BLOCK_ELEMENTS // 5000))
     # A LENGTH pair's share of its query block's one grouped verify call: 300 pairs × 8 rows.
     bucket, queries = bucket_of(200, 50)
     groups = np.repeat(np.arange(300), 8)
