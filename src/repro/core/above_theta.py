@@ -5,14 +5,28 @@ cache-friendly order of the paper).  A bucket that no query of the call can
 reach is skipped outright.  Otherwise the local thresholds of *all* queries
 are computed in one vectorised step, whole-bucket pruning is a single
 comparison, and the surviving queries are split between LENGTH — whose
-pairs are screened together by one f32 block product and verified by one
-grouped kernel call per query block, see
+pairs are screened together by one f32 block product per query block, see
 :func:`~repro.core.retrievers.length.score_length_pairs` — and the
-coordinate retrievers, which run pair by pair.
+coordinate retrievers, which generate (and, with a compressed tier, screen)
+pair by pair.
 
 Every (bucket, query) unit is independent of every other: the local threshold
 ``theta_b`` is a pure function of (theta, query norm, bucket max length), and
-candidate generation / verification read only the bucket and the query.
+candidate generation / verification read only the bucket and the query.  So
+the bucket loop only screens: it appends each bucket's survivors to a
+per-call queue as (query position, store row), in walk order — bucket, then
+query position, then candidate.  The queue is verified by one grouped
+:func:`~repro.core.kernels.gather_matvec` call with one group per query,
+and hits, ids and scores come from one vectorised pass over it.  Each score
+is a pure function of (row, query) under either kernel, so the results,
+their order and their bits are those of verifying bucket by bucket.
+
+Memory stays bounded: once the queue holds :data:`VERIFY_QUEUE_ROWS` rows
+at a bucket boundary, its whole chunks of that many rows are verified and
+dropped.  The queue therefore never holds more than
+``VERIFY_QUEUE_ROWS`` rows plus one bucket's survivors (16 bytes a row),
+and each verification call sees at most ``VERIFY_QUEUE_ROWS`` rows
+(about 8 MiB of temporaries at 2¹⁶ rows).
 """
 
 from __future__ import annotations
@@ -30,6 +44,10 @@ from repro.core.vector_store import PreparedQueries
 #: Tolerance subtracted from θ during verification so results that equal the
 #: threshold up to floating-point rounding are not dropped.
 _VERIFY_SLACK = 1e-12
+
+#: Survivor rows the verification queue verifies per kernel call; the queue
+#: is flushed at the first bucket boundary where it holds this many.
+VERIFY_QUEUE_ROWS = 1 << 16
 
 
 def solve_above_theta(
@@ -54,11 +72,9 @@ def solve_above_theta(
     results are therefore byte-identical to unscreened ones; only the
     ``inner_products`` / ``screen_*`` counters change.
     """
-    out_query_ids: list[np.ndarray] = []
-    out_probe_ids: list[np.ndarray] = []
-    out_scores: list[np.ndarray] = []
     cutoff = theta - _VERIFY_SLACK
     max_norm = float(queries.norms.max()) if queries.size else 0.0
+    queue = _VerifyQueue(queries, buckets[0].store if buckets else None, cutoff)
 
     for bucket in buckets:
         if local_threshold(theta, max_norm, bucket.max_length) > 1.0:
@@ -81,17 +97,14 @@ def solve_above_theta(
         else:
             blocked, routes = selector.split(bucket, thresholds[active])
             length_positions, pair_positions = active[blocked], active[~blocked]
-        found_positions, found_candidates, found_cosines = [], [], []
+        mark = len(queue.rows)
 
         if length_positions.size:
             norms = queries.norms[length_positions]
-            for pairs, candidates, cosines in score_length_pairs(
+            for pairs, candidates in score_length_pairs(
                     bucket, queries, length_positions, norms,
-                    np.full(norms.size, theta), np.full(norms.size, cutoff), stats, screen,
-                    gather_matvec):
-                found_positions.append(length_positions[pairs])
-                found_candidates.append(candidates)
-                found_cosines.append(cosines)
+                    np.full(norms.size, theta), np.full(norms.size, cutoff), stats, screen):
+                queue.push(length_positions[pairs], bucket.start + candidates)
 
         bucket_lengths = bucket.lengths
         for position, theta_b, (retriever, phi) in zip(
@@ -116,35 +129,85 @@ def solve_above_theta(
                 candidates = candidates[keep]
                 if candidates.size == 0:
                     continue
-            # The kernel keeps each row's rounding independent of the
-            # candidate-set size, so scores are bit-identical across different
-            # tuning outcomes, incremental updates, and index reloads.
-            found_cosines.append(gather_matvec(bucket.directions, candidates, query_direction))
             stats.inner_products += int(candidates.size)
-            found_positions.append(np.full(candidates.size, position))
-            found_candidates.append(candidates)
+            queue.push(np.full(candidates.size, position), bucket.start + candidates)
 
-        if not found_positions:
-            continue
-        positions = np.concatenate(found_positions)
-        candidates = np.concatenate(found_candidates)
-        cosines = np.concatenate(found_cosines)
         if length_positions.size and pair_positions.size:
-            # Emit in query-position order, each query's hits in candidate
-            # order — the order of a per-pair walk over ``active``.
-            order = np.argsort(positions, kind="stable")
-            positions, candidates, cosines = positions[order], candidates[order], cosines[order]
-        scores = cosines * (queries.norms[positions] * bucket_lengths[candidates])
-        hits = scores >= cutoff
-        if hits.any():
-            out_query_ids.append(queries.ids[positions[hits]].astype(np.int64))
-            out_probe_ids.append(bucket.ids[candidates[hits]].astype(np.int64))
-            out_scores.append(scores[hits])
+            # Put the bucket's pairs in query-position order, each query's
+            # rows in candidate order — the order of a per-pair walk over
+            # ``active``.
+            queue.sort_since(mark)
+        if queue.size >= VERIFY_QUEUE_ROWS:
+            queue.flush(final=False)
 
-    if out_query_ids:
-        return (
-            np.concatenate(out_query_ids),
-            np.concatenate(out_probe_ids),
-            np.concatenate(out_scores),
-        )
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    queue.flush(final=True)
+    return queue.results()
+
+
+class _VerifyQueue:
+    """Survivors of a call awaiting exact verification, and the hits verified so far.
+
+    Rows are queued as (query position, store row) in walk order and
+    verified in chunks of :data:`VERIFY_QUEUE_ROWS`; a chunk's hits are
+    kept in queue order, so the results come out in walk order.
+    """
+
+    def __init__(self, queries: PreparedQueries, store, cutoff: float) -> None:
+        self.queries = queries
+        self.store = store
+        self.cutoff = cutoff
+        self.positions: list[np.ndarray] = []
+        self.rows: list[np.ndarray] = []
+        self.size = 0
+        self.hits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def push(self, positions: np.ndarray, rows: np.ndarray) -> None:
+        self.positions.append(positions)
+        self.rows.append(rows)
+        self.size += rows.size
+
+    def sort_since(self, mark: int) -> None:
+        """Stably sort the pieces pushed after the first ``mark`` ones by query position."""
+        if len(self.rows) - mark < 2:
+            return
+        positions = np.concatenate(self.positions[mark:])
+        rows = np.concatenate(self.rows[mark:])
+        order = np.argsort(positions, kind="stable")
+        self.positions[mark:] = [positions[order]]
+        self.rows[mark:] = [rows[order]]
+
+    def flush(self, final: bool) -> None:
+        """Verify every whole chunk of queued rows, and the partial one when ``final``."""
+        if self.size == 0:
+            return
+        positions = np.concatenate(self.positions)
+        rows = np.concatenate(self.rows)
+        chunk = VERIFY_QUEUE_ROWS
+        done = self.size if final else self.size - self.size % chunk
+        for start in range(0, done, chunk):
+            stop = min(start + chunk, done)
+            self._verify(positions[start:stop], rows[start:stop])
+        self.positions, self.rows = [positions[done:]], [rows[done:]]
+        self.size -= done
+
+    def _verify(self, positions: np.ndarray, rows: np.ndarray) -> None:
+        """Score one chunk with one grouped kernel call (one group per query) and keep its hits."""
+        # Grouping by query puts each query's rows from every bucket in one
+        # group; the kernel keeps each row's rounding independent of the
+        # other rows, so the bits are those of a per-pair call, across
+        # tuning outcomes, incremental updates and index reloads.
+        order = np.argsort(positions, kind="stable")
+        scored = gather_matvec(self.store.directions, rows[order], self.queries.directions,
+                               groups=positions[order])
+        cosines = np.empty_like(scored)
+        cosines[order] = scored
+        scores = cosines * (self.queries.norms[positions] * self.store.lengths[rows])
+        hits = scores >= self.cutoff
+        if hits.any():
+            self.hits.append((self.queries.ids[positions[hits]].astype(np.int64),
+                              self.store.ids[rows[hits]].astype(np.int64), scores[hits]))
+
+    def results(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.hits:
+            return tuple(np.concatenate(parts) for parts in zip(*self.hits))
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)

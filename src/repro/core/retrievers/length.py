@@ -10,8 +10,10 @@ Inside a bucket LENGTH "degenerates to Naive", so the solvers do not call
 handles all of a bucket's LENGTH pairs at once: :meth:`LengthRetriever.cutoffs`
 finds every prefix with one ``searchsorted``, :func:`block_survivors` scores
 them with one BLAS block product per bounded query block and keeps only the
-rows that can still reach their pair's threshold, and only those survivors
-are re-scored by the exact kernel — one grouped call per query block.
+rows that can still reach their pair's threshold.  Only those survivors are
+re-scored by the exact kernel, by the solver: Row-Top-k with one grouped
+call per query block, Above-θ in one grouped call for the whole call (see
+:mod:`repro.core.above_theta`).
 
 The screen is conservative and runs in float32: each bucket keeps a lazily
 built f32 copy of its rows scaled by their lengths and a power of two
@@ -179,20 +181,18 @@ def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.nd
 
 def score_length_pairs(bucket: Bucket, queries: PreparedQueries, positions: np.ndarray,
                        query_norms, thetas: np.ndarray, thresholds: np.ndarray, stats,
-                       screen, verify):
-    """Generate, screen and verify a bucket's LENGTH pairs, one query block at a time.
+                       screen):
+    """Generate and screen a bucket's LENGTH pairs, one query block at a time.
 
     Pair ``j`` is the query ``positions[j]`` of ``queries`` (norm
     ``query_norms[j]``, or 1 when ``None``) with LENGTH threshold
     ``thetas[j]`` and keep-threshold ``thresholds[j]`` on the exact score.
     Pairs go through :func:`block_survivors` in blocks whose product holds
     at most :data:`BLOCK_ELEMENTS` scores, with the queries' f32
-    directions.  Yields ``(pairs, candidates, cosines)`` per block for its
-    survivors, sorted by pair and then by candidate, with cosines from
-    ``verify`` — the solver's exact kernel,
-    :func:`~repro.core.kernels.gather_matvec` — called once per block in its
-    grouped form: each survivor is scored against its pair's query row and
-    keeps the bits a per-pair call on that row would give.
+    directions.  Yields ``(pairs, candidates)`` per block for its
+    survivors, sorted by pair and then by candidate; ``pairs`` index
+    ``positions``.  The caller verifies them with the exact kernel,
+    :func:`~repro.core.kernels.gather_matvec`.
 
     Counters follow the per-pair route: every prefix row is a generated
     candidate.  Without a ``screen`` tier each one is also an inner product
@@ -223,8 +223,5 @@ def score_length_pairs(bucket: Bucket, queries: PreparedQueries, positions: np.n
             stats.screen_products += screened_total
             stats.screen_dropped += screened_total - int(np.count_nonzero(screened[pairs]))
             stats.inner_products += int(pairs.size)
-        if pairs.size == 0:
-            continue
-        cosines = verify(bucket.directions, candidates, queries.directions,
-                         groups=members[pairs])
-        yield pairs + start, candidates, cosines
+        if pairs.size:
+            yield pairs + start, candidates

@@ -14,9 +14,12 @@ same order with the θ′ left by the buckets before, so its θ′ sequence — 
 every counter — is that of a per-query walk.  Per bucket, one vectorised
 step prunes finished queries and splits the rest between LENGTH and the
 coordinate retrievers.  LENGTH pairs are screened for all of them by one
-f32 block product and their survivors verified by one grouped kernel call per
-query block (:func:`~repro.core.retrievers.length.score_length_pairs`);
-coordinate pairs run, and are verified, pair by pair.
+f32 block product per query block
+(:func:`~repro.core.retrievers.length.score_length_pairs`), and each
+block's survivors are verified at once by one grouped kernel call; coordinate
+pairs run, and are verified, pair by pair.  Unlike Above-θ, verification
+cannot be deferred past the bucket: the verified scores tighten θ′, which
+the next bucket's pruning and screening read.
 """
 
 from __future__ import annotations
@@ -103,10 +106,14 @@ def solve_row_top_k(
         # pair by pair sees the same θ′ as folding the bucket at once.
         if length_rows.size:
             thresholds = theta_prime[length_rows]
-            for pairs, candidates, cosines in score_length_pairs(
-                    bucket, queries, length_rows, None, thresholds,
-                    thresholds, stats, screen, gather_matvec):
-                top.fold(bucket, length_rows[pairs], candidates, cosines)
+            for pairs, candidates in score_length_pairs(
+                    bucket, queries, length_rows, None, thresholds, thresholds, stats, screen):
+                rows = length_rows[pairs]
+                # One grouped call per query block; each row keeps the bits
+                # of a per-pair call on its query.
+                cosines = gather_matvec(bucket.directions, candidates, queries.directions,
+                                        groups=rows)
+                top.fold(bucket, rows, candidates, cosines)
 
         for row, value, (retriever, phi) in zip(pair_rows.tolist(), pair_theta_b.tolist(),
                                                  routes):

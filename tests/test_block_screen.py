@@ -578,7 +578,7 @@ def test_score_length_pairs_splits_into_query_blocks(screen_store, with_norms):
     thetas[:3] = -1.0  # non-positive θ: every row of the bucket is a candidate
     stats = RunStats()
     blocks = list(score_length_pairs(bucket, queries, positions, norms, thetas, thetas, stats,
-                                     None, gather_matvec))
+                                     None))
     cutoffs = LengthRetriever.cutoffs(bucket, thetas, 1.0 if norms is None else norms)
     width = max(1, BLOCK_ELEMENTS // int(cutoffs.max()))
     assert width < positions.size // 2  # several query blocks
@@ -593,8 +593,12 @@ def test_score_length_pairs_splits_into_query_blocks(screen_store, with_norms):
         if pairs.size:
             expected.append((pairs + start, rows))
     assert len(blocks) == len(expected) > 1
-    for (pairs, rows, cosines), (wanted_pairs, wanted_rows) in zip(blocks, expected):
+    for (pairs, rows), (wanted_pairs, wanted_rows) in zip(blocks, expected):
         assert_same_survivors((pairs, rows), (wanted_pairs, wanted_rows))
+        # Row-Top-k verifies a block's survivors with one grouped call; each
+        # row keeps the bits of a per-pair call.
+        cosines = gather_matvec(bucket.directions, rows, queries.directions,
+                                groups=positions[pairs])
         for pair in np.unique(pairs).tolist():
             mine = pairs == pair
             query = queries.directions[positions[pair]]
