@@ -1,14 +1,24 @@
 """Above-θ solver: the retrieval phase of Algorithm 1.
 
 Buckets are processed in the outer loop and queries in the inner step (the
-cache-friendly order of the paper).  A bucket that no query of the call can
-reach is skipped outright.  Otherwise the local thresholds of *all* queries
-are computed in one vectorised step, whole-bucket pruning is a single
-comparison, and the surviving queries are split between LENGTH — whose
-pairs are screened together by one f32 block product per query block, see
-:func:`~repro.core.retrievers.length.score_length_pairs` — and the
-coordinate retrievers, which generate (and, with a compressed tier, screen)
-pair by pair.
+cache-friendly order of the paper).  Queries are sorted by decreasing norm
+and buckets by decreasing maximum length, so the buckets a query reaches
+(local threshold ``θ_b ≤ 1``) are a prefix of the walk, and a bucket's
+active queries are a prefix of the queries.  One call to
+:meth:`~repro.core.bucket.BucketLayout.walk` computes θ/‖q‖ once and finds
+both, together with each query's LENGTH prefix in the store; the walk then
+stops at the last bucket any query reaches, and the bucket counters are
+summed from those counts.
+
+Every maximal run of consecutive live buckets that share a screen exponent
+and send every active pair to LENGTH is one span: per query block, one f32
+product against the span's contiguous rows of the store's screen buffer and
+one compare (:func:`~repro.core.retrievers.length.screen_pairs`), cut to
+each query's prefix and to the buckets' slices.  A bucket with any pair
+routed to a coordinate retriever is screened on its own: its LENGTH pairs
+by one block product per query block
+(:func:`~repro.core.retrievers.length.score_length_pairs`), its coordinate
+pairs pair by pair (with a compressed tier, screened pair by pair too).
 
 Every (bucket, query) unit is independent of every other: the local threshold
 ``theta_b`` is a pure function of (theta, query norm, bucket max length), and
@@ -22,9 +32,9 @@ is a pure function of (row, query) under either kernel, so the results,
 their order and their bits are those of verifying bucket by bucket.
 
 Memory stays bounded: once the queue holds :data:`VERIFY_QUEUE_ROWS` rows
-at a bucket boundary, its whole chunks of that many rows are verified and
-dropped.  The queue therefore never holds more than
-``VERIFY_QUEUE_ROWS`` rows plus one bucket's survivors (16 bytes a row),
+at a bucket or span boundary, its whole chunks of that many rows are
+verified and dropped.  The queue therefore never holds more than
+``VERIFY_QUEUE_ROWS`` rows plus one span's survivors (16 bytes a row),
 and each verification call sees at most ``VERIFY_QUEUE_ROWS`` rows
 (about 8 MiB of temporaries at 2¹⁶ rows).
 """
@@ -33,12 +43,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bucket import Bucket
+from repro.core.bucket import Bucket, BucketLayout
 from repro.core.kernels import gather_matvec
-from repro.core.retrievers.length import MIN_BLOCK_PAIRS, score_length_pairs
+from repro.core.retrievers.length import MIN_BLOCK_PAIRS, score_length_pairs, screen_pairs
 from repro.core.selector import RetrieverSelector
 from repro.core.stats import RunStats
-from repro.core.thresholds import local_threshold, local_thresholds
+from repro.core.thresholds import local_thresholds
 from repro.core.vector_store import PreparedQueries
 
 #: Tolerance subtracted from θ during verification so results that equal the
@@ -46,13 +56,13 @@ from repro.core.vector_store import PreparedQueries
 _VERIFY_SLACK = 1e-12
 
 #: Survivor rows the verification queue verifies per kernel call; the queue
-#: is flushed at the first bucket boundary where it holds this many.
+#: is flushed at the first bucket or span boundary where it holds this many.
 VERIFY_QUEUE_ROWS = 1 << 16
 
 
 def solve_above_theta(
     queries: PreparedQueries,
-    buckets: list[Bucket],
+    buckets: BucketLayout | list[Bucket],
     theta: float,
     selector: RetrieverSelector,
     stats: RunStats,
@@ -61,7 +71,8 @@ def solve_above_theta(
     """Retrieve all (query, probe) pairs with inner product at least ``theta``.
 
     Returns three parallel arrays: original query ids, original probe ids and
-    exact scores.
+    exact scores.  ``buckets`` is the walk order, as a list or as the
+    :class:`~repro.core.bucket.BucketLayout` a retriever keeps for it.
 
     ``screen`` is an optional :class:`~repro.core.screening.ScreenTier`: the
     generated candidates are pre-filtered with compressed dot products, and
@@ -72,76 +83,126 @@ def solve_above_theta(
     results are therefore byte-identical to unscreened ones; only the
     ``inner_products`` / ``screen_*`` counters change.
     """
+    layout = buckets if isinstance(buckets, BucketLayout) else BucketLayout(buckets)
     cutoff = theta - _VERIFY_SLACK
-    max_norm = float(queries.norms.max()) if queries.size else 0.0
-    queue = _VerifyQueue(queries, buckets[0].store if buckets else None, cutoff)
+    queue = _VerifyQueue(queries, layout.store, cutoff)
+    norms = queries.norms
+    live, prefix = layout.walk(theta, norms)
+    examined = int(live.sum())
+    stats.buckets_examined += examined
+    stats.buckets_pruned += queries.size * len(layout.buckets) - examined
+    last = int(live[0]) if queries.size else 0
+    # Bucket b's active queries are the first active[b]; later buckets are dead.
+    active = np.searchsorted(-live, -np.arange(last), side="left")
+    # A bucket's largest θ_b is its last active query's for θ > 0 (θ_b grows
+    # as ‖q‖ falls), and its first query's otherwise.
+    extreme = active - 1 if theta > 0.0 else np.zeros_like(active)
+    largest = local_thresholds(theta, norms[extreme], layout.max_lengths[:last])
+    to_length = [selector.length_only(layout.buckets[index], value)
+                 for index, value in enumerate(largest.tolist())]
+    ends = layout.positions(prefix) if last else prefix
 
-    for bucket in buckets:
-        if local_threshold(theta, max_norm, bucket.max_length) > 1.0:
-            # Dead bucket: no query of the call can reach it.  Local
-            # thresholds only grow as the query norm shrinks, so this is the
-            # per-query test below answered for all queries at once.
-            stats.buckets_pruned += queries.size
-            continue
-        thresholds = local_thresholds(theta, queries.norms, bucket.max_length)
-        active = np.nonzero(thresholds <= 1.0)[0]
-        stats.buckets_pruned += queries.size - active.size
-        stats.buckets_examined += active.size
-        if active.size == 0:
-            continue
-
-        if active.size < MIN_BLOCK_PAIRS:
-            # A few queries: a block product would cost more than it saves.
-            length_positions, pair_positions = active[:0], active
-            routes = [selector.select(bucket, value) for value in thresholds[active].tolist()]
+    index = 0
+    while index < last:
+        if not to_length[index]:
+            _screen_bucket(layout.buckets[index], queries, int(active[index]), theta, cutoff,
+                           selector, stats, screen, queue)
+            index += 1
         else:
-            blocked, routes = selector.split(bucket, thresholds[active])
-            length_positions, pair_positions = active[blocked], active[~blocked]
-        mark = len(queue.rows)
-
-        if length_positions.size:
-            norms = queries.norms[length_positions]
-            for pairs, candidates in score_length_pairs(
-                    bucket, queries, length_positions, norms,
-                    np.full(norms.size, theta), np.full(norms.size, cutoff), stats, screen):
-                queue.push(length_positions[pairs], bucket.start + candidates)
-
-        bucket_lengths = bucket.lengths
-        for position, theta_b, (retriever, phi) in zip(
-                pair_positions.tolist(), thresholds[pair_positions].tolist(), routes):
-            query_direction = queries.directions[position]
-            query_norm = float(queries.norms[position])
-            candidates = retriever.retrieve(
-                bucket, query_direction, query_norm, theta, theta_b, phi
-            )
-            stats.candidates += int(candidates.size)
-            if candidates.size == 0:
-                continue
-            if screen is not None:
-                upper = screen.upper_cosines(bucket.start, candidates, query_direction)
-                stats.screen_products += int(candidates.size)
-                # The exact score is cos * ||q|| * ||p||; both norms are
-                # non-negative, so the screened upper bound on the cosine
-                # scales to an upper bound on the score and the keep-test
-                # below mirrors the exact one (including its slack).
-                keep = upper * (query_norm * bucket_lengths[candidates]) >= cutoff
-                stats.screen_dropped += int(candidates.size - np.count_nonzero(keep))
-                candidates = candidates[keep]
-                if candidates.size == 0:
-                    continue
-            stats.inner_products += int(candidates.size)
-            queue.push(np.full(candidates.size, position), bucket.start + candidates)
-
-        if length_positions.size and pair_positions.size:
-            # Put the bucket's pairs in query-position order, each query's
-            # rows in candidate order — the order of a per-pair walk over
-            # ``active``.
-            queue.sort_since(mark)
+            stop = index + 1
+            while (stop < last and to_length[stop]
+                   and layout.exponents[stop] == layout.exponents[index]):
+                stop += 1
+            _screen_span(layout, index, stop, queries, int(active[index]), prefix, ends, cutoff,
+                         stats, screen, queue)
+            index = stop
         if queue.size >= VERIFY_QUEUE_ROWS:
             queue.flush(final=False)
 
     queue.flush(final=True)
     return queue.results()
+
+
+def _screen_span(layout: BucketLayout, first: int, stop: int, queries: PreparedQueries,
+                 count: int, prefix: np.ndarray, ends: np.ndarray, cutoff: float,
+                 stats: RunStats, screen, queue: "_VerifyQueue") -> None:
+    """Screen buckets ``[first, stop)``, whose pairs all take LENGTH, as one span.
+
+    The span's queries are the first bucket's ``count`` active queries.  A
+    query's rows end at its LENGTH prefix (``ends``, a buffer position),
+    which never passes its last live bucket, so each query screens exactly
+    the rows the per-bucket walk would.  Survivors are queued in walk order:
+    bucket, then query position, then row.
+    """
+    span = layout.span(first, stop)
+    low, high = layout.offsets[first], layout.offsets[stop]
+    counts = np.minimum(np.maximum(prefix[:count], low), high) - low
+    cutoffs = np.minimum(np.maximum(ends[:count] - span.start, 0), span.end - span.start)
+    positions = np.arange(count)
+    found = list(screen_pairs(span, queries, positions, queries.norms[:count], cutoffs, counts,
+                              np.full(count, cutoff), stats, screen))
+    if not found:
+        return
+    pairs, rows = (np.concatenate(parts) for parts in zip(*found))
+    if stop - first > 1:
+        order = np.argsort(span.owners(rows), kind="stable")
+        pairs, rows = pairs[order], rows[order]
+    queue.push(pairs, span.start + rows)
+
+
+def _screen_bucket(bucket: Bucket, queries: PreparedQueries, count: int, theta: float,
+                   cutoff: float, selector: RetrieverSelector, stats: RunStats, screen,
+                   queue: "_VerifyQueue") -> None:
+    """Screen one bucket's ``count`` active queries, split between LENGTH and coordinate pairs."""
+    thresholds = local_thresholds(theta, queries.norms[:count], bucket.max_length)
+    active = np.arange(count)
+    if count < MIN_BLOCK_PAIRS:
+        # A few queries: a block product would cost more than it saves.
+        length_positions, pair_positions = active[:0], active
+        routes = [selector.select(bucket, value) for value in thresholds.tolist()]
+    else:
+        blocked, routes = selector.split(bucket, thresholds)
+        length_positions, pair_positions = active[blocked], active[~blocked]
+    mark = len(queue.rows)
+
+    if length_positions.size:
+        norms = queries.norms[length_positions]
+        for pairs, candidates in score_length_pairs(
+                bucket, queries, length_positions, norms,
+                np.full(norms.size, theta), np.full(norms.size, cutoff), stats, screen):
+            queue.push(length_positions[pairs], bucket.start + candidates)
+
+    bucket_lengths = bucket.lengths
+    for position, theta_b, (retriever, phi) in zip(
+            pair_positions.tolist(), thresholds[pair_positions].tolist(), routes):
+        query_direction = queries.directions[position]
+        query_norm = float(queries.norms[position])
+        candidates = retriever.retrieve(
+            bucket, query_direction, query_norm, theta, theta_b, phi
+        )
+        stats.candidates += int(candidates.size)
+        if candidates.size == 0:
+            continue
+        if screen is not None:
+            upper = screen.upper_cosines(bucket.start, candidates, query_direction)
+            stats.screen_products += int(candidates.size)
+            # The exact score is cos * ||q|| * ||p||; both norms are
+            # non-negative, so the screened upper bound on the cosine
+            # scales to an upper bound on the score and the keep-test
+            # below mirrors the exact one (including its slack).
+            keep = upper * (query_norm * bucket_lengths[candidates]) >= cutoff
+            stats.screen_dropped += int(candidates.size - np.count_nonzero(keep))
+            candidates = candidates[keep]
+            if candidates.size == 0:
+                continue
+        stats.inner_products += int(candidates.size)
+        queue.push(np.full(candidates.size, position), bucket.start + candidates)
+
+    if length_positions.size and pair_positions.size:
+        # Put the bucket's pairs in query-position order, each query's
+        # rows in candidate order — the order of a per-pair walk over
+        # its active queries.
+        queue.sort_since(mark)
 
 
 class _VerifyQueue:

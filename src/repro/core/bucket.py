@@ -5,18 +5,26 @@ matrix (Fig. 2 / Fig. 4a).  Buckets expose views on the lengths, directions and
 original identifiers of their probes and *lazily* build the auxiliary indexes
 used by the different retrieval algorithms (sorted lists for COORD/INCR/TA, a
 cover tree for LEMP-Tree, an L2AP index and LSH signatures for LEMP-L2AP /
-LEMP-BLSH) and the f32 rows of the LENGTH block screen.  Lazy construction
-mirrors the paper: buckets that are always pruned never pay any indexing
-cost.
+LEMP-BLSH) and their slice of the store's f32 LENGTH screen buffer.  Lazy
+construction mirrors the paper: buckets that are always pruned never pay any
+indexing cost.
+
+A :class:`BucketLayout` holds a bucket list with the per-bucket arrays an
+Above-θ call reads, so a call finds its live buckets and LENGTH prefixes
+with a few searches instead of a pass over every bucket; a :class:`Span` is
+a run of consecutive buckets that LENGTH screens as one slice of the buffer.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.core.sorted_lists import SortedListIndex
 from repro.core.tuning_cache import BucketFingerprint, fingerprint_content
-from repro.core.vector_store import VectorStore
+from repro.core.thresholds import local_thresholds
+from repro.core.vector_store import VectorStore, span_positions
 
 
 def gen_lists_key(dtype_name: str) -> str:
@@ -57,7 +65,8 @@ class Bucket:
         self.index = index
         self.epoch = epoch
         self._sorted_lists: SortedListIndex | None = None
-        self._screen_rows: tuple[np.ndarray, int] | None = None
+        #: :attr:`VectorStore.screen_version` this bucket's slice was filled at.
+        self._screen_version = -1
         self._extra_indexes: dict[str, object] = {}
         self._fingerprint: BucketFingerprint | None = None
 
@@ -126,24 +135,33 @@ class Bucket:
             self._sorted_lists = SortedListIndex(self.directions)
         return self._sorted_lists
 
-    def screen_rows(self) -> tuple[np.ndarray, int]:
-        """The LENGTH block screen's f32 rows and their scale exponent ``E``, built once.
+    @property
+    def screen_exponent(self) -> int:
+        """``E``, the exponent of ``l_b = m·2ᴱ`` with ``m ∈ [0.5, 1)`` (0 for ``l_b = 0``)."""
+        return math.frexp(self.max_length)[1]
 
-        Row ``i`` is ``directions[i] · lengths[i] · 2⁻ᴱ`` rounded once to
-        float32, where ``E`` is the exponent of ``l_b`` (``l_b = m·2ᴱ`` with
-        ``m ∈ [0.5, 1)``, ``E = 0`` for a zero-length bucket), so every
-        scaled length is below 1 and none can overflow float32 (see
+    def fill_screen(self) -> np.ndarray:
+        """The store's f32 screen buffer, with this bucket's slice filled.
+
+        Row ``i`` of the slice is ``directions[i] · lengths[i] · 2⁻ᴱ``
+        rounded once to float32 (:attr:`screen_exponent`), so every scaled
+        length is below 1 and none can overflow float32 (see
         :func:`~repro.core.kernels.screen_slack`).  Bucket content never
-        changes in place, so the copy lives as long as the bucket: ``4·r``
-        bytes per row.
+        changes in place, so the slice is written once per buffer: again
+        only after a re-pack reallocates it.  Buckets of one store do not
+        overlap, so no bucket overwrites another's slice.
         """
-        if self._screen_rows is None:
-            exponent = int(np.frexp(self.max_length)[1])
-            scaled = np.ldexp(self.lengths, -exponent)
-            rows = np.empty((self.size, self.store.rank), dtype=np.float32)
-            np.multiply(self.directions, scaled[:, None], out=rows)
-            self._screen_rows = rows, exponent
-        return self._screen_rows
+        store = self.store
+        rows = store.screen_rows()
+        if self._screen_version != store.screen_version:
+            scaled = np.ldexp(self.lengths, -self.screen_exponent)
+            np.multiply(self.directions, scaled[:, None], out=rows[self.start:self.end])
+            self._screen_version = store.screen_version
+        return rows
+
+    def screen_slice(self) -> tuple[np.ndarray, int]:
+        """The bucket's filled rows of the f32 screen buffer and their exponent ``E``."""
+        return self.fill_screen()[self.start:self.end], self.screen_exponent
 
     def gen_sorted_lists(self, tier) -> SortedListIndex:
         """Sorted lists built over a compressed tier's values, lazily.
@@ -202,3 +220,113 @@ class Bucket:
             f"Bucket(index={self.index}, size={self.size}, "
             f"max_length={self.max_length:.4g}, min_length={self.min_length:.4g})"
         )
+
+
+class Span:
+    """Consecutive buckets of one screen exponent, read as one slice of the buffer.
+
+    The slice ``[start, end)`` runs from the first bucket's start to the
+    last one's end, gap rows between the buckets included: those are zero
+    in the screen buffer and in :attr:`lengths`, and :meth:`live_rows`
+    drops them from a screen's survivors.  Every row of the slice is scaled
+    by the same ``2⁻ᴱ``, with ``s·l_p ≤ 1``, which is all
+    :func:`~repro.core.kernels.screen_slack` assumes of one product.
+    """
+
+    def __init__(self, buckets: list[Bucket], starts: np.ndarray, ends: np.ndarray) -> None:
+        self.buckets = buckets
+        self.store = buckets[0].store
+        self.start = int(starts[0])
+        self.end = int(ends[-1])
+        self.exponent = buckets[0].screen_exponent
+        self._starts = starts - self.start
+        self._ends = ends - self.start
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Lengths of the slice's rows; gap rows read 0."""
+        return self.store.lengths[self.start:self.end]
+
+    def screen_slice(self) -> tuple[np.ndarray, int]:
+        """The slice's rows of the f32 screen buffer, each bucket's filled, and ``E``."""
+        for bucket in self.buckets:
+            rows = bucket.fill_screen()
+        return rows[self.start:self.end], self.exponent
+
+    def owners(self, rows: np.ndarray) -> np.ndarray:
+        """Position in the span of the bucket at or before each slice row."""
+        return np.searchsorted(self._starts, rows, side="right") - 1
+
+    def live_rows(self, pairs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(pair, row)`` entries whose row lies inside a bucket, not in a gap."""
+        if len(self.buckets) == 1:
+            return pairs, rows
+        inside = rows < self._ends[self.owners(rows)]
+        return pairs[inside], rows[inside]
+
+
+class BucketLayout:
+    """A store's buckets in walk order, with the arrays an Above-θ call reads.
+
+    Built once per bucket list (:meth:`repro.core.lemp.Lemp.layout`): the
+    buckets' buffer ``starts`` and ``ends``, their longest lengths
+    ``max_lengths`` (non-increasing) and screen ``exponents``, ``offsets``
+    (live rows before each bucket) and the live rows' lengths in walk order,
+    which are sorted like the store.
+    """
+
+    def __init__(self, buckets) -> None:
+        self.buckets = buckets
+        count = len(buckets)
+        self.store = buckets[0].store if count else None
+        self.starts = np.fromiter((bucket.start for bucket in buckets), np.intp, count)
+        self.ends = np.fromiter((bucket.end for bucket in buckets), np.intp, count)
+        self.max_lengths = self.store.lengths[self.starts] if count else np.empty(0)
+        self.exponents = np.frexp(self.max_lengths)[1]
+        self.offsets = np.concatenate(([0], np.cumsum(self.ends - self.starts)))
+        rows = span_positions(self.starts, self.ends) if count else np.empty(0, np.intp)
+        self._negated_lengths = -self.store.lengths[rows] if count else np.empty(0)
+
+    def span(self, first: int, stop: int) -> Span:
+        """Buckets ``[first, stop)`` as one :class:`Span`."""
+        return Span(self.buckets[first:stop], self.starts[first:stop], self.ends[first:stop])
+
+    def walk(self, theta: float, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each query's live buckets and LENGTH prefix at ``theta``, from θ/‖q‖ once.
+
+        Returns ``(live, prefix)`` per query (``norms`` non-increasing).
+        ``live[j]`` counts the buckets with local threshold ``θ_b ≤ 1``
+        (:func:`~repro.core.thresholds.local_thresholds`); for ``θ > 0`` they
+        are the first ``live[j]`` buckets, found with one search over
+        ``max_lengths`` and stepped to the exact comparison, which rounding
+        may move across buckets of nearly equal lengths.  For ``θ ≤ 0``
+        every bucket is live.  ``prefix[j]`` counts the live rows of the
+        query's live buckets with ``‖p‖ ≥ θ/‖q‖`` (all of them for
+        ``θ ≤ 0``): :meth:`~repro.core.retrievers.length.LengthRetriever.retrieve`'s
+        prefix, summed over the buckets, from one search over the live
+        lengths.  ``live`` and ``prefix`` are non-increasing.
+        """
+        count = len(self.buckets)
+        if count == 0 or not theta > 0.0:
+            everything = count if theta <= 0.0 else 0  # NaN reaches nothing
+            live = np.full(norms.size, everything, dtype=np.intp)
+            return live, self.offsets[live]
+        with np.errstate(divide="ignore", over="ignore"):
+            least = theta / norms
+        live = np.searchsorted(-self.max_lengths, -least, side="right")
+        while True:
+            # The live buckets are a prefix, so a query steps one way only.
+            last = local_thresholds(theta, norms, self.max_lengths[np.maximum(live - 1, 0)])
+            after = local_thresholds(theta, norms, self.max_lengths[np.minimum(live, count - 1)])
+            step = ((live < count) & (after <= 1.0)).astype(np.intp)
+            step -= (live > 0) & ~(last <= 1.0)
+            if not step.any():
+                break
+            live += step
+        prefix = np.searchsorted(self._negated_lengths, -least, side="right")
+        return live, np.minimum(prefix, self.offsets[live])
+
+    def positions(self, prefix: np.ndarray) -> np.ndarray:
+        """Buffer position just past each prefix of ``prefix`` live rows."""
+        owner = np.searchsorted(self.offsets[1:], prefix, side="left")
+        return self.starts[owner] + prefix - self.offsets[owner]

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.above_theta import solve_above_theta
 from repro.core.api import Retriever
-from repro.core.bucket import Bucket
+from repro.core.bucket import Bucket, BucketLayout
 from repro.core.bucketize import (
     DEFAULT_CACHE_KIB,
     DRIFT_LIMIT,
@@ -191,6 +191,7 @@ class Lemp(Retriever):
         self.name = f"LEMP-{algorithm}"
         self.store: VectorStore | None = None
         self.buckets: list = []
+        self._layout: BucketLayout | None = None
         self.tuning_cache = TuningCache(enabled=bool(tune_cache))
         self._epoch = 0
 
@@ -400,6 +401,7 @@ class Lemp(Retriever):
         else:
             for bucket, start, size in zip(self.buckets, starts.tolist(), sizes.tolist()):
                 bucket.start, bucket.end = start, start + size
+            self._layout = None
         self.stats.store_repacks += 1
 
     def partial_fit(self, new_probes) -> "Lemp":
@@ -778,6 +780,17 @@ class Lemp(Retriever):
                     total += structure.memory_bytes()
         return int(total)
 
+    def layout(self) -> BucketLayout:
+        """The buckets as a :class:`~repro.core.bucket.BucketLayout`, rebuilt after a write.
+
+        Every write but a re-pack that keeps the cuts assigns a new bucket
+        list; that re-pack moves the buckets in place and drops the layout.
+        """
+        layout = self._layout
+        if layout is None or layout.buckets is not self.buckets:
+            layout = self._layout = BucketLayout(self.buckets)
+        return layout
+
     # --------------------------------------------------------------- problems
 
     def above_theta(self, queries, theta: float) -> AboveThetaResult:
@@ -798,7 +811,7 @@ class Lemp(Retriever):
         screen = self._screen_tier()
         with Timer() as timer:
             query_ids, probe_ids, scores = solve_above_theta(
-                prepared, self.buckets, float(theta), selector, self.stats,
+                prepared, self.layout(), float(theta), selector, self.stats,
                 screen=screen,
             )
         self.stats.retrieval_seconds += timer.elapsed

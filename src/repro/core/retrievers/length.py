@@ -13,11 +13,14 @@ them with one BLAS block product per bounded query block and keeps only the
 rows that can still reach their pair's threshold.  Only those survivors are
 re-scored by the exact kernel, by the solver: Row-Top-k with one grouped
 call per query block, Above-θ in one grouped call for the whole call (see
-:mod:`repro.core.above_theta`).
+:mod:`repro.core.above_theta`).  Above-θ goes further: a run of consecutive
+buckets whose pairs all take LENGTH is one :class:`~repro.core.bucket.Span`,
+screened by :func:`screen_pairs` as a single slice of the store.
 
-The screen is conservative and runs in float32: each bucket keeps a lazily
-built f32 copy of its rows scaled by their lengths and a power of two
-(:meth:`~repro.core.bucket.Bucket.screen_rows`), the query block is
+The screen is conservative and runs in float32: the store keeps one f32
+buffer aligned with its rows, in which each bucket lazily fills its slice
+with its rows scaled by their lengths and a power of two
+(:meth:`~repro.core.bucket.Bucket.fill_screen`), the query block is
 rounded to f32, and each pair's threshold is lowered by the derived
 rounding slack :func:`~repro.core.kernels.screen_slack` and rounded toward
 −∞ (:func:`screen_thresholds`).  So the block costs one sgemm and one
@@ -36,7 +39,7 @@ import math
 
 import numpy as np
 
-from repro.core.bucket import Bucket
+from repro.core.bucket import Bucket, Span
 from repro.core.kernels import screen_slack
 from repro.core.retrievers.base import BucketRetriever
 from repro.core.vector_store import PreparedQueries
@@ -131,18 +134,19 @@ def screen_thresholds(thresholds: np.ndarray, query_norms: np.ndarray | None,
     return limits
 
 
-def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.ndarray,
+def block_survivors(bucket: Bucket | Span, query_directions: np.ndarray, cutoffs: np.ndarray,
                     thresholds: np.ndarray, query_norms: np.ndarray | None = None,
                     screen=None) -> tuple[np.ndarray, np.ndarray]:
     """Rows of each LENGTH pair that can still reach the pair's threshold.
 
-    Pair ``j`` scores ``query_directions[j]`` against the bucket prefix
-    ``[0, cutoffs[j])``; its exact score is ``cos · (‖q_j‖ · ‖p‖)`` —
+    Pair ``j`` scores ``query_directions[j]`` against the prefix
+    ``[0, cutoffs[j])`` of a bucket or a :class:`~repro.core.bucket.Span`;
+    its exact score is ``cos · (‖q_j‖ · ‖p‖)`` —
     ``query_norms=None`` means ``‖q‖ = 1`` (Row-Top-k) — and it needs
     ``score >= thresholds[j]``.  The screen is one f32 product of the query
     block (rounded to f32; pass it as ``float32`` to skip the copy) with
-    the bucket's :meth:`~repro.core.bucket.Bucket.screen_rows`, compared
-    with the :func:`screen_thresholds` of the pairs.  With a compressed
+    the rows' slice of the store's screen buffer (``screen_slice()``),
+    compared with the :func:`screen_thresholds` of the pairs.  With a compressed
     ``screen`` tier the cosines come from the tier instead, plus its
     per-row bound, rescaled in f64 (``query_directions`` then in f64).  A
     row is dropped only if even that bound misses the threshold, so every
@@ -151,8 +155,8 @@ def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.nd
     The product covers the longest prefix, ``[0, max(cutoffs))``.  Survivors
     of the threshold test are read by flat index from the pair-major test
     mask, which yields them in pair-then-row order; only then are rows past
-    their own pair's cutoff dropped, so this cut costs the survivors, not
-    the block.
+    their own pair's cutoff, and a span's gap rows, dropped, so these cuts
+    cost the survivors, not the block.
 
     Returns ``(pairs, rows)`` as ``intp`` arrays, sorted by pair and then by
     row (``tests/test_block_screen.py`` pins this against a 2-D ``np.nonzero``
@@ -160,7 +164,7 @@ def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.nd
     """
     limit = int(cutoffs.max())
     if screen is None:
-        rows, exponent = bucket.screen_rows()
+        rows, exponent = bucket.screen_slice()
         queries = np.asarray(query_directions, dtype=np.float32)
         limits = screen_thresholds(thresholds, query_norms, exponent, queries.shape[1])
         keep = np.matmul(queries, rows[:limit].T) >= limits[:, None]
@@ -176,6 +180,8 @@ def block_survivors(bucket: Bucket, query_directions: np.ndarray, cutoffs: np.nd
     if int(cutoffs.min()) < limit:
         inside = rows < cutoffs[pairs]
         pairs, rows = pairs[inside], rows[inside]
+    if isinstance(bucket, Span):
+        pairs, rows = bucket.live_rows(pairs, rows)
     return pairs, rows
 
 
@@ -187,21 +193,38 @@ def score_length_pairs(bucket: Bucket, queries: PreparedQueries, positions: np.n
     Pair ``j`` is the query ``positions[j]`` of ``queries`` (norm
     ``query_norms[j]``, or 1 when ``None``) with LENGTH threshold
     ``thetas[j]`` and keep-threshold ``thresholds[j]`` on the exact score.
+    :meth:`LengthRetriever.cutoffs` gives each pair's prefix, and
+    :func:`screen_pairs` screens them.
+    """
+    cutoffs = LengthRetriever.cutoffs(bucket, thetas, 1.0 if query_norms is None else query_norms)
+    yield from screen_pairs(bucket, queries, positions, query_norms, cutoffs, cutoffs,
+                            thresholds, stats, screen)
+
+
+def screen_pairs(bucket: Bucket | Span, queries: PreparedQueries, positions: np.ndarray,
+                 query_norms, cutoffs: np.ndarray, counts: np.ndarray, thresholds: np.ndarray,
+                 stats, screen):
+    """Screen LENGTH pairs against the prefixes of a bucket or a span, one query block at a time.
+
+    Pair ``j`` is the query ``positions[j]`` of ``queries`` (norm
+    ``query_norms[j]``, or 1 when ``None``) against rows ``[0, cutoffs[j])``
+    of ``bucket``, which hold ``counts[j]`` live rows (a span's gap rows
+    excluded), with keep-threshold ``thresholds[j]`` on the exact score.
     Pairs go through :func:`block_survivors` in blocks whose product holds
     at most :data:`BLOCK_ELEMENTS` scores, with the queries' f32
     directions.  Yields ``(pairs, candidates)`` per block for its
     survivors, sorted by pair and then by candidate; ``pairs`` index
-    ``positions``.  The caller verifies them with the exact kernel,
+    ``positions`` and ``candidates`` index the rows of ``bucket``.  The
+    caller verifies them with the exact kernel,
     :func:`~repro.core.kernels.gather_matvec`.
 
-    Counters follow the per-pair route: every prefix row is a generated
+    Counters follow the per-pair route: every live prefix row is a generated
     candidate.  Without a ``screen`` tier each one is also an inner product
     (the block product computes it).  With a tier, pairs with a finite
     keep-threshold count their candidates as screened and only survivors as
     inner products, like a per-pair compressed screen.
     """
-    cutoffs = LengthRetriever.cutoffs(bucket, thetas, 1.0 if query_norms is None else query_norms)
-    total = int(cutoffs.sum())
+    total = int(counts.sum())
     stats.candidates += total
     if screen is None:
         stats.inner_products += total
@@ -211,7 +234,7 @@ def score_length_pairs(bucket: Bucket, queries: PreparedQueries, positions: np.n
     width = max(1, BLOCK_ELEMENTS // int(cutoffs.max()))
     for start in range(0, cutoffs.size, width):
         block = slice(start, start + width)
-        if not cutoffs[block].any():
+        if not counts[block].any():
             continue
         members = positions[block]
         pairs, candidates = block_survivors(
@@ -219,7 +242,7 @@ def score_length_pairs(bucket: Bucket, queries: PreparedQueries, positions: np.n
             None if query_norms is None else query_norms[block], screen)
         if screen is not None:
             screened = np.isfinite(thresholds[block])
-            screened_total = int(cutoffs[block][screened].sum())
+            screened_total = int(counts[block][screened].sum())
             stats.screen_products += screened_total
             stats.screen_dropped += screened_total - int(np.count_nonzero(screened[pairs]))
             stats.inner_products += int(pairs.size)

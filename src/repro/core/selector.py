@@ -36,6 +36,16 @@ class RetrieverSelector(ABC):
     def select(self, bucket: Bucket, theta_b: float) -> tuple[BucketRetriever, int]:
         """Return the retriever and focus-set size for this (bucket, θ_b) pair."""
 
+    def length_only(self, bucket: Bucket, theta_b: float) -> bool:
+        """Whether every pair of ``bucket`` with local threshold at most ``theta_b`` runs
+        plain :class:`LengthRetriever`.
+
+        Above-θ screens a run of such buckets as one span.  This default
+        answers ``False``, which keeps custom selectors on the per-bucket
+        route.
+        """
+        return False
+
     def split(self, bucket: Bucket, theta_bs: np.ndarray) -> tuple[np.ndarray, list]:
         """:meth:`select` for many queries of one bucket at once.
 
@@ -66,6 +76,9 @@ class FixedSelector(RetrieverSelector):
 
     def select(self, bucket: Bucket, theta_b: float) -> tuple[BucketRetriever, int]:
         return self.retriever, int(self.per_bucket_phi.get(bucket.index, self.phi))
+
+    def length_only(self, bucket: Bucket, theta_b: float) -> bool:
+        return type(self.retriever) is LengthRetriever
 
     def split(self, bucket: Bucket, theta_bs: np.ndarray) -> tuple[np.ndarray, list]:
         if type(self.retriever) is LengthRetriever:
@@ -132,6 +145,10 @@ class PerBucketSelector(RetrieverSelector):
         if theta_b < self.switch(bucket):
             return self.length_retriever, phi
         return self.coord_retriever, phi
+
+    def length_only(self, bucket: Bucket, theta_b: float) -> bool:
+        # θ_b < t_b routes a pair to LENGTH, as in select and split.
+        return type(self.length_retriever) is LengthRetriever and theta_b < self.switch(bucket)
 
     def split(self, bucket: Bucket, theta_bs: np.ndarray) -> tuple[np.ndarray, list]:
         if type(self.length_retriever) is not LengthRetriever:

@@ -10,6 +10,7 @@ together with the mapping back to the original row identifiers (the paper's
 from __future__ import annotations
 
 import functools
+import mmap
 
 import numpy as np
 
@@ -119,8 +120,9 @@ class VectorStore:
     slice, so later writes shift rows inside one slice only (see
     :meth:`repro.core.lemp.Lemp.partial_fit`).  Buffer order is always
     bucket order, so the live rows, read in buffer order, are sorted by
-    decreasing length.  Gap rows hold arbitrary values and id ``-1``; only
-    :meth:`live_positions` and per-bucket views read the buffers.
+    decreasing length.  Gap rows are zero in every row-aligned array (length
+    0, a zero direction, id ``-1``), so a read that spans several buckets'
+    slices sees nothing of a removed row.
     """
 
     def __init__(self, vectors) -> None:
@@ -141,6 +143,8 @@ class VectorStore:
         #: screen dtype name (see :mod:`repro.core.screening`).
         self._screen_tiers: dict[str, ScreenTier] = {}
         self._row_hashes: np.ndarray | None = None
+        self._screen_rows: np.ndarray | None = None
+        self.screen_version = 0
 
     @classmethod
     def from_state(cls, ids, lengths, directions) -> "VectorStore":
@@ -154,6 +158,8 @@ class VectorStore:
         store.packed = True
         store._screen_tiers = {}
         store._row_hashes = None
+        store._screen_rows = None
+        store.screen_version = 0
         return store
 
     @property
@@ -183,6 +189,27 @@ class VectorStore:
             hashes = row_hashes(self.directions)
             self._row_hashes = hashes
         return hashes
+
+    def screen_rows(self) -> np.ndarray:
+        """The LENGTH block screen's f32 buffer, ``(capacity, rank)``, aligned with the rows.
+
+        Allocated zeroed on first use, as an anonymous memory map of
+        ordinary pages.  Each bucket fills its own slice the first time it
+        is screened (:meth:`~repro.core.bucket.Bucket.fill_screen`), so the
+        pages of buckets no call reaches are never touched, and gap rows
+        stay zero.  (NumPy asks for transparent huge pages on large arrays,
+        so an ``np.zeros`` buffer would become resident 2 MiB at a time.)
+        :meth:`merge` zeroes the rows it vacates; :meth:`repack` drops the
+        buffer and bumps :attr:`screen_version`, which tells every bucket to
+        fill its slice again.
+        """
+        rows = self._screen_rows
+        if rows is None:
+            size = self.capacity * self.rank * np.dtype(np.float32).itemsize
+            pages = mmap.mmap(-1, size) if size else bytearray()
+            rows = np.frombuffer(pages, dtype=np.float32).reshape(self.capacity, self.rank)
+            self._screen_rows = rows
+        return rows
 
     # --------------------------------------------------------- screening tiers
 
@@ -246,12 +273,18 @@ class VectorStore:
         Every row-aligned array moves together, so the cost is the rows
         written times the rank: LEMP writes only the slices of the buckets
         a write touches.
-        ``vacated`` positions become gap rows (id ``-1``).  The caller keeps
-        :attr:`size` up to date.
+        ``vacated`` positions become gap rows: zero in every row-aligned
+        array and in the screen buffer, id ``-1``.  The screen rows of the
+        written positions are left stale; the caller replaces the buckets
+        that own them, and a new bucket fills its slice before it is read.
+        The caller keeps :attr:`size` up to date.
         """
         self._write(positions, sources, batch, None)
         if vacated is not None:
-            self.ids[vacated] = -1
+            for holder, name in self._row_fields():
+                getattr(holder, name)[vacated] = -1 if name == "ids" else 0
+            if self._screen_rows is not None:
+                self._screen_rows[vacated] = 0.0
 
     def repack(self, positions, sources, capacity: int) -> None:
         """Move row ``sources[i]`` to row ``positions[i]`` of fresh buffers.
@@ -263,6 +296,8 @@ class VectorStore:
         """
         self._write(positions, sources, None, int(capacity))
         self.packed = False
+        self._screen_rows = None
+        self.screen_version += 1
 
     def _write(self, positions, sources, batch, capacity) -> None:
         positions = np.asarray(positions, dtype=np.intp)

@@ -29,22 +29,29 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import RetrievalEngine, create_retriever
+from repro.core import above_theta
 from repro.core.above_theta import solve_above_theta
 from repro.core.bucket import Bucket
 from repro.core.kernels import gather_matvec, screen_slack, use_kernel
 from repro.core.lemp import Lemp
+from repro.core.retrievers import IncrRetriever
 from repro.core.retrievers.length import (BLOCK_ELEMENTS, LengthRetriever, block_survivors,
                                           score_length_pairs, screen_thresholds)
 from repro.core.screening import ScreenTier
+from repro.core.selector import PerBucketSelector, RetrieverSelector
 from repro.core.stats import RunStats
-from repro.core.thresholds import local_threshold
+from repro.core.thresholds import local_threshold, local_thresholds
 from repro.core.vector_store import PreparedQueries, VectorStore
+from repro.datasets.openie import IE_SVD_PROBE_COV, IE_SVD_QUERY_COV
+from repro.datasets.synthetic import synthetic_factors
+from repro.eval.recall import theta_for_result_count
 from repro.exceptions import InvalidParameterError
 from tests.conftest import make_factors
 
@@ -336,7 +343,7 @@ def test_screen_slack_covers_f32_gap(rank):
     store = VectorStore(make_factors(1500, rank=rank, length_cov=0.8, seed=rank))
     bucket = Bucket(store, 0, store.size, 0)
     queries = PreparedQueries(make_factors(60, rank=rank, length_cov=0.8, seed=rank + 1))
-    rows, exponent = bucket.screen_rows()
+    rows, exponent = bucket.screen_slice()
     screen = queries.directions32 @ rows.T
     cosines = np.stack([gather_matvec(bucket.directions, np.arange(bucket.size), query)
                         for query in queries.directions])
@@ -396,6 +403,38 @@ def test_row_answer_is_independent_of_batch_composition(composition_engine, prob
         assert _row_answer(full, row) == alone
         assert _row_answer(parallel, row) == alone
     assert answered >= 3
+
+
+def test_parallel_chunks_fill_the_screen_buffer_concurrently():
+    """Worker threads fill bucket slices of one shared, cold screen buffer at once
+    (fills are idempotent: each writes its bucket's bits); answers match serial."""
+    probes = make_factors(4000, rank=16, length_cov=1.2, seed=23)
+    queries = make_factors(800, rank=16, length_cov=1.2, seed=24)
+    # The serial warm-up chunk holds the shortest queries, so the parallel
+    # chunks reach buckets nothing has filled yet.
+    queries = queries[np.argsort(np.linalg.norm(queries, axis=1), kind="stable")]
+    theta = float(np.quantile(queries[-50:] @ probes.T, 0.97))
+    serial = RetrievalEngine(Lemp(algorithm="L", max_bucket_size=40).fit(probes))
+    expected = serial.above_theta(queries, theta, batch_size=50)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            engine = RetrievalEngine(Lemp(algorithm="L", max_bucket_size=40).fit(probes),
+                                     workers=4)
+            result = engine.above_theta(queries, theta, batch_size=50)
+            assert engine.history[-1].workers == 4
+            for name in ("query_ids", "probe_ids", "scores"):
+                assert getattr(result, name).tobytes() == getattr(expected, name).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    lemp = engine.retriever
+    rows = lemp.store.screen_rows()
+    for bucket in lemp.buckets:
+        if bucket._screen_version == lemp.store.screen_version:
+            scaled = np.ldexp(bucket.lengths, -bucket.screen_exponent)[:, None]
+            assert rows[bucket.start:bucket.end].tobytes() == np.asarray(
+                bucket.directions * scaled, dtype=np.float32).tobytes()
 
 
 # ------------------------------------------------------- the screen itself
@@ -468,7 +507,7 @@ def reference_survivors(bucket, queries, cutoffs, thresholds, query_norms=None, 
     limit = int(cutoffs.max())
     inside = np.arange(limit) < cutoffs[:, None]
     if screen is None:
-        rows, exponent = bucket.screen_rows()
+        rows, exponent = bucket.screen_slice()
         norms = np.ones(cutoffs.size) if query_norms is None else query_norms
         limits = np.array([reference_limit(float(t), float(n), exponent, queries.shape[1])
                            for t, n in zip(thresholds, norms)], dtype=np.float32)
@@ -616,3 +655,163 @@ def test_tuner_cost_tool_still_runs(monkeypatch):
     spec.loader.exec_module(tool)
     seconds = tool.per_row(64, 8)
     assert np.isfinite(seconds) and seconds > 0
+
+
+# ------------------------------------------------------------------ spans
+
+class PerBucket(RetrieverSelector):
+    """A selector's routes with spans switched off: every bucket is screened on its own."""
+
+    def __init__(self, inner: RetrieverSelector) -> None:
+        self.inner = inner
+
+    def select(self, bucket, theta_b):
+        return self.inner.select(bucket, theta_b)
+
+    def split(self, bucket, theta_bs):
+        return self.inner.split(bucket, theta_bs)
+
+
+def split_selector(buckets, prepared, theta):
+    """LENGTH below a switch point at the median θ_b of every third bucket's active
+    queries, and everywhere else: spans break around the mixed buckets."""
+    switches = {}
+    for bucket in buckets:
+        theta_b = local_thresholds(theta, prepared.norms, bucket.max_length)
+        reached = theta_b[theta_b <= 1.0]
+        switches[bucket.index] = (float(np.median(reached)) if bucket.index % 3 == 1
+                                  and reached.size else math.inf)
+    return PerBucketSelector(LengthRetriever(), IncrRetriever(), switches, {})
+
+
+@pytest.fixture(scope="module")
+def span_data():
+    """ie-svd-like skew at rank 12: many buckets, several per screen exponent."""
+    rng = np.random.default_rng(71)
+    queries = synthetic_factors(1000, RANK, length_cov=IE_SVD_QUERY_COV, seed=rng)
+    probes = synthetic_factors(4000, RANK, length_cov=IE_SVD_PROBE_COV, seed=rng)
+    theta = theta_for_result_count(queries[:200], probes, 2000, block_size=64)
+    return queries, probes, theta
+
+
+def span_index(state, probes, tier, tmp_path):
+    """A fitted, written-to or saved-and-memory-mapped ``lemp:LI`` index and its live rows."""
+    lemp = Lemp(algorithm="LI", max_bucket_size=60, screen_dtype=tier).fit(probes)
+    if state == "fresh":
+        return lemp, probes
+    extra = synthetic_factors(40, RANK, length_cov=IE_SVD_PROBE_COV, seed=72)
+    removed = np.arange(0, probes.shape[0], 29)
+    lemp.partial_fit(extra).remove(removed)
+    probes = np.delete(np.vstack((probes, extra)), removed, axis=0)
+    if state == "mmap":
+        RetrievalEngine(lemp).save(tmp_path / "index")
+        lemp = RetrievalEngine.load(tmp_path / "index", mmap_mode="r").retriever
+    return lemp, probes
+
+
+@pytest.mark.parametrize("state", ["fresh", "mutated", "mmap"])
+@pytest.mark.parametrize("tier", [None, "f16"])
+@pytest.mark.parametrize("kernel", ["blocked", "einsum"])
+def test_spans_match_per_bucket_walk_reference_and_naive(span_data, state, tier, kernel,
+                                                         tmp_path, monkeypatch):
+    """Spans change nothing observable: answers, their order and bits, and all four
+    counters equal the per-bucket walk's, and without a tier the per-pair reference's."""
+    queries, probes, theta = span_data
+    spans, alone = [], []
+    original_span, original_bucket = above_theta._screen_span, above_theta._screen_bucket
+
+    def span(layout, first, stop, *args):
+        spans.append(stop - first)
+        return original_span(layout, first, stop, *args)
+
+    def bucket(*args):
+        alone.append(args[0].index)
+        return original_bucket(*args)
+
+    monkeypatch.setattr(above_theta, "_screen_span", span)
+    monkeypatch.setattr(above_theta, "_screen_bucket", bucket)
+    with use_kernel(kernel):
+        lemp, probes = span_index(state, probes, tier, tmp_path)
+        screen = lemp._screen_tier()
+        for rows in (1, 3, 7, 1000):
+            block = queries[:rows]
+            prepared = PreparedQueries(block)
+            selectors = {"split": split_selector(lemp.buckets, prepared, theta)}
+            for spec in ("L", "LI", "I", "LC"):
+                # The selector each LEMP variant builds, tuned on this index.
+                lemp.algorithm = spec
+                selectors[spec] = lemp._build_selector(prepared, np.full(prepared.size, theta),
+                                                       "above_theta", theta)
+            lemp.algorithm = "LI"
+            for spec, selector in selectors.items():
+                if rows == 1000 and spec in ("I", "LC"):
+                    continue  # 1000 queries scanned pair by pair are slow; 1–7 rows cover them
+                stats, bucket_stats = RunStats(), RunStats()
+                arrays = solve_above_theta(prepared, lemp.layout(), theta, selector, stats, screen)
+                expected = solve_above_theta(prepared, lemp.buckets, theta, PerBucket(selector),
+                                             bucket_stats, screen)
+                counters = {name: getattr(stats, name) for name in COUNTERS}
+                assert_matches_reference(arrays, counters, expected,
+                                         {name: getattr(bucket_stats, name) for name in COUNTERS})
+                assert stats.screen_products == bucket_stats.screen_products
+                if tier is None and rows <= 7:
+                    reference, reference_stats = reference_walk(prepared, lemp.buckets, selector,
+                                                                "above_theta", theta)
+                    assert_matches_reference(arrays, counters, reference, {
+                        name: getattr(reference_stats, name) for name in COUNTERS})
+                assert_above_theta_matches_naive(arrays, block, probes, theta)
+    assert max(spans) > 1 and alone  # spans of several buckets, and mixed buckets
+
+
+@pytest.mark.parametrize("theta", [-THETA, 0.0, -math.inf])
+@pytest.mark.parametrize("spec", ["L", "LI"])
+def test_spans_with_non_positive_theta_and_zero_norm_queries(span_data, spec, theta):
+    """Every bucket is live at θ ≤ 0, zero-norm queries included: spans cover the
+    whole store, gaps of a written index included, and still match the walks."""
+    queries, probes, _ = span_data
+    queries = queries[:40].copy()
+    queries[::6] = 0.0
+    lemp = Lemp(algorithm=spec, max_bucket_size=60).fit(probes[:1500])
+    lemp.remove(np.arange(0, 1500, 7))
+    probes = np.delete(probes[:1500], np.arange(0, 1500, 7), axis=0)
+    assert lemp.store.capacity > lemp.store.size  # gap rows inside the spans
+    prepared = PreparedQueries(queries)
+    selector = lemp._build_selector(prepared, np.full(prepared.size, theta), "above_theta", theta)
+    with np.errstate(invalid="raise"):
+        stats, bucket_stats = RunStats(), RunStats()
+        arrays = solve_above_theta(prepared, lemp.layout(), theta, selector, stats)
+        expected = solve_above_theta(prepared, lemp.buckets, theta, PerBucket(selector),
+                                     bucket_stats)
+        reference, reference_stats = reference_walk(prepared, lemp.buckets, selector,
+                                                    "above_theta", theta)
+    counters = {name: getattr(stats, name) for name in COUNTERS}
+    assert_matches_reference(arrays, counters, expected,
+                             {name: getattr(bucket_stats, name) for name in COUNTERS})
+    assert_matches_reference(arrays, counters, reference,
+                             {name: getattr(reference_stats, name) for name in COUNTERS})
+    if theta == -math.inf:
+        assert arrays[0].size == queries.shape[0] * probes.shape[0]
+    # Zero-norm queries score 0, which reaches every θ ≤ 0.
+    assert set(arrays[0][arrays[2] == 0.0].tolist()) >= set(range(0, queries.shape[0], 6))
+    assert_above_theta_matches_naive(arrays, queries, probes, theta)
+
+
+def test_walk_is_exact_where_rounding_moves_the_bucket_boundary():
+    """Query norms within ULPs of θ / l_b: one search over the longest lengths misses
+    the exact ``θ_b ≤ 1`` boundary by a bucket in both directions; the walk does not,
+    and its LENGTH prefixes are the per-bucket cutoffs summed over the live buckets."""
+    probes = make_factors(3000, rank=8, length_cov=1.0, seed=9)
+    lemp = Lemp(algorithm="L", min_bucket_size=4, max_bucket_size=20, cache_kib=None).fit(probes)
+    layout, theta = lemp.layout(), 0.7
+    norms = theta / layout.max_lengths[:, None] * (1.0 + np.arange(-6, 7) * 2.0**-52)
+    norms = np.sort(norms.ravel())[::-1]
+    live, prefix = layout.walk(theta, norms)
+    reached = np.array([local_thresholds(theta, norms, bucket.max_length) <= 1.0
+                        for bucket in lemp.buckets])
+    exact = reached.sum(axis=0)
+    assert np.all(reached[:-1] >= reached[1:])  # the live buckets are a prefix
+    assert np.array_equal(live, exact)
+    searched = np.searchsorted(-layout.max_lengths, -(theta / norms), side="right")
+    assert np.any(searched > exact) and np.any(searched < exact)
+    cutoffs = np.array([LengthRetriever.cutoffs(bucket, theta, norms) for bucket in lemp.buckets])
+    assert np.array_equal(prefix, (cutoffs * reached).sum(axis=0))

@@ -29,7 +29,8 @@ from repro import Lemp, RetrievalEngine
 from repro.baselines import NaiveRetriever
 from repro.core.bucketize import SLACK_FRACTION
 from repro.core.stats import RunStats
-from repro.core.vector_store import renumber_ids
+from repro.core.vector_store import renumber_ids, row_hashes
+from repro.datasets.openie import IE_SVD_PROBE_COV
 from repro.datasets.synthetic import synthetic_factors
 from repro.eval.recall import theta_for_result_count
 from tests.conftest import assert_layout_invariants, brute_force_above, make_factors, pick_theta
@@ -90,6 +91,68 @@ def churn_plan(seed: int, probes: np.ndarray) -> list[tuple[str, np.ndarray]]:
     remove(rng.choice(current.shape[0], 5, replace=False))
     insert(random_rows(5))
     return plan
+
+
+def assert_gap_rows_zero(store):
+    """Gap rows are zero in every row-aligned array, and the row hashes match the buffer."""
+    gaps = store.ids < 0
+    assert not store.lengths[gaps].any() and not store.directions[gaps].any()
+    assert np.array_equal(store.content_hashes(), row_hashes(store.directions))
+
+
+def assert_screen_buffer(lemp):
+    """Each bucket's slice of the f32 screen buffer holds the per-bucket formula's bits
+    once filled, and every other row is zero."""
+    store = lemp.store
+    expected = np.zeros((store.capacity, store.rank), dtype=np.float32)
+    for bucket in lemp.buckets:
+        bucket.fill_screen()
+        exponent = int(np.frexp(bucket.max_length)[1])
+        expected[bucket.start:bucket.end] = (bucket.directions
+                                             * np.ldexp(bucket.lengths, -exponent)[:, None])
+        rows, slice_exponent = bucket.screen_slice()
+        assert slice_exponent == exponent
+    assert store.screen_rows().tobytes() == expected.tobytes()
+
+
+def perfbench_plan(seed: int, rounds: int):
+    """Rounds of a 32-row partial_fit and a 32-row remove on an ie-svd-shaped index."""
+    rng = np.random.default_rng([seed, 0xC4A7])
+    plan = []
+    for _ in range(rounds):
+        plan.append(("partial_fit", synthetic_factors(32, RANK, length_cov=IE_SVD_PROBE_COV,
+                                                      seed=rng)))
+        plan.append(("remove", rng.choice(3000, 32, replace=False)))
+    return plan
+
+
+@pytest.mark.parametrize("plan", ["churn-small", "churn-default", "perfbench"])
+def test_gap_rows_and_screen_buffer_after_writes(plan, tmp_path):
+    """Writes zero the rows they vacate, a re-pack starts a zeroed buffer, and each
+    bucket refills its slice: after fit, every write, a re-pack and a load."""
+    if plan == "perfbench":
+        probes = synthetic_factors(3000, RANK, length_cov=IE_SVD_PROBE_COV, seed=2)
+        lemp = Lemp(algorithm="LI", seed=0).fit(probes)
+        steps = perfbench_plan(2, 2)
+    else:
+        probes = make_factors(200, rank=RANK, length_cov=1.0, seed=32)
+        lemp = Lemp(algorithm="L", seed=0, **LAYOUTS[plan.split("-")[1]]).fit(probes)
+        steps = churn_plan(3, probes)
+    assert_screen_buffer(lemp)
+    gaps = 0
+    for kind, argument in steps:
+        getattr(lemp, kind)(argument)
+        assert_gap_rows_zero(lemp.store)
+        # Every slice is filled before the next write, so a row the write
+        # vacates held data.
+        assert_screen_buffer(lemp)
+        gaps = max(gaps, int(np.count_nonzero(lemp.store.ids < 0)))
+    assert gaps > 0
+    if plan == "churn-small":
+        assert lemp.stats.store_repacks >= 2
+    RetrievalEngine(lemp).save(tmp_path / "index")
+    loaded = RetrievalEngine.load(tmp_path / "index", mmap_mode="r").retriever
+    assert_screen_buffer(loaded)
 
 
 def counters(lemp: Lemp) -> dict[str, int]:

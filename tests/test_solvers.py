@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import above_theta
 from repro.core.above_theta import solve_above_theta
+from repro.core.bucket import Bucket
 from repro.core.bucketize import bucketize
 from repro.core.kernels import gather_matvec, use_kernel
 from repro.core.lemp import Lemp
@@ -303,3 +304,56 @@ def test_ie_svd_call_verifies_once(kernel_calls, monkeypatch):
     assert_chunked_calls(kernel_calls, cap)
     assert capped.probe_ids.tobytes() == expected.probe_ids.tobytes()
     assert capped.scores.tobytes() == expected.scores.tobytes()
+
+
+def test_single_row_call_stops_at_its_last_live_bucket(monkeypatch):
+    """A single-row ie-svd-shaped call reads no bucket past the last one it reaches.
+
+    The walk finds the query's live buckets with one search, so neither the
+    selector nor the screen buffer sees a dead bucket, and no dead bucket's
+    length is read.
+    """
+    rng = np.random.default_rng(5)
+    queries = synthetic_factors(200, 50, length_cov=IE_SVD_QUERY_COV, seed=rng)
+    probes = synthetic_factors(20000, 50, length_cov=IE_SVD_PROBE_COV, seed=rng)
+    theta = theta_for_result_count(queries, probes, 10 * queries.shape[0], block_size=64)
+    lemp = Lemp(algorithm="LI").fit(probes)
+    lemp.above_theta(queries, theta)
+    switched, filled, read = [], [], []
+    original_switch, original_fill = PerBucketSelector.switch, Bucket.fill_screen
+    original_length = Bucket.max_length
+
+    def max_length(bucket):
+        read.append(bucket.index)
+        return original_length.fget(bucket)
+
+    def switch(selector, bucket):
+        switched.append(bucket.index)
+        return original_switch(selector, bucket)
+
+    def fill_screen(bucket):
+        filled.append(bucket.index)
+        return original_fill(bucket)
+
+    for row in (0, 57, 199):
+        prepared = PreparedQueries(queries[row:row + 1])
+        selector = lemp._build_selector(prepared, np.full(1, theta), "above_theta", theta)
+        live = int(np.count_nonzero(
+            [local_thresholds(theta, prepared.norms, bucket.max_length)[0] <= 1.0
+             for bucket in lemp.buckets]))
+        assert 0 < live < lemp.num_buckets / 4
+        layout = lemp.layout()
+        switched.clear()
+        filled.clear()
+        read.clear()
+        stats = RunStats()
+        with monkeypatch.context() as patch:
+            patch.setattr(PerBucketSelector, "switch", switch)
+            patch.setattr(Bucket, "fill_screen", fill_screen)
+            patch.setattr(Bucket, "max_length", property(max_length))
+            solve_above_theta(prepared, layout, theta, selector, stats)
+        assert sorted(switched) == list(range(live))
+        assert filled and max(filled) < live
+        assert read and max(read) < live
+        assert stats.buckets_examined == live
+        assert stats.buckets_pruned == lemp.num_buckets - live

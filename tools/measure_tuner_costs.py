@@ -41,7 +41,7 @@ def per_row(rows, rank):
     bucket, queries = bucket_of(rows, rank)
     queries = queries.astype(np.float32)
     cut, thresholds = np.full(len(queries), rows), np.full(len(queries), 0.9)
-    bucket.screen_rows()
+    bucket.fill_screen()
     return best(lambda: block_survivors(bucket, queries, cut, thresholds), 5) / cut.sum()
 
 
