@@ -62,7 +62,7 @@ VERIFY_QUEUE_ROWS = 1 << 16
 
 def solve_above_theta(
     queries: PreparedQueries,
-    buckets: BucketLayout | list[Bucket],
+    layout: BucketLayout,
     theta: float,
     selector: RetrieverSelector,
     stats: RunStats,
@@ -71,8 +71,8 @@ def solve_above_theta(
     """Retrieve all (query, probe) pairs with inner product at least ``theta``.
 
     Returns three parallel arrays: original query ids, original probe ids and
-    exact scores.  ``buckets`` is the walk order, as a list or as the
-    :class:`~repro.core.bucket.BucketLayout` a retriever keeps for it.
+    exact scores.  ``layout`` holds the buckets in walk order
+    (:meth:`~repro.core.lemp.Lemp.layout`).
 
     ``screen`` is an optional :class:`~repro.core.screening.ScreenTier`: the
     generated candidates are pre-filtered with compressed dot products, and
@@ -83,7 +83,6 @@ def solve_above_theta(
     results are therefore byte-identical to unscreened ones; only the
     ``inner_products`` / ``screen_*`` counters change.
     """
-    layout = buckets if isinstance(buckets, BucketLayout) else BucketLayout(buckets)
     cutoff = theta - _VERIFY_SLACK
     queue = _VerifyQueue(queries, layout.store, cutoff)
     norms = queries.norms

@@ -65,8 +65,8 @@ class Bucket:
         self.index = index
         self.epoch = epoch
         self._sorted_lists: SortedListIndex | None = None
-        #: :attr:`VectorStore.screen_version` this bucket's slice was filled at.
-        self._screen_version = -1
+        #: The :attr:`VectorStore.screen_rows` buffer this bucket's slice was filled in.
+        self._filled: np.ndarray | None = None
         self._extra_indexes: dict[str, object] = {}
         self._fingerprint: BucketFingerprint | None = None
 
@@ -140,6 +140,11 @@ class Bucket:
         """``E``, the exponent of ``l_b = m·2ᴱ`` with ``m ∈ [0.5, 1)`` (0 for ``l_b = 0``)."""
         return math.frexp(self.max_length)[1]
 
+    def move(self, start: int, end: int) -> None:
+        """Point the bucket at the same rows after a re-pack moved them to ``[start, end)``."""
+        self.start, self.end = start, end
+        self._filled = None
+
     def fill_screen(self) -> np.ndarray:
         """The store's f32 screen buffer, with this bucket's slice filled.
 
@@ -147,16 +152,17 @@ class Bucket:
         rounded once to float32 (:attr:`screen_exponent`), so every scaled
         length is below 1 and none can overflow float32 (see
         :func:`~repro.core.kernels.screen_slack`).  Bucket content never
-        changes in place, so the slice is written once per buffer: again
-        only after a re-pack reallocates it.  Buckets of one store do not
-        overlap, so no bucket overwrites another's slice.
+        changes in place, so the slice is written once per buffer: the
+        bucket remembers the buffer it filled and fills again only when a
+        re-pack has replaced it.  Buckets of one store do not overlap, so no
+        bucket overwrites another's slice, and threads that fill one slice
+        at once write the same bits.
         """
-        store = self.store
-        rows = store.screen_rows()
-        if self._screen_version != store.screen_version:
+        rows = self.store.screen_rows
+        if self._filled is not rows:
             scaled = np.ldexp(self.lengths, -self.screen_exponent)
             np.multiply(self.directions, scaled[:, None], out=rows[self.start:self.end])
-            self._screen_version = store.screen_version
+            self._filled = rows
         return rows
 
     def screen_slice(self) -> tuple[np.ndarray, int]:

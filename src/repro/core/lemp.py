@@ -400,7 +400,7 @@ class Lemp(Retriever):
             self.tuning_cache.clear()
         else:
             for bucket, start, size in zip(self.buckets, starts.tolist(), sizes.tolist()):
-                bucket.start, bucket.end = start, start + size
+                bucket.move(start, start + size)
             self._layout = None
         self.stats.store_repacks += 1
 
@@ -790,6 +790,17 @@ class Lemp(Retriever):
         if layout is None or layout.buckets is not self.buckets:
             layout = self._layout = BucketLayout(self.buckets)
         return layout
+
+    def worker_view(self) -> "Lemp":
+        """A query-only view (:meth:`~repro.core.api.Retriever.worker_view`) sharing the layout.
+
+        The layout is built on this retriever before it is copied, so views
+        made for one call's chunks, or one per chunk in a worker process,
+        do not each rebuild it.
+        """
+        if self._fitted:
+            self.layout()
+        return super().worker_view()
 
     # --------------------------------------------------------------- problems
 

@@ -84,6 +84,19 @@ def vector_lengths(matrix: np.ndarray) -> np.ndarray:
     return lengths
 
 
+def zeroed_f32_rows(rows: int, rank: int) -> np.ndarray:
+    """A zeroed ``(rows, rank)`` float32 array in an anonymous memory map.
+
+    The map's pages cost nothing until they are written, so an array
+    allocated with every store buffer becomes resident only where it is
+    filled.  (NumPy asks for transparent huge pages on large arrays, so an
+    ``np.zeros`` array would become resident 2 MiB at a time.)
+    """
+    size = rows * rank * np.dtype(np.float32).itemsize
+    pages = mmap.mmap(-1, size) if size else bytearray()
+    return np.frombuffer(pages, dtype=np.float32).reshape(rows, rank)
+
+
 def span_positions(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The positions of the half-open spans ``[starts[i], ends[i])``, concatenated."""
     sizes = np.asarray(ends, dtype=np.intp) - starts
@@ -113,6 +126,12 @@ class VectorStore:
         marks a gap row.
     size:
         Number of live rows.
+    screen_rows:
+        ``(capacity, rank)`` float32 buffer of the LENGTH block screen, zero
+        until a bucket fills its slice
+        (:meth:`~repro.core.bucket.Bucket.fill_screen`).  It is allocated
+        with the row arrays (:func:`zeroed_f32_rows`), so only the pages of
+        buckets a call screens become resident, and it is never persisted.
 
     A store built by the constructor or :meth:`from_state` is *packed*: its
     buffers hold exactly the ``size`` live rows.  The first index mutation
@@ -143,8 +162,7 @@ class VectorStore:
         #: screen dtype name (see :mod:`repro.core.screening`).
         self._screen_tiers: dict[str, ScreenTier] = {}
         self._row_hashes: np.ndarray | None = None
-        self._screen_rows: np.ndarray | None = None
-        self.screen_version = 0
+        self.screen_rows = zeroed_f32_rows(self.size, self.rank)
 
     @classmethod
     def from_state(cls, ids, lengths, directions) -> "VectorStore":
@@ -158,8 +176,7 @@ class VectorStore:
         store.packed = True
         store._screen_tiers = {}
         store._row_hashes = None
-        store._screen_rows = None
-        store.screen_version = 0
+        store.screen_rows = zeroed_f32_rows(store.size, store.rank)
         return store
 
     @property
@@ -189,27 +206,6 @@ class VectorStore:
             hashes = row_hashes(self.directions)
             self._row_hashes = hashes
         return hashes
-
-    def screen_rows(self) -> np.ndarray:
-        """The LENGTH block screen's f32 buffer, ``(capacity, rank)``, aligned with the rows.
-
-        Allocated zeroed on first use, as an anonymous memory map of
-        ordinary pages.  Each bucket fills its own slice the first time it
-        is screened (:meth:`~repro.core.bucket.Bucket.fill_screen`), so the
-        pages of buckets no call reaches are never touched, and gap rows
-        stay zero.  (NumPy asks for transparent huge pages on large arrays,
-        so an ``np.zeros`` buffer would become resident 2 MiB at a time.)
-        :meth:`merge` zeroes the rows it vacates; :meth:`repack` drops the
-        buffer and bumps :attr:`screen_version`, which tells every bucket to
-        fill its slice again.
-        """
-        rows = self._screen_rows
-        if rows is None:
-            size = self.capacity * self.rank * np.dtype(np.float32).itemsize
-            pages = mmap.mmap(-1, size) if size else bytearray()
-            rows = np.frombuffer(pages, dtype=np.float32).reshape(self.capacity, self.rank)
-            self._screen_rows = rows
-        return rows
 
     # --------------------------------------------------------- screening tiers
 
@@ -274,17 +270,17 @@ class VectorStore:
         written times the rank: LEMP writes only the slices of the buckets
         a write touches.
         ``vacated`` positions become gap rows: zero in every row-aligned
-        array and in the screen buffer, id ``-1``.  The screen rows of the
-        written positions are left stale; the caller replaces the buckets
-        that own them, and a new bucket fills its slice before it is read.
-        The caller keeps :attr:`size` up to date.
+        array and in :attr:`screen_rows`, id ``-1``.  Screen rows that are
+        already zero are not written, so zeroing leaves pages no bucket
+        filled non-resident.  The caller keeps :attr:`size` up to date.
         """
         self._write(positions, sources, batch, None)
         if vacated is not None:
             for holder, name in self._row_fields():
                 getattr(holder, name)[vacated] = -1 if name == "ids" else 0
-            if self._screen_rows is not None:
-                self._screen_rows[vacated] = 0.0
+            vacated = np.asarray(vacated, dtype=np.intp)
+            filled = vacated[self.screen_rows[vacated].any(axis=1)]
+            self.screen_rows[filled] = 0.0
 
     def repack(self, positions, sources, capacity: int) -> None:
         """Move row ``sources[i]`` to row ``positions[i]`` of fresh buffers.
@@ -292,12 +288,12 @@ class VectorStore:
         The new buffers have ``capacity`` rows; rows not written are gaps.
         This is the O(n) step LEMP amortises over many writes (and runs
         before the first write on a packed store, whose buffers may be
-        read-only memory maps).
+        read-only memory maps).  :attr:`screen_rows` is replaced by a zeroed
+        buffer of the new capacity, which the buckets fill again on use.
         """
         self._write(positions, sources, None, int(capacity))
         self.packed = False
-        self._screen_rows = None
-        self.screen_version += 1
+        self.screen_rows = zeroed_f32_rows(int(capacity), self.rank)
 
     def _write(self, positions, sources, batch, capacity) -> None:
         positions = np.asarray(positions, dtype=np.intp)

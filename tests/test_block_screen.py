@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import mmap
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +191,7 @@ def solve_above_theta_both(spec, kernel, queries, probes, theta):
         selector = lemp._build_selector(prepared, np.full(prepared.size, theta), "above_theta",
                                         theta)
         stats = RunStats()
-        arrays = solve_above_theta(prepared, lemp.buckets, theta, selector, stats)
+        arrays = solve_above_theta(prepared, lemp.layout(), theta, selector, stats)
         expected, reference_stats = reference_walk(prepared, lemp.buckets, selector,
                                                    "above_theta", theta)
     return arrays, {name: getattr(stats, name) for name in COUNTERS}, expected, {
@@ -405,17 +407,28 @@ def test_row_answer_is_independent_of_batch_composition(composition_engine, prob
     assert answered >= 3
 
 
-def test_parallel_chunks_fill_the_screen_buffer_concurrently():
-    """Worker threads fill bucket slices of one shared, cold screen buffer at once
-    (fills are idempotent: each writes its bucket's bits); answers match serial."""
+def slow_mmap(monkeypatch):
+    """Make every ``mmap.mmap`` call yield for a while, as a page-mapping syscall may."""
+    original = mmap.mmap
+
+    def mapped(*args, **kwargs):
+        time.sleep(0.005)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", mapped)
+
+
+def test_parallel_chunks_fill_a_cold_screen_buffer(monkeypatch):
+    """Worker threads meet in the cold buckets of an index no call has screened yet
+    (the serial warm-up chunk holds zero queries, which reach no bucket): every
+    fill lands in the store's one buffer, and answers match a serial engine."""
     probes = make_factors(4000, rank=16, length_cov=1.2, seed=23)
     queries = make_factors(800, rank=16, length_cov=1.2, seed=24)
-    # The serial warm-up chunk holds the shortest queries, so the parallel
-    # chunks reach buckets nothing has filled yet.
-    queries = queries[np.argsort(np.linalg.norm(queries, axis=1), kind="stable")]
+    queries[:50] = 0.0
     theta = float(np.quantile(queries[-50:] @ probes.T, 0.97))
     serial = RetrievalEngine(Lemp(algorithm="L", max_bucket_size=40).fit(probes))
     expected = serial.above_theta(queries, theta, batch_size=50)
+    slow_mmap(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -429,12 +442,36 @@ def test_parallel_chunks_fill_the_screen_buffer_concurrently():
     finally:
         sys.setswitchinterval(interval)
     lemp = engine.retriever
-    rows = lemp.store.screen_rows()
-    for bucket in lemp.buckets:
-        if bucket._screen_version == lemp.store.screen_version:
-            scaled = np.ldexp(bucket.lengths, -bucket.screen_exponent)[:, None]
-            assert rows[bucket.start:bucket.end].tobytes() == np.asarray(
-                bucket.directions * scaled, dtype=np.float32).tobytes()
+    rows = lemp.store.screen_rows
+    filled = [bucket for bucket in lemp.buckets if bucket._filled is not None]
+    assert filled and all(bucket._filled is rows for bucket in filled)
+    for bucket in filled:
+        scaled = np.ldexp(bucket.lengths, -bucket.screen_exponent)[:, None]
+        assert rows[bucket.start:bucket.end].tobytes() == np.asarray(
+            bucket.directions * scaled, dtype=np.float32).tobytes()
+
+
+def test_repack_moves_buckets_onto_a_new_buffer_and_they_refill():
+    """A re-pack that keeps the cuts gives the store a new screen buffer; the moved
+    buckets drop the old one and fill their slices of the new one on next use."""
+    probes = make_factors(3000, rank=16, length_cov=1.2, seed=25)
+    queries = make_factors(40, rank=16, length_cov=1.2, seed=26)
+    theta = float(np.quantile(queries @ probes.T, 0.99))
+    lemp = Lemp(algorithm="L", max_bucket_size=40).fit(probes)
+    lemp.above_theta(queries, theta)
+    before = lemp.store.screen_rows
+    buckets = list(lemp.buckets)
+    assert any(bucket._filled is before for bucket in buckets)
+    lemp.remove([0])  # the first write re-packs the store
+    assert lemp.store.screen_rows is not before
+    kept = [bucket for bucket in buckets if any(bucket is other for other in lemp.buckets)]
+    assert kept and all(bucket._filled is None for bucket in kept)
+    result = lemp.above_theta(queries, theta)
+    expected = create_retriever("naive").fit(np.delete(probes, 0, axis=0)).above_theta(
+        queries, theta)
+    assert set(zip(result.query_ids.tolist(), result.probe_ids.tolist())) == set(
+        zip(expected.query_ids.tolist(), expected.probe_ids.tolist()))
+    assert any(bucket._filled is lemp.store.screen_rows for bucket in lemp.buckets)
 
 
 # ------------------------------------------------------- the screen itself
@@ -748,7 +785,7 @@ def test_spans_match_per_bucket_walk_reference_and_naive(span_data, state, tier,
                     continue  # 1000 queries scanned pair by pair are slow; 1–7 rows cover them
                 stats, bucket_stats = RunStats(), RunStats()
                 arrays = solve_above_theta(prepared, lemp.layout(), theta, selector, stats, screen)
-                expected = solve_above_theta(prepared, lemp.buckets, theta, PerBucket(selector),
+                expected = solve_above_theta(prepared, lemp.layout(), theta, PerBucket(selector),
                                              bucket_stats, screen)
                 counters = {name: getattr(stats, name) for name in COUNTERS}
                 assert_matches_reference(arrays, counters, expected,
@@ -780,7 +817,7 @@ def test_spans_with_non_positive_theta_and_zero_norm_queries(span_data, spec, th
     with np.errstate(invalid="raise"):
         stats, bucket_stats = RunStats(), RunStats()
         arrays = solve_above_theta(prepared, lemp.layout(), theta, selector, stats)
-        expected = solve_above_theta(prepared, lemp.buckets, theta, PerBucket(selector),
+        expected = solve_above_theta(prepared, lemp.layout(), theta, PerBucket(selector),
                                      bucket_stats)
         reference, reference_stats = reference_walk(prepared, lemp.buckets, selector,
                                                     "above_theta", theta)

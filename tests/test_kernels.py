@@ -534,6 +534,8 @@ class TestParallelExecution:
         assert view.store is retriever.store
         assert view.buckets is retriever.buckets
         assert view.tuning_cache is retriever.tuning_cache
+        # The layout is built before the copy, so views of one index share it.
+        assert view._layout is not None and view.layout() is retriever.layout()
         assert view.stats is not retriever.stats
         result = view.row_top_k(queries, 3)
         assert result.num_queries == queries.shape[0]

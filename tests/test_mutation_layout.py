@@ -112,7 +112,7 @@ def assert_screen_buffer(lemp):
                                              * np.ldexp(bucket.lengths, -exponent)[:, None])
         rows, slice_exponent = bucket.screen_slice()
         assert slice_exponent == exponent
-    assert store.screen_rows().tobytes() == expected.tobytes()
+    assert store.screen_rows.tobytes() == expected.tobytes()
 
 
 def perfbench_plan(seed: int, rounds: int):

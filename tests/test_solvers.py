@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import above_theta
 from repro.core.above_theta import solve_above_theta
-from repro.core.bucket import Bucket
+from repro.core.bucket import Bucket, BucketLayout
 from repro.core.bucketize import bucketize
 from repro.core.kernels import gather_matvec, use_kernel
 from repro.core.lemp import Lemp
@@ -39,7 +39,7 @@ class TestSolveAboveTheta:
         theta = pick_theta(queries, probes, 150)
         stats = RunStats()
         query_ids, probe_ids, scores = solve_above_theta(
-            prepared, buckets, theta, FixedSelector(LengthRetriever()), stats
+            prepared, BucketLayout(buckets), theta, FixedSelector(LengthRetriever()), stats
         )
         assert set(zip(query_ids.tolist(), probe_ids.tolist())) == brute_force_above(
             queries, probes, theta
@@ -51,7 +51,7 @@ class TestSolveAboveTheta:
         theta = pick_theta(queries, probes, 80)
         stats = RunStats()
         query_ids, probe_ids, _ = solve_above_theta(
-            prepared, buckets, theta, FixedSelector(IncrRetriever(), phi=3), stats
+            prepared, BucketLayout(buckets), theta, FixedSelector(IncrRetriever(), phi=3), stats
         )
         assert set(zip(query_ids.tolist(), probe_ids.tolist())) == brute_force_above(
             queries, probes, theta
@@ -61,7 +61,8 @@ class TestSolveAboveTheta:
         queries, probes, prepared, buckets = build_problem(length_cov=1.5, seed=12)
         theta = pick_theta(queries, probes, 20)
         stats = RunStats()
-        solve_above_theta(prepared, buckets, theta, FixedSelector(LengthRetriever()), stats)
+        solve_above_theta(prepared, BucketLayout(buckets), theta,
+                          FixedSelector(LengthRetriever()), stats)
         assert stats.buckets_pruned > 0
         assert stats.buckets_examined + stats.buckets_pruned == len(buckets) * prepared.size
 
@@ -70,7 +71,7 @@ class TestSolveAboveTheta:
         theta = pick_theta(queries, probes, 60)
         stats = RunStats()
         query_ids, _, _ = solve_above_theta(
-            prepared, buckets, theta, FixedSelector(IncrRetriever()), stats
+            prepared, BucketLayout(buckets), theta, FixedSelector(IncrRetriever()), stats
         )
         assert stats.candidates >= query_ids.size
         assert stats.inner_products == stats.candidates
@@ -80,7 +81,7 @@ class TestSolveAboveTheta:
         theta = float((queries @ probes.T).max()) * 2 + 1.0
         stats = RunStats()
         query_ids, probe_ids, scores = solve_above_theta(
-            prepared, buckets, theta, FixedSelector(LengthRetriever()), stats
+            prepared, BucketLayout(buckets), theta, FixedSelector(LengthRetriever()), stats
         )
         assert query_ids.size == probe_ids.size == scores.size == 0
 
@@ -254,7 +255,8 @@ class TestAboveThetaWalkOrder:
         if cap is not None:
             monkeypatch.setattr(above_theta, "VERIFY_QUEUE_ROWS", cap)
         with use_kernel(kernel):
-            arrays = solve_above_theta(prepared, buckets, theta, selector, RunStats(), screen)
+            arrays = solve_above_theta(prepared, BucketLayout(buckets), theta, selector,
+                                       RunStats(), screen)
             assert_walk_order_and_bits(arrays, buckets, prepared,
                                        brute_force_above(queries, probes, theta))
         if cap is None:
