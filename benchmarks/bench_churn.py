@@ -27,6 +27,9 @@ latency percentiles and tuning-cache hit rate under churn, and enforces:
 * **Mutations applied**: one mutation per round, with the final row count
   visible both live and in the reloaded index.
 
+BLAS runs on one thread (set before numpy loads, recorded as
+``blas_threads``), as in the other CI gate scripts.
+
 Run locally with::
 
     PYTHONPATH=src python benchmarks/bench_churn.py
@@ -36,6 +39,12 @@ The report is written to ``BENCH_churn.json`` (``--output``); pass
 """
 
 from __future__ import annotations
+
+import os
+
+# One BLAS/OpenMP thread, set before numpy is first imported.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
 import argparse
 import asyncio
@@ -271,6 +280,7 @@ def run_bench(args: argparse.Namespace) -> dict:
         "library_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "workload": {
             "probes_a": args.probes_a, "probes_b": args.probes_b, "rank": rank,
             "k": args.k, "rounds": args.rounds, "clients": args.clients,

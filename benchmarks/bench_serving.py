@@ -16,7 +16,9 @@ two gates:
   (default 1.5x).  The win comes from overhead amortisation, not
   parallelism — coalescing N single-row requests into one solver call
   turns N passes over the bucket list into one — so the gate holds on a
-  single-core CI box.
+  single-core CI box.  BLAS runs on one thread (set before numpy loads,
+  recorded as ``blas_threads``), so OpenBLAS thread scheduling cannot slow
+  one side of the comparison.
 
 Run locally with::
 
@@ -27,6 +29,12 @@ The report is written to ``BENCH_serving.json`` (``--output``); pass
 """
 
 from __future__ import annotations
+
+import os
+
+# One BLAS/OpenMP thread, set before numpy is first imported.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
 import argparse
 import asyncio
@@ -70,14 +78,10 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="timed repeats per level (best is kept)")
     parser.add_argument("--min-speedup", type=float, default=1.5,
                         help="required 64-client speedup over the serial loop")
-    parser.add_argument("--screen-dtype", default=None,
-                        help="serve through a quantized screening tier "
-                             "(f32/f16/int8); the byte-equality gate then also "
-                             "certifies the screened serving path")
     parser.add_argument("--mmap-index", action="store_true",
                         help="save the fitted index and serve from a read-only "
                              "memory-mapped reload — the WorkerPool deployment "
-                             "shape, with the screening tier mapped from disk")
+                             "shape, with the index arrays mapped from disk")
     parser.add_argument("--seed", type=int, default=0, help="dataset seed")
     parser.add_argument("--output", type=Path, default=Path("BENCH_serving.json"),
                         help="JSON report path")
@@ -143,14 +147,13 @@ def run_bench(args: argparse.Namespace) -> dict:
         for index in range(args.requests)
     ]
 
-    spec = "lemp:LI" + (f"/{args.screen_dtype}" if args.screen_dtype else "")
     engine = RetrievalEngine(
-        spec, seed=args.seed, max_bucket_size=args.max_bucket_size
+        "lemp:LI", seed=args.seed, max_bucket_size=args.max_bucket_size
     ).fit(probes)
     if args.mmap_index:
         # Serve from a read-only mapped reload of the just-fitted index — the
-        # shape a WorkerPool deployment runs in, with the (possibly quantized)
-        # index arrays paged in from disk instead of copied into RAM.
+        # shape a WorkerPool deployment runs in, with the index arrays paged
+        # in from disk instead of copied into RAM.
         import tempfile
 
         index_dir = Path(tempfile.mkdtemp(prefix="bench_serving_idx_")) / "index"
@@ -230,24 +233,18 @@ def run_bench(args: argparse.Namespace) -> dict:
             "detail": "the top concurrency level must actually coalesce requests",
         },
     }
-    if args.screen_dtype:
-        checks["screening_active"] = {
-            "passed": engine.stats.screen_products > 0,
-            "screen_products": int(engine.stats.screen_products),
-            "detail": "the screened serving path must actually pre-filter candidates",
-        }
-
     return {
         "benchmark": "bench_serving",
         "library_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "dataset": {
             "probes": args.probes, "rank": args.rank, "theta": args.theta,
             "max_bucket_size": args.max_bucket_size,
             "requests": args.requests, "rows": args.rows, "seed": args.seed,
             "max_batch_rows": args.max_batch_rows,
-            "screen_dtype": args.screen_dtype, "mmap_index": args.mmap_index,
+            "mmap_index": args.mmap_index,
         },
         "serial_loop": {
             "wall_seconds": round(best_serial, 5),

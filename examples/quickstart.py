@@ -89,28 +89,6 @@ def main() -> None:
     print(f"  probes after update    : {engine.num_probes}")
     print("  matches naive top-k    : yes")
 
-    # ------------------------------------------- compressed tiers (optional)
-    # Screening compresses verification reads; gen_dtype moves the candidate
-    # generation index scans onto the compressed tier too.  Both are
-    # byte-identical to the exact engine — compressed data only decides
-    # which exact work runs, never what is returned.
-    print("\nCompressed screening + generation (f16)")
-    from repro.engine import create_retriever
-
-    compact = RetrievalEngine(
-        create_retriever("lemp:LI/f16", gen_dtype="f16", seed=0)
-    ).fit(probes)
-    compact.partial_fit(new_items)
-    compact.remove(np.arange(10))
-    compact_top = compact.row_top_k(queries, k=10)
-    assert np.array_equal(compact_top.indices, updated.indices)
-    assert np.array_equal(compact_top.scores, updated.scores)
-    gen_bytes = compact.retriever.generation_memory_bytes()
-    exact_gen_bytes = engine.retriever.generation_memory_bytes()
-    print(f"  generation index bytes : {gen_bytes} vs {exact_gen_bytes} exact "
-          f"({gen_bytes / max(exact_gen_bytes, 1):.2f}x)")
-    print("  results byte-identical : yes")
-
     # ------------------------------------------------------------ persistence
     print("\nPersistence")
     with tempfile.TemporaryDirectory() as tmp:

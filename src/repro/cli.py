@@ -136,10 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="chunk size (default: the engine default)")
     explain.add_argument("--execute", action="store_true",
                          help="also run the call and verify it recorded exactly this plan")
-    explain.add_argument("--gen-dtype", default=None,
-                         choices=["f32", "f16", "int8"],
-                         help="run candidate generation over a compressed index "
-                              "tier (results stay byte-identical; LEMP only)")
 
     index = subparsers.add_parser(
         "index", help="build a persistent index for a dataset (save, reload, verify)"
@@ -256,8 +252,6 @@ def _command_explain(args, out) -> int:
     if k is None and theta is None:
         k = 10
     engine = RetrievalEngine(args.algorithm, seed=args.seed, workers=args.workers)
-    if getattr(args, "gen_dtype", None) is not None:
-        engine.gen_dtype = args.gen_dtype
     engine.fit(dataset.probes)
     plan = engine.explain(dataset.queries, theta=theta, k=k, batch_size=args.batch_size)
 

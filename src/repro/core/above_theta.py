@@ -18,7 +18,7 @@ each query's prefix and to the buckets' slices.  A bucket with any pair
 routed to a coordinate retriever is screened on its own: its LENGTH pairs
 by one block product per query block
 (:func:`~repro.core.retrievers.length.score_length_pairs`), its coordinate
-pairs pair by pair (with a compressed tier, screened pair by pair too).
+pairs pair by pair.
 
 Every (bucket, query) unit is independent of every other: the local threshold
 ``theta_b`` is a pure function of (theta, query norm, bucket max length), and
@@ -66,22 +66,12 @@ def solve_above_theta(
     theta: float,
     selector: RetrieverSelector,
     stats: RunStats,
-    screen=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Retrieve all (query, probe) pairs with inner product at least ``theta``.
 
     Returns three parallel arrays: original query ids, original probe ids and
     exact scores.  ``layout`` holds the buckets in walk order
     (:meth:`~repro.core.lemp.Lemp.layout`).
-
-    ``screen`` is an optional :class:`~repro.core.screening.ScreenTier`: the
-    generated candidates are pre-filtered with compressed dot products, and
-    a candidate is dropped only when even its approximate score *plus* the
-    tier's error bound cannot reach ``theta`` — so every true result
-    survives, and the surviving candidates are verified by the exact kernel
-    whose per-row bits are independent of the candidate set.  Screened
-    results are therefore byte-identical to unscreened ones; only the
-    ``inner_products`` / ``screen_*`` counters change.
     """
     cutoff = theta - _VERIFY_SLACK
     queue = _VerifyQueue(queries, layout.store, cutoff)
@@ -105,7 +95,7 @@ def solve_above_theta(
     while index < last:
         if not to_length[index]:
             _screen_bucket(layout.buckets[index], queries, int(active[index]), theta, cutoff,
-                           selector, stats, screen, queue)
+                           selector, stats, queue)
             index += 1
         else:
             stop = index + 1
@@ -113,7 +103,7 @@ def solve_above_theta(
                    and layout.exponents[stop] == layout.exponents[index]):
                 stop += 1
             _screen_span(layout, index, stop, queries, int(active[index]), prefix, ends, cutoff,
-                         stats, screen, queue)
+                         stats, queue)
             index = stop
         if queue.size >= VERIFY_QUEUE_ROWS:
             queue.flush(final=False)
@@ -124,7 +114,7 @@ def solve_above_theta(
 
 def _screen_span(layout: BucketLayout, first: int, stop: int, queries: PreparedQueries,
                  count: int, prefix: np.ndarray, ends: np.ndarray, cutoff: float,
-                 stats: RunStats, screen, queue: "_VerifyQueue") -> None:
+                 stats: RunStats, queue: "_VerifyQueue") -> None:
     """Screen buckets ``[first, stop)``, whose pairs all take LENGTH, as one span.
 
     The span's queries are the first bucket's ``count`` active queries.  A
@@ -139,7 +129,7 @@ def _screen_span(layout: BucketLayout, first: int, stop: int, queries: PreparedQ
     cutoffs = np.minimum(np.maximum(ends[:count] - span.start, 0), span.end - span.start)
     positions = np.arange(count)
     found = list(screen_pairs(span, queries, positions, queries.norms[:count], cutoffs, counts,
-                              np.full(count, cutoff), stats, screen))
+                              np.full(count, cutoff), stats))
     if not found:
         return
     pairs, rows = (np.concatenate(parts) for parts in zip(*found))
@@ -150,7 +140,7 @@ def _screen_span(layout: BucketLayout, first: int, stop: int, queries: PreparedQ
 
 
 def _screen_bucket(bucket: Bucket, queries: PreparedQueries, count: int, theta: float,
-                   cutoff: float, selector: RetrieverSelector, stats: RunStats, screen,
+                   cutoff: float, selector: RetrieverSelector, stats: RunStats,
                    queue: "_VerifyQueue") -> None:
     """Screen one bucket's ``count`` active queries, split between LENGTH and coordinate pairs."""
     thresholds = local_thresholds(theta, queries.norms[:count], bucket.max_length)
@@ -168,10 +158,9 @@ def _screen_bucket(bucket: Bucket, queries: PreparedQueries, count: int, theta: 
         norms = queries.norms[length_positions]
         for pairs, candidates in score_length_pairs(
                 bucket, queries, length_positions, norms,
-                np.full(norms.size, theta), np.full(norms.size, cutoff), stats, screen):
+                np.full(norms.size, theta), np.full(norms.size, cutoff), stats):
             queue.push(length_positions[pairs], bucket.start + candidates)
 
-    bucket_lengths = bucket.lengths
     for position, theta_b, (retriever, phi) in zip(
             pair_positions.tolist(), thresholds[pair_positions].tolist(), routes):
         query_direction = queries.directions[position]
@@ -182,18 +171,6 @@ def _screen_bucket(bucket: Bucket, queries: PreparedQueries, count: int, theta: 
         stats.candidates += int(candidates.size)
         if candidates.size == 0:
             continue
-        if screen is not None:
-            upper = screen.upper_cosines(bucket.start, candidates, query_direction)
-            stats.screen_products += int(candidates.size)
-            # The exact score is cos * ||q|| * ||p||; both norms are
-            # non-negative, so the screened upper bound on the cosine
-            # scales to an upper bound on the score and the keep-test
-            # below mirrors the exact one (including its slack).
-            keep = upper * (query_norm * bucket_lengths[candidates]) >= cutoff
-            stats.screen_dropped += int(candidates.size - np.count_nonzero(keep))
-            candidates = candidates[keep]
-            if candidates.size == 0:
-                continue
         stats.inner_products += int(candidates.size)
         queue.push(np.full(candidates.size, position), bucket.start + candidates)
 

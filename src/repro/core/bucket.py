@@ -27,11 +27,6 @@ from repro.core.thresholds import local_thresholds
 from repro.core.vector_store import VectorStore, span_positions
 
 
-def gen_lists_key(dtype_name: str) -> str:
-    """Auxiliary-index key of the compressed sorted lists for a gen dtype."""
-    return f"gen_lists:{dtype_name}"
-
-
 class Bucket:
     """One bucket of probes of roughly similar length.
 
@@ -168,24 +163,6 @@ class Bucket:
     def screen_slice(self) -> tuple[np.ndarray, int]:
         """The bucket's filled rows of the f32 screen buffer and their exponent ``E``."""
         return self.fill_screen()[self.start:self.end], self.screen_exponent
-
-    def gen_sorted_lists(self, tier) -> SortedListIndex:
-        """Sorted lists built over a compressed tier's values, lazily.
-
-        ``tier`` is the :class:`~repro.core.screening.ScreenTier` selected by
-        LEMP's ``gen_dtype`` knob; the index stores the tier's storage-dtype
-        values with ``int32`` identifiers and widens every scan range by the
-        tier's per-element error bound (see
-        :class:`~repro.core.sorted_lists.SortedListIndex`).  One index is
-        kept per tier dtype, alongside — never replacing — the exact f64
-        lists, so toggling ``gen_dtype`` on a warm retriever reuses whatever
-        is already built.
-        """
-        def build() -> SortedListIndex:
-            values, bounds = tier.gen_view(self.start, self.end)
-            return SortedListIndex.from_compressed(values, bounds)
-
-        return self.get_index(gen_lists_key(tier.dtype_name), build)
 
     def get_index(self, key: str, builder):
         """Return a named auxiliary index, building it with ``builder()`` on first use.

@@ -31,13 +31,10 @@ def scan_ranges(
 
     Returns a list of ``(coordinate, start, end)`` triples; entries of list
     ``coordinate`` in positions ``[start, end)`` lie inside the feasible region
-    of that coordinate.  On a compressed index the regions are widened (and
-    rounded outward to the storage dtype) in one vectorised shot before the
-    binary searches — equivalent to per-coordinate :meth:`SortedListIndex
-    .scan_range` calls, minus their per-call widening overhead.
+    of that coordinate.  The binary searches are those of
+    :meth:`SortedListIndex.scan_range`, inlined.
     """
     lowers, uppers = feasible_region(query_direction[focus], theta_b)
-    lowers, uppers = index.widen_batch(lowers, uppers)
     values = index.values
     searchsorted = np.searchsorted
     ranges = []
@@ -72,25 +69,13 @@ def scan_prefixes(
     partial_sqnorm = np.zeros(size, dtype=np.float64) if partial else None
     scanned = 0
     for coordinate, start, end in scan_ranges(index, query_direction, focus, theta_b):
-        # ``bincount`` wants intp bins and f64 weights; converting once here
-        # (a no-op view on an exact index) instead of letting each of the
-        # three calls convert internally keeps the compressed (gen_dtype)
-        # index's int32/f32 storage off the hot path.  The ``dtype=np.float64``
-        # on the products upcasts the stored values inside the ufunc loop —
-        # the partial products must accumulate in f64 for the widened INCR
-        # bound derivation to hold.
-        lids = np.asarray(index.lids[coordinate, start:end], dtype=np.intp)
+        lids = index.lids[coordinate, start:end]
         counts += np.bincount(lids, minlength=size)
         if partial:
             values = index.values[coordinate, start:end]
-            partial_dot += np.bincount(
-                lids,
-                weights=np.multiply(values, query_direction[coordinate], dtype=np.float64),
-                minlength=size,
-            )
-            partial_sqnorm += np.bincount(
-                lids, weights=np.multiply(values, values, dtype=np.float64), minlength=size
-            )
+            partial_dot += np.bincount(lids, weights=values * query_direction[coordinate],
+                                       minlength=size)
+            partial_sqnorm += np.bincount(lids, weights=values * values, minlength=size)
         scanned += end - start
         yield scanned, counts, partial_dot, partial_sqnorm
 

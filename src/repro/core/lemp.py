@@ -46,16 +46,8 @@ from repro.core.retrievers import (
     TABucketRetriever,
     TreeBucketRetriever,
 )
-from repro.core.bucket import gen_lists_key
 from repro.core.retrievers.blsh import INDEX_KEY as BLSH_INDEX_KEY
 from repro.core.retrievers.l2ap import INDEX_KEY as L2AP_INDEX_KEY
-from repro.core.retrievers.l2ap import gen_index_key as l2ap_gen_index_key
-from repro.core.screening import (
-    SCREEN_DTYPES,
-    ScreenTier,
-    validate_gen_dtype,
-    validate_screen_dtype,
-)
 from repro.core.selector import DEFAULT_PHI, FixedSelector, PerBucketSelector
 from repro.core.top_k import solve_row_top_k
 from repro.core.tuner import (
@@ -99,10 +91,7 @@ def _target_buckets(longest: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.maximum(np.searchsorted(-longest, -lengths, side="right") - 1, 0)
 
 
-@register_retriever(
-    "lemp", variant_kw="algorithm", variants=ALGORITHMS, default_variant="LI",
-    suffix_kw="screen_dtype", suffixes=("f32", "f16", "int8"),
-)
+@register_retriever("lemp", variant_kw="algorithm", variants=ALGORITHMS, default_variant="LI")
 class Lemp(Retriever):
     """LEMP retriever over a fixed probe matrix.
 
@@ -128,32 +117,6 @@ class Lemp(Retriever):
         disabling restores the tune-per-call behaviour.  Results are
         identical either way for the exact algorithms — tuning only steers
         candidate generation, and candidates are verified exactly.
-    screen_dtype:
-        Optional quantized screening tier (``"f32"``, ``"f16"``, or
-        ``"int8"``; also available as a spec suffix, e.g. ``"lemp:LI/f16"``).
-        Candidates are pre-filtered with compressed dot products against a
-        conservatively widened threshold before exact verification, so
-        results stay byte-identical to ``screen_dtype=None`` while the hot
-        loop reads 2–8x fewer bytes per screened-out candidate (see
-        :mod:`repro.core.screening`).  The attribute is plain and may be
-        reassigned between calls — the tier is built lazily on first use and
-        kept in sync by ``partial_fit`` / ``remove``.
-    gen_dtype:
-        Optional compressed *candidate generation* tier (``"f32"``, ``"f16"``
-        or ``"int8"``).  The coordinate-based index scans (sorted lists / CP
-        arrays for COORD, INCR, TA; the L2AP inverted lists; the BLSH
-        signature build) run over a quantized copy of the probe directions
-        with every feasible region and pruning bound *widened* by the tier's
-        per-row error bound, so generation can only over-produce — never drop
-        — a candidate the exact scan would surface, and exact f64
-        verification keeps results byte-identical to ``gen_dtype=None``.
-        The compressed lists are 2–2.7x smaller than the f64 ones
-        (``int32`` ids plus storage-dtype values).  When it equals
-        ``screen_dtype`` the two features share one quantized tier.  Like
-        ``screen_dtype`` the attribute is plain and may be reassigned between
-        calls; compressed indexes are cached per dtype alongside the exact
-        ones.  TREE ignores the knob (the cover tree prunes with exact
-        geometry); LENGTH needs no directions at all.
     """
 
     def __init__(
@@ -168,8 +131,6 @@ class Lemp(Retriever):
         phi_grid=DEFAULT_PHI_GRID,
         seed: int = 0,
         tune_cache: bool = True,
-        screen_dtype: str | None = None,
-        gen_dtype: str | None = None,
     ) -> None:
         super().__init__()
         algorithm = str(algorithm).upper()
@@ -186,8 +147,6 @@ class Lemp(Retriever):
         self.tune_sample = tune_sample
         self.phi_grid = tuple(phi_grid)
         self.seed = seed
-        self.screen_dtype = validate_screen_dtype(screen_dtype)
-        self.gen_dtype = validate_gen_dtype(gen_dtype)
         self.name = f"LEMP-{algorithm}"
         self.store: VectorStore | None = None
         self.buckets: list = []
@@ -263,8 +222,6 @@ class Lemp(Retriever):
             "phi_grid": list(self.phi_grid),
             "seed": self.seed,
             "tune_cache": self.tuning_cache.enabled,
-            "screen_dtype": self.screen_dtype,
-            "gen_dtype": self.gen_dtype,
         }
 
     # -------------------------------------------------- incremental maintenance
@@ -518,13 +475,6 @@ class Lemp(Retriever):
         and epochs kept: a reloaded index has the same buckets, the same
         Above-θ walk order and the same tuning-cache fingerprints, and the
         persisted format does not depend on the spare rows.
-
-        With an active ``screen_dtype`` the compressed screening tier is
-        exported too (building it now if no query has forced it yet), so a
-        reloaded — or memory-mapped — index screens without re-quantizing.
-        An active ``gen_dtype`` likewise exports its tier under ``gen_*``
-        keys — unless it equals ``screen_dtype``, in which case the one
-        shared tier travels once under the ``screen_*`` keys.
         """
         self._require_fitted()
         store = self.store
@@ -534,7 +484,7 @@ class Lemp(Retriever):
             return array if live is None else array[live]
 
         sizes = [bucket.size for bucket in self.buckets]
-        state = {
+        return {
             "ids": rows(store.ids),
             "lengths": rows(store.lengths),
             "directions": rows(store.directions),
@@ -543,16 +493,6 @@ class Lemp(Retriever):
                                         dtype=np.int64),
             "epoch": np.asarray(self._epoch, dtype=np.int64),
         }
-        if self.screen_dtype is not None:
-            state.update({key: rows(value) for key, value in
-                          store.screen_tier(self.screen_dtype).state_arrays().items()})
-        if self.gen_dtype is not None and self.gen_dtype != self.screen_dtype:
-            gen_arrays = store.screen_tier(self.gen_dtype).state_arrays()
-            state.update({
-                "gen_" + key[len("screen_"):]: rows(value)
-                for key, value in gen_arrays.items()
-            })
-        return state
 
     def restore_index(self, probes, state) -> "Lemp":
         """Rebuild the index from :meth:`index_state` arrays without refitting.
@@ -572,29 +512,6 @@ class Lemp(Retriever):
             for index, (start, end) in enumerate(zip(bounds[:-1], bounds[1:]))
         ]
         self._epoch = int(state["epoch"]) if "epoch" in state else int(epochs.max(initial=0))
-        if self.screen_dtype is not None and "screen_data" in state:
-            # Validated restore: a corrupt tier raises ScreeningError here,
-            # at load time, instead of producing NaN bounds at query time.
-            # (A format-3 index has no tier arrays; the tier is then simply
-            # rebuilt lazily on first screened query.)
-            self.store.set_screen_tier(ScreenTier.from_state(
-                self.screen_dtype,
-                state["screen_data"],
-                state.get("screen_scale"),
-                state.get("screen_offset"),
-                expected_shape=self.store.directions.shape,
-            ))
-        if self.gen_dtype is not None and "gen_data" in state:
-            # gen_dtype == screen_dtype shares the tier restored above; a
-            # distinct gen tier travels under the gen_* keys (format >= 5).
-            # Pre-format-5 indexes simply rebuild the tier lazily.
-            self.store.set_screen_tier(ScreenTier.from_state(
-                self.gen_dtype,
-                state["gen_data"],
-                state.get("gen_scale"),
-                state.get("gen_offset"),
-                expected_shape=self.store.directions.shape,
-            ))
         self.tuning_cache.clear()
         self._fitted = True
         return self
@@ -609,23 +526,20 @@ class Lemp(Retriever):
     # -------------------------------------------------------------- selectors
 
     def _coordinate_retriever(self, problem: str):
-        gen = self._gen_tier()
         if self.algorithm in {"C", "LC"}:
-            return CoordRetriever(gen=gen)
+            return CoordRetriever()
         if self.algorithm in {"I", "LI"}:
-            return IncrRetriever(gen=gen)
+            return IncrRetriever()
         if self.algorithm == "TA":
-            return TABucketRetriever(gen=gen)
+            return TABucketRetriever()
         if self.algorithm == "TREE":
-            # The cover tree prunes with exact geometry; gen_dtype is a no-op.
             return TreeBucketRetriever()
         if self.algorithm == "L2AP":
             return L2APBucketRetriever(
                 use_index_reduction=(problem == "above_theta"), cache=self.tuning_cache,
-                gen=gen,
             )
         if self.algorithm == "BLSH":
-            return BlshBucketRetriever(seed=self.seed, cache=self.tuning_cache, gen=gen)
+            return BlshBucketRetriever(seed=self.seed, cache=self.tuning_cache)
         return None
 
     def _invalidate_threshold_dependent_indexes(self) -> None:
@@ -635,27 +549,20 @@ class Lemp(Retriever):
         the cache enabled the L2AP retriever guards reuse itself with the
         theta_b lower-bound rule, and the BLSH signature filter carries no
         threshold state at all (its minimum-match base is recomputed per
-        call), so it is reusable unconditionally.  Exact and compressed L2AP
-        indexes are cached under distinct keys; all flavours are dropped.
+        call), so it is reusable unconditionally.
         """
         if self.tuning_cache.enabled:
             return
         if self.algorithm == "L2AP":
             for bucket in self.buckets:
                 bucket.drop_index(L2AP_INDEX_KEY)
-                for dtype_name in SCREEN_DTYPES:
-                    bucket.drop_index(l2ap_gen_index_key(dtype_name))
 
     def _tuning_key(self, problem: str, parameter: float) -> tuple:
         """Cache key of one tuning artifact: problem, parameter, sample seed.
 
         All other inputs of the tuner (bucket contents, phi grid, sample
         size) are either covered by the per-bucket fingerprints or constant
-        for the lifetime of this retriever instance.  ``gen_dtype`` is
-        deliberately *excluded*: compressed generation only inflates
-        candidate sets marginally, so tuning artifacts remain valid — and a
-        warm engine toggling ``gen_dtype`` keeps its tuned φ / switch points,
-        which keeps counter comparisons across the toggle meaningful.
+        for the lifetime of this retriever instance.
         """
         return (problem, float(parameter), self.seed)
 
@@ -725,61 +632,6 @@ class Lemp(Retriever):
             default_phi=default_phi,
         )
 
-    def _screen_tier(self) -> ScreenTier | None:
-        """The active screening tier, or ``None`` when screening is off.
-
-        The first call after a (re)fit builds the compressed copy; the build
-        is timed into ``preprocessing_seconds`` (it is index preparation, not
-        retrieval).  The tier lives on the :class:`VectorStore`, so engine
-        worker views — which share the store — share one tier, and incremental
-        updates patch it in place.
-        """
-        if self.screen_dtype is None:
-            return None
-        with Timer() as timer:
-            tier = self.store.screen_tier(self.screen_dtype)
-        self.stats.preprocessing_seconds += timer.elapsed
-        return tier
-
-    def _gen_tier(self) -> ScreenTier | None:
-        """The active candidate-generation tier, or ``None`` when off.
-
-        Same lifecycle as :meth:`_screen_tier`: built lazily on the store
-        (timed into ``preprocessing_seconds``), shared across worker views,
-        and patched in place by ``partial_fit`` / ``remove``.  When
-        ``gen_dtype == screen_dtype`` both features read one tier.
-        """
-        if self.gen_dtype is None:
-            return None
-        with Timer() as timer:
-            tier = self.store.screen_tier(self.gen_dtype)
-        self.stats.preprocessing_seconds += timer.elapsed
-        return tier
-
-    def generation_memory_bytes(self) -> int:
-        """Resident bytes of the built candidate-generation index structures.
-
-        Sums, over all buckets, the structures the *current* ``gen_dtype``
-        mode would scan: the exact sorted lists / L2AP inverted index when
-        ``gen_dtype`` is ``None``, the compressed flavours otherwise (plus
-        the BLSH signature filter, whose content is mode-independent).  Only
-        structures already built are counted — call after a warm-up probe for
-        a meaningful comparison across modes.
-        """
-        total = 0
-        for bucket in self.buckets:
-            if self.gen_dtype is None:
-                lists = bucket.sorted_lists() if bucket.sorted_lists_built else None
-                l2ap = bucket.peek_index(L2AP_INDEX_KEY)
-            else:
-                lists = bucket.peek_index(gen_lists_key(self.gen_dtype))
-                l2ap = bucket.peek_index(l2ap_gen_index_key(self.gen_dtype))
-            blsh = bucket.peek_index(BLSH_INDEX_KEY)
-            for structure in (lists, l2ap, blsh):
-                if structure is not None:
-                    total += structure.memory_bytes()
-        return int(total)
-
     def layout(self) -> BucketLayout:
         """The buckets as a :class:`~repro.core.bucket.BucketLayout`, rebuilt after a write.
 
@@ -819,11 +671,9 @@ class Lemp(Retriever):
             prepared, query_thetas, problem="above_theta", parameter=float(theta)
         )
 
-        screen = self._screen_tier()
         with Timer() as timer:
             query_ids, probe_ids, scores = solve_above_theta(
                 prepared, self.layout(), float(theta), selector, self.stats,
-                screen=screen,
             )
         self.stats.retrieval_seconds += timer.elapsed
         self.stats.num_queries += prepared.size
@@ -845,11 +695,8 @@ class Lemp(Retriever):
             prepared, query_thetas, problem="row_top_k", parameter=float(k)
         )
 
-        screen = self._screen_tier()
         with Timer() as timer:
-            indices, scores = solve_row_top_k(
-                prepared, self.buckets, k, selector, self.stats, screen=screen
-            )
+            indices, scores = solve_row_top_k(prepared, self.buckets, k, selector, self.stats)
         self.stats.retrieval_seconds += timer.elapsed
         self.stats.num_queries += prepared.size
         self.stats.results += int(np.sum(indices >= 0))
@@ -876,8 +723,6 @@ class Lemp(Retriever):
             phi_grid=self.phi_grid,
             seed=self.seed,
             tune_cache=self.tuning_cache.enabled,
-            screen_dtype=self.screen_dtype,
-            gen_dtype=self.gen_dtype,
         ).fit(queries)
         store = self.store
         live = store.live_positions()

@@ -18,16 +18,6 @@ approximate method in the family.  The signatures themselves do not depend on
 any threshold, so they are built once per bucket (seeded by the bucket
 ordinal) and reused across calls and worker views — a racing double-build
 produces bit-identical content.
-
-``screen_dtype`` never affects LEMP-BLSH's candidate set: it only gates the
-verification of already-generated candidates.  A compressed *generation*
-tier (``gen_dtype``) does feed the signature build, but through
-:meth:`~repro.similarity.lsh.RandomProjectionSignatures.sign_compressed`,
-which recomputes boundary-uncertain rows from the exact directions — the
-resulting signature matrix is **bit-identical** to the all-exact build, so
-the filter (and its false-negative behaviour) is identical with and without
-a generation tier and the built filter is shared under one bucket key.
-LENGTH pre-generation reads only probe lengths, which are never compressed.
 """
 
 from __future__ import annotations
@@ -49,7 +39,7 @@ class BlshBucketRetriever(BucketRetriever):
     name = "BLSH"
 
     def __init__(self, num_bits: int = 32, false_negative_rate: float = 0.03, seed: int = 0,
-                 cache=None, gen=None) -> None:
+                 cache=None) -> None:
         self.num_bits = num_bits
         self.false_negative_rate = false_negative_rate
         self.seed = seed
@@ -57,24 +47,16 @@ class BlshBucketRetriever(BucketRetriever):
         #: Optional :class:`~repro.core.tuning_cache.TuningCache` receiving
         #: build/reuse counters (the filter itself lives on the bucket).
         self.cache = cache
-        #: Optional :class:`~repro.core.screening.ScreenTier` feeding the
-        #: signature build (bit-identical output, see module docstring).
-        self.gen = gen
 
     def _filter(self, bucket: Bucket) -> BayesLshFilter:
         """The bucket's signature filter, built on first use.
 
         The filter holds only threshold-free signatures (the minimum-match
         base is recomputed per call from ``theta_b``), so it is valid for
-        every query and reused unconditionally.  Exact and generation-tier
-        builds share one key: their signature content is bit-identical.
+        every query and reused unconditionally.
         """
         entry = bucket.peek_index(INDEX_KEY)
         if entry is None:
-            kwargs = {}
-            if self.gen is not None:
-                values, bounds = self.gen.gen_view(bucket.start, bucket.end)
-                kwargs = {"compressed_values": values, "element_bounds": bounds}
             entry = bucket.set_index(
                 INDEX_KEY,
                 BayesLshFilter(
@@ -82,7 +64,6 @@ class BlshBucketRetriever(BucketRetriever):
                     num_bits=self.num_bits,
                     false_negative_rate=self.false_negative_rate,
                     seed=self.seed + bucket.index,
-                    **kwargs,
                 ),
             )
             if self.cache is not None:

@@ -26,29 +26,12 @@ def select_focus_coordinates(query_direction: np.ndarray, phi: int) -> np.ndarra
 
 
 class CoordRetriever(BucketRetriever):
-    """Candidate generation by intersecting focus-coordinate scan ranges.
-
-    With a compressed generation tier (``gen``, LEMP's ``gen_dtype`` knob)
-    the scan ranges run over the tier's quantized sorted lists, widened by
-    the per-element error bound: a probe inside every exact feasible region
-    is inside every widened compressed one, so the intersection can only
-    over-produce, never drop a true candidate.
-    """
+    """Candidate generation by intersecting focus-coordinate scan ranges."""
 
     name = "COORD"
 
     #: Whether the scan accumulates the extended CP array (INCR) too.
     partial_products = False
-
-    def __init__(self, gen=None) -> None:
-        #: Optional :class:`~repro.core.screening.ScreenTier` the sorted
-        #: lists are built over instead of the exact f64 directions.
-        self.gen = gen
-
-    def _index(self, bucket: Bucket):
-        if self.gen is not None:
-            return bucket.gen_sorted_lists(self.gen)
-        return bucket.sorted_lists()
 
     def unpruned(self, query_norm: float, theta: float, theta_b: float) -> bool:
         """Whether :meth:`retrieve` returns every row without scanning."""
@@ -72,7 +55,7 @@ class CoordRetriever(BucketRetriever):
         if self.unpruned(query_norm, theta, theta_b):
             return self.all_candidates(bucket)
         focus = select_focus_coordinates(query_direction, phi)
-        index = self._index(bucket)
+        index = bucket.sorted_lists()
         counts = count_scan_hits(index, query_direction, focus, theta_b, bucket.size)
         return np.nonzero(counts == focus.size)[0].astype(np.intp)
 
@@ -92,7 +75,7 @@ class CoordRetriever(BucketRetriever):
         if self.unpruned(query_norm, theta, theta_b):
             return scanned, kept
         focus = select_focus_coordinates(query_direction, max(phis))
-        index = self._index(bucket)
+        index = bucket.sorted_lists()
         prefixes = scan_prefixes(index, query_direction, focus, theta_b, bucket.size,
                                  partial=self.partial_products)
         for depth, (entries, counts, partial_dot, partial_sqnorm) in enumerate(prefixes, 1):

@@ -23,19 +23,7 @@ _FLOAT_SLACK = 1e-9
 
 
 class IncrRetriever(CoordRetriever):
-    """Candidate generation with incremental partial-inner-product pruning.
-
-    With a compressed generation tier (``gen``, LEMP's ``gen_dtype`` knob)
-    the scans read the tier's quantized sorted lists.  A true candidate
-    (``cos ≥ θ_p ≥ θ_b``) lies inside every focus coordinate's feasible
-    region, so the widened scans see it in *all* ``φ`` ranges; its compressed
-    partial dot product is then off by at most ``ε · Σ_F |q̄_f| ≤ ε · √φ``
-    (Cauchy–Schwarz on the unit query direction) and its compressed partial
-    squared norm by at most ``φ · ε · (2 + ε)`` (per-row bound ``ε``), which
-    the keep-test below adds back — the widened bound dominates the exact one
-    for every true candidate, so the filter can only over-produce, never
-    drop.
-    """
+    """Candidate generation with incremental partial-inner-product pruning."""
 
     name = "INCR"
 
@@ -56,7 +44,7 @@ class IncrRetriever(CoordRetriever):
         if self.unpruned(query_norm, theta, theta_b):
             return self.all_candidates(bucket)
         focus = select_focus_coordinates(query_direction, phi)
-        index = self._index(bucket)
+        index = bucket.sorted_lists()
         counts, partial_dot, partial_sqnorm = accumulate_partial_products(
             index, query_direction, focus, theta_b, bucket.size
         )
@@ -73,29 +61,8 @@ class IncrRetriever(CoordRetriever):
         # u = sqrt(1 - ‖q̄_F‖²) · sqrt(1 - ‖p̄_F‖²).
         query_focus_sqnorm = float(np.sum(query_direction[focus] ** 2))
         query_remainder = np.sqrt(max(0.0, 1.0 - query_focus_sqnorm))
-        threshold_slack = _FLOAT_SLACK
-        if index.compressed and index.row_bounds is None:
-            # Uniform-bound tiers (f32/f16): both slack terms are scalars —
-            # the squared-norm slack raises the clip ceiling and the
-            # dot-product slack moves to the threshold side of the keep
-            # test, so the vector work is identical to the exact path's.
-            # ``Σ_F |q̄_f| ≤ √φ·‖q̄_F‖ ≤ √φ`` majorises the dot slack without
-            # touching the query at all.
-            eps = index.element_bound
-            threshold_slack += eps * focus.size ** 0.5
-            sqnorm_ceiling = 1.0 + focus.size * eps * (2.0 + eps)
-            probe_remainder = np.sqrt(np.clip(sqnorm_ceiling - partial_sqnorm, 0.0, None))
-            upper_bound = partial_dot + query_remainder * probe_remainder
-        elif index.compressed:
-            # int8: per-row bounds, so the slack terms broadcast as vectors.
-            eps = index.row_bounds
-            dot_slack = eps * (focus.size ** 0.5)
-            sqnorm_slack = focus.size * eps * (2.0 + eps)
-            probe_remainder = np.sqrt(np.clip((1.0 + sqnorm_slack) - partial_sqnorm, 0.0, None))
-            upper_bound = partial_dot + dot_slack + query_remainder * probe_remainder
-        else:
-            probe_remainder = np.sqrt(np.clip(1.0 - partial_sqnorm, 0.0, None))
-            upper_bound = partial_dot + query_remainder * probe_remainder
+        probe_remainder = np.sqrt(np.clip(1.0 - partial_sqnorm, 0.0, None))
+        upper_bound = partial_dot + query_remainder * probe_remainder
 
         # Probe-specific local threshold θ_p(q) = θ / (‖q‖ · ‖p‖).
         lengths = bucket.lengths
@@ -103,4 +70,4 @@ class IncrRetriever(CoordRetriever):
             probe_threshold = np.where(
                 lengths > 0.0, theta / (query_norm * np.where(lengths > 0.0, lengths, 1.0)), np.inf
             )
-        return (counts > 0) & (upper_bound >= probe_threshold - threshold_slack)
+        return (counts > 0) & (upper_bound >= probe_threshold - _FLOAT_SLACK)

@@ -28,55 +28,27 @@ from repro.similarity.l2ap import L2APIndex
 INDEX_KEY = "l2ap"
 
 
-def gen_index_key(dtype_name: str) -> str:
-    """Auxiliary-index key of the compressed L2AP index for a gen dtype.
-
-    Compressed indexes live alongside — never replacing — the exact one, so
-    toggling ``gen_dtype`` on a warm retriever reuses whatever is built.
-    """
-    return f"{INDEX_KEY}:gen:{dtype_name}"
-
-
 class L2APBucketRetriever(BucketRetriever):
-    """Prefix-norm inverted-index candidate generation inside one bucket.
-
-    With a compressed generation tier (``gen``, LEMP's ``gen_dtype`` knob)
-    the inverted index is built over the tier's quantized values with its
-    reduction/prefix bounds widened by the per-element error bound (see
-    :class:`~repro.similarity.l2ap.L2APIndex`), so the compressed filter can
-    only over-produce relative to the true candidate set.  The lower-bound
-    reuse rule applies per index flavour — exact and compressed indexes are
-    cached under distinct keys.
-    """
+    """Prefix-norm inverted-index candidate generation inside one bucket."""
 
     name = "L2AP"
 
-    def __init__(self, use_index_reduction: bool = True, cache=None, gen=None) -> None:
+    def __init__(self, use_index_reduction: bool = True, cache=None) -> None:
         self.use_index_reduction = use_index_reduction
         #: Optional :class:`~repro.core.tuning_cache.TuningCache` receiving
         #: build/reuse counters (the index itself lives on the bucket).
         self.cache = cache
-        #: Optional :class:`~repro.core.screening.ScreenTier` the inverted
-        #: index is built over instead of the exact f64 directions.
-        self.gen = gen
-
-    def _build(self, bucket: Bucket, base: float) -> L2APIndex:
-        if self.gen is None:
-            return L2APIndex(bucket.directions, base_threshold=base)
-        values, bounds = self.gen.gen_view(bucket.start, bucket.end)
-        return L2APIndex(values, base_threshold=base, element_bounds=bounds)
 
     def _index(self, bucket: Bucket, theta_b: float) -> L2APIndex:
         base = theta_b if (self.use_index_reduction and 0.0 < theta_b <= 1.0) else 0.0
-        key = INDEX_KEY if self.gen is None else gen_index_key(self.gen.dtype_name)
-        index = bucket.peek_index(key)
+        index = bucket.peek_index(INDEX_KEY)
         if index is not None and index.base_threshold <= base:
             # Lower-bound rule: the cached reduction under-approximates the
             # current threshold, so every candidate it can produce is kept.
             if self.cache is not None:
                 self.cache.record_index_reuse()
             return index
-        index = bucket.set_index(key, self._build(bucket, base))
+        index = bucket.set_index(INDEX_KEY, L2APIndex(bucket.directions, base_threshold=base))
         if self.cache is not None:
             self.cache.record_index_build()
         return index

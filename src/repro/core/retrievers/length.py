@@ -135,8 +135,8 @@ def screen_thresholds(thresholds: np.ndarray, query_norms: np.ndarray | None,
 
 
 def block_survivors(bucket: Bucket | Span, query_directions: np.ndarray, cutoffs: np.ndarray,
-                    thresholds: np.ndarray, query_norms: np.ndarray | None = None,
-                    screen=None) -> tuple[np.ndarray, np.ndarray]:
+                    thresholds: np.ndarray,
+                    query_norms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rows of each LENGTH pair that can still reach the pair's threshold.
 
     Pair ``j`` scores ``query_directions[j]`` against the prefix
@@ -146,11 +146,8 @@ def block_survivors(bucket: Bucket | Span, query_directions: np.ndarray, cutoffs
     ``score >= thresholds[j]``.  The screen is one f32 product of the query
     block (rounded to f32; pass it as ``float32`` to skip the copy) with
     the rows' slice of the store's screen buffer (``screen_slice()``),
-    compared with the :func:`screen_thresholds` of the pairs.  With a compressed
-    ``screen`` tier the cosines come from the tier instead, plus its
-    per-row bound, rescaled in f64 (``query_directions`` then in f64).  A
-    row is dropped only if even that bound misses the threshold, so every
-    row the exact kernel would keep survives.
+    compared with the :func:`screen_thresholds` of the pairs, so every row
+    the exact kernel would keep survives.
 
     The product covers the longest prefix, ``[0, max(cutoffs))``.  Survivors
     of the threshold test are read by flat index from the pair-major test
@@ -163,19 +160,10 @@ def block_survivors(bucket: Bucket | Span, query_directions: np.ndarray, cutoffs
     of the cut mask).
     """
     limit = int(cutoffs.max())
-    if screen is None:
-        rows, exponent = bucket.screen_slice()
-        queries = np.asarray(query_directions, dtype=np.float32)
-        limits = screen_thresholds(thresholds, query_norms, exponent, queries.shape[1])
-        keep = np.matmul(queries, rows[:limit].T) >= limits[:, None]
-    else:
-        upper = screen.upper_cosine_block(bucket.start, limit, query_directions)
-        lengths = bucket.lengths[:limit]
-        if query_norms is None:
-            upper *= lengths[:, None]
-        else:
-            upper *= np.multiply.outer(lengths, query_norms)
-        keep = np.ascontiguousarray((upper >= thresholds).T)
+    rows, exponent = bucket.screen_slice()
+    queries = np.asarray(query_directions, dtype=np.float32)
+    limits = screen_thresholds(thresholds, query_norms, exponent, queries.shape[1])
+    keep = np.matmul(queries, rows[:limit].T) >= limits[:, None]
     pairs, rows = np.divmod(np.flatnonzero(keep), limit)
     if int(cutoffs.min()) < limit:
         inside = rows < cutoffs[pairs]
@@ -186,8 +174,7 @@ def block_survivors(bucket: Bucket | Span, query_directions: np.ndarray, cutoffs
 
 
 def score_length_pairs(bucket: Bucket, queries: PreparedQueries, positions: np.ndarray,
-                       query_norms, thetas: np.ndarray, thresholds: np.ndarray, stats,
-                       screen):
+                       query_norms, thetas: np.ndarray, thresholds: np.ndarray, stats):
     """Generate and screen a bucket's LENGTH pairs, one query block at a time.
 
     Pair ``j`` is the query ``positions[j]`` of ``queries`` (norm
@@ -198,12 +185,12 @@ def score_length_pairs(bucket: Bucket, queries: PreparedQueries, positions: np.n
     """
     cutoffs = LengthRetriever.cutoffs(bucket, thetas, 1.0 if query_norms is None else query_norms)
     yield from screen_pairs(bucket, queries, positions, query_norms, cutoffs, cutoffs,
-                            thresholds, stats, screen)
+                            thresholds, stats)
 
 
 def screen_pairs(bucket: Bucket | Span, queries: PreparedQueries, positions: np.ndarray,
                  query_norms, cutoffs: np.ndarray, counts: np.ndarray, thresholds: np.ndarray,
-                 stats, screen):
+                 stats):
     """Screen LENGTH pairs against the prefixes of a bucket or a span, one query block at a time.
 
     Pair ``j`` is the query ``positions[j]`` of ``queries`` (norm
@@ -219,18 +206,14 @@ def screen_pairs(bucket: Bucket | Span, queries: PreparedQueries, positions: np.
     :func:`~repro.core.kernels.gather_matvec`.
 
     Counters follow the per-pair route: every live prefix row is a generated
-    candidate.  Without a ``screen`` tier each one is also an inner product
-    (the block product computes it).  With a tier, pairs with a finite
-    keep-threshold count their candidates as screened and only survivors as
-    inner products, like a per-pair compressed screen.
+    candidate and an inner product (the block product computes it).
     """
     total = int(counts.sum())
     stats.candidates += total
-    if screen is None:
-        stats.inner_products += total
+    stats.inner_products += total
     if total == 0:
         return
-    directions = queries.directions if screen is not None else queries.directions32
+    directions = queries.directions32
     width = max(1, BLOCK_ELEMENTS // int(cutoffs.max()))
     for start in range(0, cutoffs.size, width):
         block = slice(start, start + width)
@@ -239,12 +222,6 @@ def screen_pairs(bucket: Bucket | Span, queries: PreparedQueries, positions: np.
         members = positions[block]
         pairs, candidates = block_survivors(
             bucket, directions[members], cutoffs[block], thresholds[block],
-            None if query_norms is None else query_norms[block], screen)
-        if screen is not None:
-            screened = np.isfinite(thresholds[block])
-            screened_total = int(counts[block][screened].sum())
-            stats.screen_products += screened_total
-            stats.screen_dropped += screened_total - int(np.count_nonzero(screened[pairs]))
-            stats.inner_products += int(pairs.size)
+            None if query_norms is None else query_norms[block])
         if pairs.size:
             yield pairs + start, candidates

@@ -20,31 +20,14 @@ from repro.core.retrievers.base import BucketRetriever
 
 
 class TABucketRetriever(BucketRetriever):
-    """Threshold-algorithm candidate generation inside one bucket.
-
-    With a compressed generation tier (``gen``, LEMP's ``gen_dtype`` knob)
-    the traversal walks the tier's quantized sorted lists and the stopping
-    rule is *slackened*: an unseen probe's true cosine exceeds its compressed
-    TA bound by at most ``ε · Σ_active |q̄_f|`` (per-element error ``ε``), so
-    the walk only stops once the compressed bound falls below
-    ``θ_b − slack`` — every probe the exact traversal would surface is still
-    seen, the compressed one can only over-produce.
-    """
+    """Threshold-algorithm candidate generation inside one bucket."""
 
     name = "TA"
 
-    def __init__(self, block_size: int = 16, gen=None) -> None:
+    def __init__(self, block_size: int = 16) -> None:
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.block_size = block_size
-        #: Optional :class:`~repro.core.screening.ScreenTier` the sorted
-        #: lists are built over instead of the exact f64 directions.
-        self.gen = gen
-
-    def _index(self, bucket: Bucket):
-        if self.gen is not None:
-            return bucket.gen_sorted_lists(self.gen)
-        return bucket.sorted_lists()
 
     def retrieve(
         self,
@@ -57,12 +40,11 @@ class TABucketRetriever(BucketRetriever):
     ) -> np.ndarray:
         if not np.isfinite(theta_b) or theta_b <= 0.0:
             return self.all_candidates(bucket)
-        index = self._index(bucket)
+        index = bucket.sorted_lists()
         size = bucket.size
         active = np.nonzero(query_direction)[0]
         if active.size == 0:
             return np.empty(0, dtype=np.intp)
-        slack = index.element_bound * float(np.sum(np.abs(query_direction[active])))
 
         # positions[f] counts how many entries of list f have been consumed
         # from the query's preferred end (top for positive q̄_f, bottom for
@@ -83,7 +65,7 @@ class TABucketRetriever(BucketRetriever):
         heap = [(-contributions[i], i) for i in range(active.size)]
         heapq.heapify(heap)
 
-        while heap and bound >= theta_b - slack:
+        while heap and bound >= theta_b:
             _, list_position = heapq.heappop(heap)
             consumed = positions[list_position]
             if consumed >= size:

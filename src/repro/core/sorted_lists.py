@@ -5,33 +5,11 @@ ordered by their value ``p̄_f`` (paper Fig. 4c), so that the feasible region
 ``[L_f, U_f]`` of a query translates into a contiguous *scan range* found by
 two binary searches.  The lists are stored as two ``(rank, size)`` arrays
 (values and local identifiers), i.e. column-wise as recommended in Appendix A.
-
-The lists are built either from the exact f64 directions or — when LEMP runs
-with a ``gen_dtype`` — from a compressed tier's per-coordinate values
-(:meth:`repro.core.screening.ScreenTier.gen_view`).  A compressed index keeps
-its values in f32 (the f32 data directly, or the lossless f32 expansion of
-f16 values / int8 codes) with ``int32`` identifiers, halving the resident
-footprint relative to the exact f64 lists,
-and *widens* every scan range by the tier's per-element error bound: a probe
-whose exact value lies inside ``[L_f, U_f]`` has its compressed value inside
-``[L_f − ε, U_f + ε]``, so widened scans can only over-produce, never drop a
-true candidate ("generation may over-produce, never drop" — see
-``docs/architecture.md``).  The widened needles are rounded *outward* to the
-storage dtype before the binary search, so no conservative endpoint is lost
-to the needle's own rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Absolute pad absorbing the storage-dtype rounding of a widened needle.
-#: Feasible-region endpoints lie in ``[-1, 1]`` and every element bound is
-#: far below 0.01, so a widened needle sits in ``[-1.01, 1.01]`` and casting
-#: it to f32 moves it by at most ``1.01 · 2⁻²⁴ < 6.1e-8``.  Widening by the
-#: pad *first* keeps the cast needle on the conservative side of the real
-#: widened endpoint without any per-scan outward-rounding arithmetic.
-_CAST_PAD = 6.1e-8
 
 
 class SortedListIndex:
@@ -40,90 +18,22 @@ class SortedListIndex:
     Values are stored in *ascending* order so scan ranges map directly onto
     ``numpy.searchsorted``; this is a mirror image of the paper's descending
     lists and does not change which entries fall inside a feasible region.
-
-    Parameters
-    ----------
-    directions:
-        ``(size, rank)`` array of direction values.  Exact f64 directions for
-        a lossless index, or a compressed tier's values (see
-        :meth:`from_compressed`).
-    row_bounds:
-        ``None`` for an exact index.  For a compressed index, the per-row
-        bound on ``|p̄_f − stored value|``; scans then widen by the largest
-        bound in the bucket and the per-row bounds feed INCR's dot-product
-        slack.  When every row shares the same bound (f32/f16 tiers) only the
-        scalar ``element_bound`` is kept — the vector adds nothing and the
-        scalar lets INCR fold the slack into its existing vector ops.
     """
 
-    def __init__(self, directions: np.ndarray, row_bounds: np.ndarray | None = None) -> None:
-        directions = np.asarray(directions)
+    def __init__(self, directions: np.ndarray) -> None:
+        directions = np.asarray(directions, dtype=np.float64)
         if directions.ndim != 2:
             raise ValueError("directions must be a 2-D array (size, rank)")
         self.size, self.rank = directions.shape
-        self.compressed = row_bounds is not None
-        if row_bounds is None:
-            directions = np.asarray(directions, dtype=np.float64)
-            self.row_bounds: np.ndarray | None = None
-            self.element_bound = 0.0
-            lids_dtype = np.intp
-        else:
-            row_bounds = np.ascontiguousarray(np.asarray(row_bounds, dtype=np.float64))
-            if row_bounds.shape != (self.size,):
-                raise ValueError(
-                    f"row_bounds must have one entry per row, got shape "
-                    f"{row_bounds.shape} for {self.size} rows"
-                )
-            self.element_bound = float(row_bounds.max()) if self.size else 0.0
-            uniform = self.size == 0 or bool(np.all(row_bounds == row_bounds[0]))
-            self.row_bounds = None if uniform else row_bounds
-            lids_dtype = np.int32
         order = np.argsort(directions, axis=0, kind="stable")
-        self.lids = np.ascontiguousarray(order.T.astype(lids_dtype, copy=False))
+        self.lids = np.ascontiguousarray(order.T)
         self.values = np.ascontiguousarray(
             np.take_along_axis(directions, order, axis=0).T
         )
 
-    @classmethod
-    def from_compressed(cls, values: np.ndarray, row_bounds: np.ndarray) -> "SortedListIndex":
-        """Build a bound-widened index over a compressed tier's values."""
-        return cls(values, row_bounds=row_bounds)
-
-    def _widen(self, lower: float, upper: float) -> tuple[float, float]:
-        """Widen ``[lower, upper]`` by the element bound, rounding outward.
-
-        The widened endpoints are cast to the storage dtype for the binary
-        search; ``_CAST_PAD`` is added to the widening first, so the cast can
-        never shrink the interval inside the real ``[lower − ε, upper + ε]``.
-        """
-        eps = self.element_bound + _CAST_PAD
-        dtype = self.values.dtype
-        return dtype.type(float(lower) - eps), dtype.type(float(upper) + eps)
-
-    def widen_batch(self, lowers: np.ndarray, uppers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`_widen` over one query's focus coordinates.
-
-        ``cp_array.scan_ranges`` widens all ``φ`` feasible regions in one
-        shot here instead of per ``scan_range`` call — the per-coordinate
-        scalar widening is pure Python overhead on the hot path.  Exact
-        indexes pass the needles through untouched.
-        """
-        if not self.compressed:
-            return lowers, uppers
-        eps = self.element_bound + _CAST_PAD
-        dtype = self.values.dtype
-        return (lowers - eps).astype(dtype), (uppers + eps).astype(dtype)
-
     def scan_range(self, coordinate: int, lower: float, upper: float) -> tuple[int, int]:
-        """Return the half-open index range of entries with value in ``[lower, upper]``.
-
-        On a compressed index the range is widened by the per-element error
-        bound first, so every probe whose *exact* value lies in
-        ``[lower, upper]`` is inside the returned range.
-        """
+        """Return the half-open index range of entries with value in ``[lower, upper]``."""
         values = self.values[coordinate]
-        if self.compressed:
-            lower, upper = self._widen(lower, upper)
         start = int(np.searchsorted(values, lower, side="left"))
         end = int(np.searchsorted(values, upper, side="right"))
         return start, end
@@ -135,7 +45,4 @@ class SortedListIndex:
 
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the index, used for cache budgeting."""
-        total = int(self.lids.nbytes + self.values.nbytes)
-        if self.row_bounds is not None:
-            total += int(self.row_bounds.nbytes)
-        return total
+        return int(self.lids.nbytes + self.values.nbytes)

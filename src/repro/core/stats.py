@@ -29,14 +29,6 @@ class RunStats:
     candidates: int = 0
     results: int = 0
     inner_products: int = 0
-    #: Compressed dot products computed by the screening tier (0 when no
-    #: ``screen_dtype`` is active).  Every generated candidate of a screened
-    #: run is either screened out or verified exactly, so
-    #: ``inner_products + screen_dropped`` equals the unscreened run's
-    #: ``inner_products`` whenever the two runs share tuning outcomes.
-    screen_products: int = 0
-    #: Candidates the screening tier proved below-threshold (never verified).
-    screen_dropped: int = 0
     buckets_examined: int = 0
     buckets_pruned: int = 0
     #: Buckets that ``partial_fit`` / ``remove`` created: changed buckets
@@ -83,8 +75,6 @@ class RunStats:
         self.candidates += other.candidates
         self.results += other.results
         self.inner_products += other.inner_products
-        self.screen_products += other.screen_products
-        self.screen_dropped += other.screen_dropped
         self.buckets_examined += other.buckets_examined
         self.buckets_pruned += other.buckets_pruned
         self.buckets_rebuilt += other.buckets_rebuilt
@@ -107,8 +97,6 @@ class RunStats:
         self.candidates = 0
         self.results = 0
         self.inner_products = 0
-        self.screen_products = 0
-        self.screen_dropped = 0
         self.buckets_examined = 0
         self.buckets_pruned = 0
         self.buckets_rebuilt = 0

@@ -43,7 +43,6 @@ def solve_row_top_k(
     k: int,
     selector: RetrieverSelector,
     stats: RunStats,
-    screen=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retrieve the k largest inner products for every query row.
 
@@ -54,11 +53,9 @@ def solve_row_top_k(
     A score strictly below θ′ lies below all k kept entries and cannot
     change them, so only candidates that may reach θ′ need exact scores.
     LENGTH candidates are screened by an f32 block product against θ′
-    lowered by :func:`~repro.core.kernels.screen_slack`; ``screen``, an optional
-    :class:`~repro.core.screening.ScreenTier`, screens every candidate with
-    compressed dot products plus the tier's error bound instead.  Every
-    merged score comes from :func:`~repro.core.kernels.gather_matvec`, so
-    the θ′ walk and the results are byte-identical to verifying everything.
+    lowered by :func:`~repro.core.kernels.screen_slack`.  Every merged
+    score comes from :func:`~repro.core.kernels.gather_matvec`, so the θ′
+    walk and the results are byte-identical to verifying everything.
     """
     # min(k, number of probes) without visiting every bucket.
     num_probes = 0
@@ -107,7 +104,7 @@ def solve_row_top_k(
         if length_rows.size:
             thresholds = theta_prime[length_rows]
             for pairs, candidates in score_length_pairs(
-                    bucket, queries, length_rows, None, thresholds, thresholds, stats, screen):
+                    bucket, queries, length_rows, None, thresholds, thresholds, stats):
                 rows = length_rows[pairs]
                 # One grouped call per query block; each row keeps the bits
                 # of a per-pair call on its query.
@@ -119,7 +116,7 @@ def solve_row_top_k(
                                                  routes):
             candidates, cosines = _score_pair(
                 queries.directions[row], bucket, float(theta_prime[row]), value,
-                retriever, phi, stats, screen)
+                retriever, phi, stats)
             if candidates.size:
                 top.fold(bucket, row, candidates, cosines)
 
@@ -132,21 +129,13 @@ def solve_row_top_k(
     return indices, scores
 
 
-def _score_pair(query_direction, bucket, threshold, theta_b, retriever, phi, stats, screen):
-    """Generate, screen and verify one (query, bucket) pair at θ′ = ``threshold``.
+def _score_pair(query_direction, bucket, threshold, theta_b, retriever, phi, stats):
+    """Generate and verify one (query, bucket) pair at θ′ = ``threshold``.
 
     Returns ``(candidates, cosines)`` of the verified candidates.
     """
     candidates = retriever.retrieve(bucket, query_direction, 1.0, threshold, theta_b, phi)
     stats.candidates += int(candidates.size)
-    if candidates.size and screen is not None and np.isfinite(threshold):
-        upper = screen.upper_cosines(bucket.start, candidates, query_direction)
-        stats.screen_products += int(candidates.size)
-        # Keep on >=: a candidate whose exact score ties θ′ may displace an
-        # equal-scoring entry, so only a *strict* upper bound below θ′ may drop.
-        keep = upper * bucket.lengths[candidates] >= threshold
-        stats.screen_dropped += int(candidates.size - np.count_nonzero(keep))
-        candidates = candidates[keep]
     if candidates.size == 0:
         return candidates, np.empty(0)
     stats.inner_products += int(candidates.size)

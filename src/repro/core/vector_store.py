@@ -14,7 +14,6 @@ import mmap
 
 import numpy as np
 
-from repro.core.screening import ScreenTier, validate_screen_dtype
 from repro.exceptions import DimensionMismatchError
 from repro.utils.validation import as_float_matrix
 
@@ -158,9 +157,6 @@ class VectorStore:
         self.rank = matrix.shape[1]
         self.size = matrix.shape[0]
         self.packed = True
-        #: Lazily built compressed copies of :attr:`directions`, keyed by
-        #: screen dtype name (see :mod:`repro.core.screening`).
-        self._screen_tiers: dict[str, ScreenTier] = {}
         self._row_hashes: np.ndarray | None = None
         self.screen_rows = zeroed_f32_rows(self.size, self.rank)
 
@@ -174,7 +170,6 @@ class VectorStore:
         store.directions = np.ascontiguousarray(np.asarray(directions, dtype=np.float64))
         store.size, store.rank = store.directions.shape
         store.packed = True
-        store._screen_tiers = {}
         store._row_hashes = None
         store.screen_rows = zeroed_f32_rows(store.size, store.rank)
         return store
@@ -197,39 +192,14 @@ class VectorStore:
         :func:`row_hashes`).  Built on first use over every buffer row (gap
         rows too, which no fingerprint reads); :meth:`merge` hashes only the
         inserted rows and moves the others with their rows, so the cached
-        array always equals :func:`row_hashes` of the buffer.  Like the
-        screening tiers, a racing double-build is deterministic and
-        idempotent.
+        array always equals :func:`row_hashes` of the buffer.  A racing
+        double-build is deterministic and idempotent.
         """
         hashes = self._row_hashes
         if hashes is None:
             hashes = row_hashes(self.directions)
             self._row_hashes = hashes
         return hashes
-
-    # --------------------------------------------------------- screening tiers
-
-    def screen_tier(self, dtype_name: str) -> ScreenTier:
-        """The compressed screening copy of :attr:`directions` for a dtype.
-
-        Built on first use (over every buffer row) and cached; incremental
-        updates (:meth:`merge` / :meth:`repack`) move its rows with the
-        store's and quantize only inserted rows, so a cached tier always
-        equals a fresh build on the current buffer.  A racing double-build
-        under concurrent worker views is deterministic and idempotent
-        (quantization is a pure per-row function), matching the lazy
-        per-bucket index contract.
-        """
-        name = validate_screen_dtype(dtype_name)
-        tier = self._screen_tiers.get(name)
-        if tier is None:
-            tier = ScreenTier.build(self.directions, name)
-            self._screen_tiers[name] = tier
-        return tier
-
-    def set_screen_tier(self, tier: ScreenTier) -> None:
-        """Install a restored (persisted) tier instead of building one."""
-        self._screen_tiers[tier.dtype_name] = tier
 
     def __len__(self) -> int:
         return self.size
@@ -251,13 +221,11 @@ class VectorStore:
         batch.ids += self.size
         return batch
 
-    def _row_fields(self) -> list[tuple[object, str]]:
-        """``(holder, attribute)`` of every row-aligned array, tiers included."""
-        fields = [(self, "lengths"), (self, "directions"), (self, "ids")]
+    def _row_fields(self) -> list[str]:
+        """Names of the row-aligned arrays that move with the rows."""
+        fields = ["lengths", "directions", "ids"]
         if self._row_hashes is not None:
-            fields.append((self, "_row_hashes"))
-        for tier in self._screen_tiers.values():
-            fields.extend((tier, name) for name in tier.row_fields)
+            fields.append("_row_hashes")
         return fields
 
     def merge(self, positions, sources, batch: "VectorStore | None" = None,
@@ -276,8 +244,8 @@ class VectorStore:
         """
         self._write(positions, sources, batch, None)
         if vacated is not None:
-            for holder, name in self._row_fields():
-                getattr(holder, name)[vacated] = -1 if name == "ids" else 0
+            for name in self._row_fields():
+                getattr(self, name)[vacated] = -1 if name == "ids" else 0
             vacated = np.asarray(vacated, dtype=np.intp)
             filled = vacated[self.screen_rows[vacated].any(axis=1)]
             self.screen_rows[filled] = 0.0
@@ -305,27 +273,21 @@ class VectorStore:
         new = sources >= self.capacity
         old_positions, old_sources = positions[~new], sources[~new]
         new_positions, new_sources = positions[new], sources[new] - self.capacity
-        extra = None
-        if batch is not None:
-            # The batch carries the row hashes and tiers this store has built.
-            if self._row_hashes is not None:
-                batch.content_hashes()
-            for name in self._screen_tiers:
-                batch.screen_tier(name)
-            extra = batch._row_fields()
-        for number, (holder, name) in enumerate(self._row_fields()):
-            array = getattr(holder, name)
+        if batch is not None and self._row_hashes is not None:
+            # The batch carries the row hashes this store has built.
+            batch.content_hashes()
+        for name in self._row_fields():
+            array = getattr(self, name)
             # The right-hand side is gathered before any row is written.
             values = array[old_sources]
             if capacity is not None:
                 shape = (capacity,) + array.shape[1:]
                 array = (np.full(shape, -1, dtype=array.dtype) if name == "ids"
                          else np.zeros(shape, dtype=array.dtype))
-                setattr(holder, name, array)
+                setattr(self, name, array)
             array[old_positions] = values
             if new_sources.size:
-                other, other_name = extra[number]
-                array[new_positions] = getattr(other, other_name)[new_sources]
+                array[new_positions] = getattr(batch, name)[new_sources]
 
     def vector(self, position: int) -> np.ndarray:
         """Reconstruct the original (unnormalised) vector stored at ``position``."""

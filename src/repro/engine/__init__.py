@@ -6,7 +6,7 @@ This package is the serving-oriented surface over the algorithmic core:
   from a string spec such as ``"lemp:LI"``, ``"naive"``, ``"ta:heap"`` or
   ``"tree:cover"``; new retrieval methods self-register with the decorator,
   and :func:`spec_capabilities` reports a method's capability flags.
-* :class:`ExecutionPlanner` / :class:`PlanExecutor` — every call is first
+* :class:`ExecutionPlanner` / :func:`run_plan` — every call is first
   compiled into an explicit :class:`ExecutionPlan` (chunking, workers,
   warm-up) and then executed with a deterministic plan-order merge.
 * :class:`RetrievalEngine` — wraps a retriever with chunked/batched query
@@ -30,7 +30,7 @@ Quick start::
     engine = RetrievalEngine.load("idx/")
 """
 
-from repro.engine.executor import PlanExecutor
+from repro.engine.executor import run_plan
 from repro.engine.facade import EngineCall, QueryBuilder, RetrievalEngine
 from repro.engine.planner import (
     BACKEND_PROCESSES,
@@ -54,7 +54,6 @@ __all__ = [
     "EngineCall",
     "ExecutionPlan",
     "ExecutionPlanner",
-    "PlanExecutor",
     "QueryBuilder",
     "RetrievalEngine",
     "available_specs",
@@ -62,6 +61,7 @@ __all__ = [
     "normalize_spec",
     "register_retriever",
     "registered_names",
+    "run_plan",
     "spec_capabilities",
     "spec_is_exact",
 ]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.results import AboveThetaResult, TopKResult
-from repro.engine.executor import PlanExecutor
+from repro.engine.executor import run_plan
 from repro.engine.planner import (
     BACKEND_PROCESSES,
     BACKEND_THREADS,
@@ -141,7 +141,6 @@ class RetrievalEngine:
             self._construct_kwargs = dict(params()) if callable(params) else {}
         self.history: list[EngineCall] = []
         self._probes: np.ndarray | None = None
-        self._plan_executor = PlanExecutor(self)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_size = 0
         #: Attached :class:`~repro.serve.WorkerPool` (``None`` = threads).
@@ -153,55 +152,6 @@ class RetrievalEngine:
     def stats(self):
         """The wrapped retriever's cumulative :class:`~repro.core.stats.RunStats`."""
         return self.retriever.stats
-
-    @property
-    def screen_dtype(self) -> str | None:
-        """The retriever's quantized screening tier dtype, or ``None``.
-
-        ``None`` also for retrievers without a screening knob (naive, TA,
-        trees, …).  Assigning validates the name and — unlike setting the
-        retriever attribute directly — keeps the engine's recorded
-        constructor kwargs in sync, so a subsequent :meth:`save` persists
-        the live setting (and, for an active dtype, the tier arrays).
-        """
-        return getattr(self.retriever, "screen_dtype", None)
-
-    @screen_dtype.setter
-    def screen_dtype(self, value: str | None) -> None:
-        from repro.core.screening import validate_screen_dtype
-
-        if not hasattr(self.retriever, "screen_dtype"):
-            raise UnsupportedOperationError(
-                f"{type(self.retriever).__name__} has no quantized screening tier"
-            )
-        name = validate_screen_dtype(value)
-        self.retriever.screen_dtype = name
-        self._construct_kwargs["screen_dtype"] = name
-
-    @property
-    def gen_dtype(self) -> str | None:
-        """The retriever's compressed candidate-generation dtype, or ``None``.
-
-        ``None`` also for retrievers without a generation knob (naive, trees,
-        …).  Assigning validates the name and keeps the engine's recorded
-        constructor kwargs in sync, so a subsequent :meth:`save` persists the
-        live setting (and, for an active dtype, the tier arrays).  Results
-        are byte-identical for every value — generation may only
-        over-produce, never drop (see :class:`~repro.core.lemp.Lemp`).
-        """
-        return getattr(self.retriever, "gen_dtype", None)
-
-    @gen_dtype.setter
-    def gen_dtype(self, value: str | None) -> None:
-        from repro.core.screening import validate_gen_dtype
-
-        if not hasattr(self.retriever, "gen_dtype"):
-            raise UnsupportedOperationError(
-                f"{type(self.retriever).__name__} has no compressed generation tier"
-            )
-        name = validate_gen_dtype(value)
-        self.retriever.gen_dtype = name
-        self._construct_kwargs["gen_dtype"] = name
 
     @property
     def tuning_cache(self):
@@ -392,7 +342,7 @@ class RetrievalEngine:
         def solve(retriever, block):
             return retriever.above_theta(block, theta)
 
-        yield from self._plan_executor.run(plan, queries, solve)
+        yield from run_plan(self, plan, queries, solve)
 
     def iter_above_theta(self, queries, theta: float, batch_size: int | None = None):
         """Yield ``(row_offset, AboveThetaResult)`` per query batch.
@@ -443,7 +393,7 @@ class RetrievalEngine:
         def solve(retriever, block):
             return retriever.row_top_k(block, k)
 
-        yield from self._plan_executor.run(plan, queries, solve)
+        yield from run_plan(self, plan, queries, solve)
 
     def iter_row_top_k(self, queries, k: int, batch_size: int | None = None):
         """Yield ``(row_offset, TopKResult)`` per query batch."""

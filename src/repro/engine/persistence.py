@@ -74,6 +74,12 @@ from repro.exceptions import NotPreparedError, PersistenceError
 #:    Same bump rationale as format 4: older readers would choke only on the
 #:    unknown ``state.`` members; format-1..4 indexes keep loading here —
 #:    without tier arrays the generation tier is rebuilt lazily on first use.
+#:
+#: Library 5.0 removed both compressed tiers and still writes format 5: it
+#: only stops writing the optional tier members and keywords, so every
+#: format-5 reader loads its files.  Loading a format-4/5 index saved with
+#: a tier drops the tier members, keywords and spec suffix and warns once
+#: (see :func:`load_engine`); the tier never changed an answer.
 FORMAT_VERSION = 5
 
 #: Format versions :func:`load_engine` accepts.
@@ -85,6 +91,11 @@ BLSH_BASE_SEMANTICS = "per-query-theta-b"
 _META_FILE = "meta.json"
 _INDEX_FILE = "index.npz"
 _STATE_PREFIX = "state."
+
+#: Constructor keywords and ``state.`` member prefixes of the compressed
+#: tiers that formats 4 and 5 could carry; the loader drops them.
+_TIER_KWARGS = ("screen_dtype", "gen_dtype")
+_TIER_MEMBERS = (_STATE_PREFIX + "screen_", _STATE_PREFIX + "gen_")
 
 
 def save_engine(engine, path) -> None:
@@ -170,6 +181,12 @@ def load_engine(path, mmap_mode: str | None = None):
     do for eager loads).  Requires the index members to be stored
     uncompressed — guaranteed from format 3 on, and true in practice for
     every ``np.savez``-written format-1/2 index as well.
+
+    An index saved by a library before 5.0 with a compressed screening or
+    generation tier loads as the exact index: the tier's members, keywords
+    and spec suffix are dropped and one ``FutureWarning`` says so.  The tier
+    only ever pre-filtered candidates that exact verification re-scored, so
+    the answers are the ones the saving library returned.
     """
     from repro.engine.facade import RetrievalEngine
 
@@ -192,26 +209,39 @@ def load_engine(path, mmap_mode: str | None = None):
             f"this library reads formats {SUPPORTED_FORMATS}"
         )
 
+    kwargs = dict(meta.get("kwargs", {}))
+    tier_dtypes = [kwargs.pop(name, None) for name in _TIER_KWARGS]
+    spec, slash, _ = str(meta["spec"]).partition("/")
+    tiered = bool(slash) or any(dtype is not None for dtype in tier_dtypes)
     if mmap_mode == "r":
         arrays = mmap_npz_arrays(index_path)
+        tiered |= any(key.startswith(_TIER_MEMBERS) for key in arrays)
         probes = arrays.get("probes")
         state = {
             key[len(_STATE_PREFIX):]: value
             for key, value in arrays.items()
-            if key.startswith(_STATE_PREFIX)
+            if key.startswith(_STATE_PREFIX) and not key.startswith(_TIER_MEMBERS)
         }
     else:
         with np.load(index_path) as data:
+            tiered |= any(key.startswith(_TIER_MEMBERS) for key in data.files)
             probes = data["probes"] if "probes" in data.files else None
             state = {
                 key[len(_STATE_PREFIX):]: data[key]
                 for key in data.files
-                if key.startswith(_STATE_PREFIX)
+                if key.startswith(_STATE_PREFIX) and not key.startswith(_TIER_MEMBERS)
             }
+    if tiered:
+        warnings.warn(
+            "loading an index saved with a compressed screening or generation "
+            "tier (screen_dtype / gen_dtype), which this library no longer has: "
+            "the tier is dropped and the exact index answers, with the same "
+            "results. Re-save to silence this.",
+            FutureWarning,
+            stacklevel=2,
+        )
 
-    engine = RetrievalEngine(
-        meta["spec"], workers=int(meta.get("workers", 1)), **meta.get("kwargs", {})
-    )
+    engine = RetrievalEngine(spec, workers=int(meta.get("workers", 1)), **kwargs)
     if _is_blsh_retriever(engine.retriever) and meta.get("blsh_base") != BLSH_BASE_SEMANTICS:
         # A ratchet-era LEMP-BLSH index: the saved index itself is fine (the
         # signature filter was never serialised), but queries now run with

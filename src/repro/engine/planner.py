@@ -75,19 +75,6 @@ class ExecutionPlan:
     #: warm-up chunk runs because workers carry their own persisted-warm
     #: tuning caches).
     backend: str = BACKEND_THREADS
-    #: Quantized screening tier the retriever will screen candidates with
-    #: (``"f32"`` / ``"f16"`` / ``"int8"``), or ``None`` when candidates go
-    #: straight to exact verification.  Informational: screening changes how
-    #: many candidates reach the exact kernel, never the plan's shape or the
-    #: results (see :mod:`repro.core.screening`).
-    screen_dtype: str | None = None
-    #: Compressed candidate-generation tier the retriever's index scans run
-    #: over (``"f32"`` / ``"f16"`` / ``"int8"``), or ``None`` when generation
-    #: reads the exact f64 directions.  Informational: compressed generation
-    #: widens every pruning bound so it can only over-produce candidates —
-    #: results and the plan's shape are unaffected (see
-    #: :class:`~repro.core.lemp.Lemp`).
-    gen_dtype: str | None = None
 
     @property
     def num_batches(self) -> int:
@@ -107,18 +94,8 @@ class ExecutionPlan:
             f"  chunks        : {self.num_batches} (batch_size={self.batch_size})",
             f"  workers       : {self.workers}"
             + (" (first chunk runs serially: tuning warm-up)" if self.warmup else ""),
+            f"  reason        : {self.reason}",
         ]
-        if self.screen_dtype is not None:
-            lines.append(
-                f"  screening     : {self.screen_dtype} quantized tier "
-                "(widened-bound pre-filter, exact f64 verification)"
-            )
-        if self.gen_dtype is not None:
-            lines.append(
-                f"  generation    : {self.gen_dtype} compressed index scans "
-                "(bound-widened feasible regions, exact f64 verification)"
-            )
-        lines.append(f"  reason        : {self.reason}")
         return "\n".join(lines)
 
 
@@ -159,8 +136,6 @@ class ExecutionPlanner:
                 warmup=plan_workers > 1 and plan_backend == BACKEND_THREADS,
                 reason=reason,
                 backend=plan_backend,
-                screen_dtype=getattr(retriever, "screen_dtype", None),
-                gen_dtype=getattr(retriever, "gen_dtype", None),
             )
 
         if num_batches == 0:

@@ -13,9 +13,6 @@ lower-case name with the :func:`register_retriever` class decorator, and
 The variant (the part after ``:``) is routed to one designated constructor
 keyword (``algorithm`` for LEMP, ``tree_type`` for the trees, ``strategy``
 for TA), so a spec string is always equivalent to a plain constructor call.
-A registration may additionally declare a *suffix* keyword: the part after
-``/`` is routed there, e.g. ``"lemp:LI/f16"`` builds LEMP-LI with a float16
-quantized screening tier (``screen_dtype="f16"``).
 The registry replaces the per-call-site construction lambdas that used to
 live in ``eval.harness`` and the CLI; the paper names used there
 (``"LEMP-LI"``, ``"Naive"``, ``"D-Tree"``, …) remain accepted as aliases.
@@ -46,8 +43,6 @@ class _Registration:
     variant_kw: str | None = None
     variants: tuple[str, ...] = ()
     default_variant: str | None = None
-    suffix_kw: str | None = None
-    suffixes: tuple[str, ...] = ()
     exact: bool = True
     accepts_seed: bool = field(default=False)
     #: Lazily probed capability flags, keyed by concrete spec string.
@@ -66,8 +61,6 @@ def register_retriever(
     variant_kw: str | None = None,
     variants: tuple[str, ...] = (),
     default_variant: str | None = None,
-    suffix_kw: str | None = None,
-    suffixes: tuple[str, ...] = (),
     exact: bool = True,
     aliases: tuple[str, ...] = (),
 ):
@@ -84,13 +77,6 @@ def register_retriever(
         case-insensitive).
     default_variant:
         Variant used when the spec names no variant.
-    suffix_kw:
-        Constructor keyword that the spec suffix (after ``/``) is passed to,
-        e.g. ``screen_dtype`` for LEMP.  ``None`` (the default) rejects
-        suffixed specs.
-    suffixes:
-        Recognised suffix values (matched case-insensitively).  Omitting the
-        suffix passes nothing, so the constructor default applies.
     exact:
         Whether the method returns exact results (False for the approximate
         BLSH mix and the clustered extension); used by equivalence tests.
@@ -108,8 +94,6 @@ def register_retriever(
             variant_kw=variant_kw,
             variants=tuple(variants),
             default_variant=default_variant,
-            suffix_kw=suffix_kw,
-            suffixes=tuple(suffixes),
             exact=exact,
             accepts_seed="seed" in parameters,
         )
@@ -136,23 +120,21 @@ def _ensure_builtins_loaded() -> None:
     _BUILTINS_LOADED = True
 
 
-def split_spec(canonical: str) -> tuple[str, str, str]:
-    """Split a *canonical* spec into ``(name, variant, suffix)`` parts.
+def split_spec(canonical: str) -> tuple[str, str]:
+    """Split a *canonical* spec into ``(name, variant)`` parts.
 
-    Missing parts come back as empty strings.  Use on the output of
+    A missing variant comes back as an empty string.  Use on the output of
     :func:`normalize_spec`; raw user input should be normalised first.
     """
-    base, _, suffix = canonical.partition("/")
-    name, _, variant = base.partition(":")
-    return name, variant, suffix
+    name, _, variant = canonical.partition(":")
+    return name, variant
 
 
 def normalize_spec(spec: str) -> str:
-    """Return the canonical ``name[:variant][/suffix]`` form of a spec string.
+    """Return the canonical ``name[:variant]`` form of a spec string.
 
     Accepts registry specs in any case, registered aliases (paper names like
-    ``"Naive"``), and the legacy ``"LEMP-X"`` spelling (which may itself
-    carry a suffix, ``"LEMP-LI/f16"``).
+    ``"Naive"``), and the legacy ``"LEMP-X"`` spelling.
     """
     _ensure_builtins_loaded()
     text = str(spec).strip()
@@ -162,31 +144,17 @@ def normalize_spec(spec: str) -> str:
     if lowered.startswith("lemp-"):
         # Legacy paper spelling used by the original harness and CLI.
         return normalize_spec("lemp:" + text[5:])
-    base, _, suffix = lowered.partition("/")
-    name, _, variant = base.partition(":")
+    name, _, variant = lowered.partition(":")
     registration = _REGISTRY.get(name)
     if registration is None:
         known = ", ".join(sorted(_REGISTRY))
         raise UnknownAlgorithmError(
             f"unknown retriever spec {spec!r}; registered names: {known}"
         )
-    if suffix:
-        if registration.suffix_kw is None:
-            raise UnknownAlgorithmError(
-                f"retriever {registration.name!r} takes no /suffix, got {spec!r}"
-            )
-        suffix_matches = [s for s in registration.suffixes if s.lower() == suffix]
-        if not suffix_matches and registration.suffixes:
-            raise UnknownAlgorithmError(
-                f"unknown suffix {suffix!r} for retriever {registration.name!r}; "
-                f"expected one of {registration.suffixes}"
-            )
-        suffix = suffix_matches[0] if suffix_matches else suffix
-    tail = f"/{suffix}" if suffix else ""
     if not variant:
         if registration.default_variant is None:
-            return registration.name + tail
-        return f"{registration.name}:{registration.default_variant}{tail}"
+            return registration.name
+        return f"{registration.name}:{registration.default_variant}"
     if registration.variant_kw is None:
         raise UnknownAlgorithmError(
             f"retriever {registration.name!r} takes no variant, got {spec!r}"
@@ -197,7 +165,7 @@ def normalize_spec(spec: str) -> str:
             f"unknown variant {variant!r} for retriever {registration.name!r}; "
             f"expected one of {registration.variants}"
         )
-    return f"{registration.name}:{matches[0] if matches else variant}{tail}"
+    return f"{registration.name}:{matches[0] if matches else variant}"
 
 
 def create_retriever(spec: str, seed: int = 0, **kwargs):
@@ -209,12 +177,10 @@ def create_retriever(spec: str, seed: int = 0, **kwargs):
     keyword raises ``TypeError`` as a plain constructor call would).
     """
     canonical = normalize_spec(spec)
-    name, variant, suffix = split_spec(canonical)
+    name, variant = split_spec(canonical)
     registration = _REGISTRY[name]
     if variant and registration.variant_kw:
         kwargs.setdefault(registration.variant_kw, variant)
-    if suffix and registration.suffix_kw:
-        kwargs.setdefault(registration.suffix_kw, suffix)
     if registration.accepts_seed:
         kwargs.setdefault("seed", seed)
     return registration.cls(**kwargs)
@@ -232,15 +198,10 @@ def spec_for_instance(retriever) -> str | None:
     registration = registration_for(retriever)
     if registration is None:
         return None
-    suffix = ""
-    if registration.suffix_kw is not None:
-        value = getattr(retriever, registration.suffix_kw, None)
-        if value:
-            suffix = f"/{value}"
     if registration.variant_kw is None:
-        return registration.name + suffix
+        return registration.name
     variant = getattr(retriever, registration.variant_kw, registration.default_variant)
-    return f"{registration.name}:{variant}{suffix}" if variant else registration.name + suffix
+    return f"{registration.name}:{variant}" if variant else registration.name
 
 
 def registered_names() -> tuple[str, ...]:
@@ -277,7 +238,7 @@ def spec_capabilities(spec: str) -> dict:
     state) and cached on the registration.
     """
     canonical = normalize_spec(spec)
-    name, _, _ = split_spec(canonical)
+    name, _ = split_spec(canonical)
     registration = _REGISTRY[name]
     if canonical not in registration._capabilities:
         instance = create_retriever(canonical)
@@ -297,10 +258,8 @@ def spec_is_exact(spec: str) -> bool:
     exact.  For LEMP the flag is refined per variant.
     """
     canonical = normalize_spec(spec)
-    name, variant, _ = split_spec(canonical)
+    name, variant = split_spec(canonical)
     registration = _REGISTRY[name]
-    # The screening suffix never affects exactness: screened-out candidates
-    # are proved below-threshold, survivors are verified in exact f64.
     if name == "lemp" and variant == "BLSH":
         return False
     return registration.exact

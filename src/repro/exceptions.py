@@ -36,17 +36,6 @@ class PersistenceError(ReproError, OSError):
     """A saved index directory is missing, corrupt, or version-incompatible."""
 
 
-class ScreeningError(ReproError, ValueError):
-    """A quantized screening tier is invalid or inconsistent with its store.
-
-    Raised when building a :class:`~repro.core.screening.ScreenTier` with an
-    unknown dtype, or when restoring one from persisted arrays whose shape,
-    dtype, or scale/offset content is corrupt.  Validation happens at *load*
-    time on purpose: a mangled scale array must fail loudly here, not surface
-    as NaN screening bounds (and silently wrong pruning) at query time.
-    """
-
-
 class UnknownDatasetError(ReproError, KeyError):
     """A dataset name passed to the registry is not registered."""
 

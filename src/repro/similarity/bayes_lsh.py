@@ -62,16 +62,6 @@ class BayesLshFilter:
         ``(size, rank)`` exact f64 unit vectors.
     num_bits, false_negative_rate, seed:
         Signature length, per-pair false-negative budget, hyperplane seed.
-    compressed_values, element_bounds:
-        Optional compressed copies of ``directions`` (a generation tier's
-        values and per-row per-element error bounds).  When given, the bulk
-        signature matmul runs over the small compressed matrix and only the
-        rows with a boundary-uncertain projection are recomputed from the
-        exact directions — the signatures are **bit-identical** to the
-        all-exact build either way (see
-        :meth:`~repro.similarity.lsh.RandomProjectionSignatures.sign_compressed`),
-        so LEMP-BLSH's approximate candidate sets do not depend on whether a
-        generation tier fed the build.
     """
 
     def __init__(
@@ -80,19 +70,12 @@ class BayesLshFilter:
         num_bits: int = 32,
         false_negative_rate: float = 0.03,
         seed=None,
-        compressed_values: np.ndarray | None = None,
-        element_bounds: np.ndarray | None = None,
     ) -> None:
         directions = np.asarray(directions, dtype=np.float64)
         self.num_bits = num_bits
         self.false_negative_rate = false_negative_rate
         self._signer = RandomProjectionSignatures(directions.shape[1], num_bits, seed)
-        if compressed_values is not None:
-            self._signatures = self._signer.sign_compressed(
-                compressed_values, element_bounds, directions
-            )
-        else:
-            self._signatures = self._signer.sign(directions)
+        self._signatures = self._signer.sign(directions)
 
     def memory_bytes(self) -> int:
         """Resident footprint of the signatures and hyperplanes."""

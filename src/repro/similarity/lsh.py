@@ -51,39 +51,6 @@ class RandomProjectionSignatures:
             )
         return (vectors @ self.hyperplanes.T) >= 0.0
 
-    def sign_compressed(self, values, element_bounds, exact_vectors) -> np.ndarray:
-        """Signatures from compressed values, **bit-identical** to the exact ones.
-
-        Projections are computed from the compressed ``values`` (one bulk
-        matmul over the small storage-dtype matrix); a row whose compressed
-        projection onto any hyperplane falls within the *uncertainty margin*
-        ``ε_row · ‖w_j‖₁`` of zero — where compression error could flip the
-        sign — is recomputed from its ``exact_vectors`` row.  Rows outside
-        every margin provably share their sign with the exact projection, so
-        the returned matrix equals ``sign(exact_vectors)`` bit for bit while
-        reading the exact rows only for the few boundary cases.
-        """
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        if values.shape[1] != self.rank:
-            raise ValueError(
-                f"vectors have rank {values.shape[1]}, signatures were built for rank {self.rank}"
-            )
-        projections = values @ self.hyperplanes.T
-        # ε_row · ‖w_j‖₁ bounds |exact − compressed| of each projection; the
-        # extra absolute term absorbs f64 accumulation-order differences
-        # between this matmul and the exact one (both ≲ 1e-13 here).
-        margins = (
-            np.asarray(element_bounds, dtype=np.float64)[:, None]
-            * np.abs(self.hyperplanes).sum(axis=1)[None, :]
-            + 1e-9
-        )
-        signatures = projections >= 0.0
-        uncertain_rows = np.nonzero((np.abs(projections) <= margins).any(axis=1))[0]
-        if uncertain_rows.size:
-            exact = np.atleast_2d(np.asarray(exact_vectors, dtype=np.float64))
-            signatures[uncertain_rows] = self.sign(exact[uncertain_rows])
-        return signatures
-
     @staticmethod
     def matching_bits(query_signature: np.ndarray, signatures: np.ndarray) -> np.ndarray:
         """Count, for every row of ``signatures``, the bits equal to ``query_signature``."""

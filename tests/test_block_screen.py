@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import RetrievalEngine, create_retriever
 from repro.core import above_theta
@@ -46,7 +48,6 @@ from repro.core.lemp import Lemp
 from repro.core.retrievers import IncrRetriever
 from repro.core.retrievers.length import (BLOCK_ELEMENTS, LengthRetriever, block_survivors,
                                           score_length_pairs, screen_thresholds)
-from repro.core.screening import ScreenTier
 from repro.core.selector import PerBucketSelector, RetrieverSelector
 from repro.core.stats import RunStats
 from repro.core.thresholds import local_threshold, local_thresholds
@@ -259,6 +260,28 @@ def test_row_top_k_kth_ties_match_reference_and_naive(spec, kernel):
     # The inputs really are adversarial: crafted rows tie at the k-th score.
     assert np.sum(scores[:, K - 1] == scores[:, K - 2]) >= 6
     assert_row_top_k_matches_naive(arrays, queries, probes, K)
+
+
+@given(
+    rank=st.integers(min_value=4, max_value=16),
+    duplicates=st.integers(min_value=2, max_value=6),
+    spec=st.sampled_from(["L", "LI"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_duplicate_rows_tie_at_the_kth_score(rank, duplicates, spec, seed):
+    """Exact duplicate probe rows tie at the k-th score: the naive answer up to those
+    ties, and among rows of equal score bits the lowest ids are kept."""
+    base = make_factors(30, rank=rank, length_cov=1.0, seed=seed)
+    probes = np.vstack([base] + [base[:10]] * duplicates)
+    queries = make_factors(12, rank=rank, length_cov=1.0, seed=seed + 1)
+    result = Lemp(algorithm=spec, seed=0).fit(probes).row_top_k(queries, K)
+    assert_row_top_k_matches_naive((result.indices, result.scores), queries, probes, K)
+    for row in range(queries.shape[0]):
+        kept = set(result.indices[row].tolist())
+        for probe in kept:
+            twins = np.flatnonzero((probes == probes[probe]).all(axis=1))
+            assert set(twins[twins < probe].tolist()) <= kept
 
 
 def edge_problem(case: str):
@@ -539,21 +562,16 @@ def test_screen_thresholds_round_down_without_nan(exponent):
                 assert limit == -np.inf
 
 
-def reference_survivors(bucket, queries, cutoffs, thresholds, query_norms=None, screen=None):
+def reference_survivors(bucket, queries, cutoffs, thresholds, query_norms=None):
     """:func:`block_survivors` by brute force: full mask, cut mask, 2-D ``np.nonzero``."""
     limit = int(cutoffs.max())
     inside = np.arange(limit) < cutoffs[:, None]
-    if screen is None:
-        rows, exponent = bucket.screen_slice()
-        norms = np.ones(cutoffs.size) if query_norms is None else query_norms
-        limits = np.array([reference_limit(float(t), float(n), exponent, queries.shape[1])
-                           for t, n in zip(thresholds, norms)], dtype=np.float32)
-        keep = queries.astype(np.float32) @ rows[:limit].T >= limits[:, None]
-        return np.nonzero(keep & inside)
-    upper = screen.upper_cosine_block(bucket.start, limit, queries)
-    lengths = bucket.lengths[:limit]
-    scale = lengths[:, None] if query_norms is None else np.multiply.outer(lengths, query_norms)
-    return np.nonzero((upper * scale >= thresholds).T & inside)
+    rows, exponent = bucket.screen_slice()
+    norms = np.ones(cutoffs.size) if query_norms is None else query_norms
+    limits = np.array([reference_limit(float(t), float(n), exponent, queries.shape[1])
+                       for t, n in zip(thresholds, norms)], dtype=np.float32)
+    keep = queries.astype(np.float32) @ rows[:limit].T >= limits[:, None]
+    return np.nonzero(keep & inside)
 
 
 def assert_same_survivors(actual, expected):
@@ -610,19 +628,17 @@ SCREEN_CASES = ["mixed", "equal", "one_pair", "limit_one", "minus_inf", "plus_in
                 "zero_norm", "tiny_norm", "extreme", "extreme_tail", "zero_length", "all_zero"]
 
 
-@pytest.mark.parametrize("tier", [None, "f16"])
 @pytest.mark.parametrize("with_norms", [True, False], ids=["above_theta", "row_top_k"])
 @pytest.mark.parametrize("case", SCREEN_CASES)
-def test_block_survivors_match_brute_force(screen_store, edge_stores, case, with_norms, tier):
+def test_block_survivors_match_brute_force(screen_store, edge_stores, case, with_norms):
     rng = np.random.default_rng(SCREEN_CASES.index(case))
     bucket, queries, cutoffs, thresholds, norms = screen_case(screen_store, edge_stores, case,
                                                               rng)
     norms = norms if with_norms else None
-    screen = None if tier is None else ScreenTier.build(bucket.store.directions, tier)
     with np.errstate(invalid="raise"):
-        actual = block_survivors(bucket, queries, cutoffs, thresholds, norms, screen)
+        actual = block_survivors(bucket, queries, cutoffs, thresholds, norms)
     assert_same_survivors(actual, reference_survivors(bucket, queries, cutoffs, thresholds,
-                                                      norms, screen))
+                                                      norms))
     pairs, rows = actual
     assert np.all(rows < cutoffs[pairs])
     if case == "minus_inf":
@@ -653,8 +669,7 @@ def test_score_length_pairs_splits_into_query_blocks(screen_store, with_norms):
     thetas = np.quantile(scores, quantiles, axis=0).diagonal().copy()
     thetas[:3] = -1.0  # non-positive θ: every row of the bucket is a candidate
     stats = RunStats()
-    blocks = list(score_length_pairs(bucket, queries, positions, norms, thetas, thetas, stats,
-                                     None))
+    blocks = list(score_length_pairs(bucket, queries, positions, norms, thetas, thetas, stats))
     cutoffs = LengthRetriever.cutoffs(bucket, thetas, 1.0 if norms is None else norms)
     width = max(1, BLOCK_ELEMENTS // int(cutoffs.max()))
     assert width < positions.size // 2  # several query blocks
@@ -731,9 +746,9 @@ def span_data():
     return queries, probes, theta
 
 
-def span_index(state, probes, tier, tmp_path):
+def span_index(state, probes, tmp_path):
     """A fitted, written-to or saved-and-memory-mapped ``lemp:LI`` index and its live rows."""
-    lemp = Lemp(algorithm="LI", max_bucket_size=60, screen_dtype=tier).fit(probes)
+    lemp = Lemp(algorithm="LI", max_bucket_size=60).fit(probes)
     if state == "fresh":
         return lemp, probes
     extra = synthetic_factors(40, RANK, length_cov=IE_SVD_PROBE_COV, seed=72)
@@ -747,12 +762,11 @@ def span_index(state, probes, tier, tmp_path):
 
 
 @pytest.mark.parametrize("state", ["fresh", "mutated", "mmap"])
-@pytest.mark.parametrize("tier", [None, "f16"])
 @pytest.mark.parametrize("kernel", ["blocked", "einsum"])
-def test_spans_match_per_bucket_walk_reference_and_naive(span_data, state, tier, kernel,
+def test_spans_match_per_bucket_walk_reference_and_naive(span_data, state, kernel,
                                                          tmp_path, monkeypatch):
     """Spans change nothing observable: answers, their order and bits, and all four
-    counters equal the per-bucket walk's, and without a tier the per-pair reference's."""
+    counters equal the per-bucket walk's and, up to 7 rows, the per-pair reference's."""
     queries, probes, theta = span_data
     spans, alone = [], []
     original_span, original_bucket = above_theta._screen_span, above_theta._screen_bucket
@@ -768,8 +782,7 @@ def test_spans_match_per_bucket_walk_reference_and_naive(span_data, state, tier,
     monkeypatch.setattr(above_theta, "_screen_span", span)
     monkeypatch.setattr(above_theta, "_screen_bucket", bucket)
     with use_kernel(kernel):
-        lemp, probes = span_index(state, probes, tier, tmp_path)
-        screen = lemp._screen_tier()
+        lemp, probes = span_index(state, probes, tmp_path)
         for rows in (1, 3, 7, 1000):
             block = queries[:rows]
             prepared = PreparedQueries(block)
@@ -784,14 +797,13 @@ def test_spans_match_per_bucket_walk_reference_and_naive(span_data, state, tier,
                 if rows == 1000 and spec in ("I", "LC"):
                     continue  # 1000 queries scanned pair by pair are slow; 1–7 rows cover them
                 stats, bucket_stats = RunStats(), RunStats()
-                arrays = solve_above_theta(prepared, lemp.layout(), theta, selector, stats, screen)
+                arrays = solve_above_theta(prepared, lemp.layout(), theta, selector, stats)
                 expected = solve_above_theta(prepared, lemp.layout(), theta, PerBucket(selector),
-                                             bucket_stats, screen)
+                                             bucket_stats)
                 counters = {name: getattr(stats, name) for name in COUNTERS}
                 assert_matches_reference(arrays, counters, expected,
                                          {name: getattr(bucket_stats, name) for name in COUNTERS})
-                assert stats.screen_products == bucket_stats.screen_products
-                if tier is None and rows <= 7:
+                if rows <= 7:
                     reference, reference_stats = reference_walk(prepared, lemp.buckets, selector,
                                                                 "above_theta", theta)
                     assert_matches_reference(arrays, counters, reference, {

@@ -24,7 +24,7 @@ from repro.core.kernels import ALIGNMENT, gather_matvec, use_kernel
 from repro.engine import create_retriever
 from tests.conftest import make_factors
 
-SPECS = ["lemp:LI", "lemp:LI/f16", "naive", "ta:blocked", "tree:cover", "dtree:cover"]
+SPECS = ["lemp:LI", "naive", "ta:blocked", "tree:cover", "dtree:cover"]
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,6 @@ from repro.engine.registry import spec_for_instance
 from repro.exceptions import (
     NotPreparedError,
     PersistenceError,
-    ReproError,
-    ScreeningError,
     UnknownAlgorithmError,
     UnsupportedOperationError,
 )
@@ -181,6 +181,23 @@ class TestEngineBatching:
             engine.partial_fit(probes[:2])
         with pytest.raises(UnsupportedOperationError):
             engine.remove([0])
+
+
+def test_dropped_engine_is_freed_without_the_cycle_collector(workload):
+    """An engine holds no reference cycle: it dies with its last reference."""
+    queries, probes, _ = workload
+    engine = RetrievalEngine("lemp:LI", seed=0, workers=2).fit(probes)
+    engine.row_top_k(queries, 3, batch_size=20)
+    engine.above_theta(queries, 0.5)
+    alive = weakref.ref(engine)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del engine
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestPersistence:
@@ -390,98 +407,107 @@ def _rewrite_index(path, mutate) -> None:
         np.savez(handle, **arrays)
 
 
-class TestScreenPersistence:
-    """Format-4 screening-tier members of ``index.npz``."""
+#: Integer counters a loaded engine's calls must reproduce.
+_COUNTERS = ("num_queries", "candidates", "results", "inner_products",
+             "buckets_examined", "buckets_pruned")
 
-    @pytest.mark.parametrize("dtype_name", ["f32", "f16", "int8"])
-    def test_format_4_round_trips_every_dtype(self, dtype_name, workload, tmp_path):
-        queries, probes, _ = workload
-        theta = pick_theta(queries, probes, 300)
-        engine = RetrievalEngine(f"lemp:LI/{dtype_name}", seed=0).fit(probes)
-        expected = engine.above_theta(queries, theta)
-        engine.save(tmp_path / "idx")
 
-        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
-        assert meta["format"] == FORMAT_VERSION
-        with np.load(tmp_path / "idx" / "index.npz") as data:
-            assert "state.screen_data" in data.files
-            has_scale = {"state.screen_scale", "state.screen_offset"} <= set(data.files)
-            assert has_scale == (dtype_name == "int8")
+def _as_older_save(path, fmt, spec, kwargs, members) -> None:
+    """Rewrite a saved index as an older library wrote it: format, spec, kwargs, tier members."""
+    meta_path = Path(path) / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["format"] = fmt
+    meta["spec"] = spec
+    meta["kwargs"].update(kwargs)
+    meta_path.write_text(json.dumps(meta))
 
-        loaded = RetrievalEngine.load(tmp_path / "idx")
-        assert loaded.screen_dtype == dtype_name
-        # The tier must come back from disk, not be re-quantized on demand.
-        assert loaded.retriever.store._screen_tiers
-        actual = loaded.above_theta(queries, theta)
-        assert np.array_equal(expected.query_ids, actual.query_ids)
-        assert np.array_equal(expected.probe_ids, actual.probe_ids)
-        assert np.array_equal(expected.scores, actual.scores)
-        assert loaded.retriever.stats.screen_products > 0
+    def add(arrays):
+        directions = arrays["state.directions"]
+        for name in members:
+            kind = name.split("_")[-1]
+            if kind == "data":
+                arrays["state." + name] = directions.astype(np.float16)
+            else:
+                # int8 scale / offset: one value per row, NaN included, which
+                # a tier loader rejected; they must not be read at all.
+                arrays["state." + name] = np.full(directions.shape[0], np.nan)
+    _rewrite_index(path, add)
+
+
+class TestLegacyTierIndexes:
+    """Indexes saved with a compressed screening or generation tier load exact."""
 
     @pytest.mark.parametrize("mmap_mode", [None, "r"])
-    def test_format_3_index_loads_without_tier_members(self, mmap_mode, workload, tmp_path):
-        # An index saved before format 4 has no ``state.screen_*`` members;
-        # a screened engine must still load it — eagerly or mapped — and
-        # rebuild the tier lazily on the first screened query.
+    @pytest.mark.parametrize("fmt, spec, kwargs, members", [
+        (5, "lemp:LI/f16", {"screen_dtype": "f16", "gen_dtype": None}, ["screen_data"]),
+        (4, "lemp:LI/int8", {"screen_dtype": "int8"},
+         ["screen_data", "screen_scale", "screen_offset"]),
+        (5, "lemp:LI", {"screen_dtype": None, "gen_dtype": "int8"},
+         ["gen_data", "gen_scale", "gen_offset"]),
+    ], ids=["f16-screen", "int8-screen-format-4", "int8-gen"])
+    def test_tiered_index_loads_exact_with_one_warning(self, fmt, spec, kwargs, members,
+                                                       mmap_mode, workload, tmp_path):
         queries, probes, _ = workload
         theta = pick_theta(queries, probes, 300)
-        engine = RetrievalEngine("lemp:LI/f16", seed=0).fit(probes)
+        engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
+        engine.save(tmp_path / "exact")
+        engine.save(tmp_path / "tiered")
+        _as_older_save(tmp_path / "tiered", fmt, spec, kwargs, members)
+
+        exact = RetrievalEngine.load(tmp_path / "exact", mmap_mode=mmap_mode)
+        with pytest.warns(FutureWarning, match="compressed screening or generation") as caught:
+            loaded = RetrievalEngine.load(tmp_path / "tiered", mmap_mode=mmap_mode)
+        assert len([w for w in caught if issubclass(w.category, FutureWarning)]) == 1
+        assert loaded.spec == "lemp:LI"
+        assert not {"screen_dtype", "gen_dtype"} & set(loaded.retriever.get_params())
+
+        _assert_above_bytes_equal(exact.above_theta(queries, theta),
+                                  loaded.above_theta(queries, theta))
+        expected, actual = exact.row_top_k(queries, 5), loaded.row_top_k(queries, 5)
+        np.testing.assert_array_equal(expected.indices, actual.indices)
+        np.testing.assert_array_equal(expected.scores, actual.scores)
+        assert ({name: getattr(exact.stats, name) for name in _COUNTERS}
+                == {name: getattr(loaded.stats, name) for name in _COUNTERS})
+
+        # Re-saving writes no tier, and the re-saved index loads silently.
+        loaded.save(tmp_path / "resaved")
+        with np.load(tmp_path / "resaved" / "index.npz") as data:
+            assert not [key for key in data.files if key.startswith(("state.screen_",
+                                                                       "state.gen_"))]
+        meta = json.loads((tmp_path / "resaved" / "meta.json").read_text())
+        assert meta["format"] == FORMAT_VERSION == 5
+        assert meta["spec"] == "lemp:LI"
+
+    def test_untiered_format_5_kwargs_load_silently(self, workload, tmp_path, recwarn):
+        # Libraries before 5.0 wrote ``screen_dtype: null`` / ``gen_dtype: null``
+        # into every LEMP index; those keys are dropped without a warning.
+        queries, probes, _ = workload
+        engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
+        expected = engine.row_top_k(queries, 5)
+        engine.save(tmp_path / "idx")
+        _as_older_save(tmp_path / "idx", 5, "lemp:LI",
+                       {"screen_dtype": None, "gen_dtype": None}, [])
+        loaded = RetrievalEngine.load(tmp_path / "idx")
+        assert not [w for w in recwarn if issubclass(w.category, FutureWarning)]
+        np.testing.assert_array_equal(loaded.row_top_k(queries, 5).indices, expected.indices)
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_format_3_index_loads(self, mmap_mode, workload, tmp_path):
+        queries, probes, _ = workload
+        theta = pick_theta(queries, probes, 300)
+        engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
         expected = engine.above_theta(queries, theta)
         engine.save(tmp_path / "idx")
-        _rewrite_index(tmp_path / "idx", lambda arrays: [
-            arrays.pop(key) for key in list(arrays) if key.startswith("state.screen")
-        ])
-        meta_path = tmp_path / "idx" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["format"] = 3
-        meta_path.write_text(json.dumps(meta))
-
+        _as_older_save(tmp_path / "idx", 3, "lemp:LI", {}, [])
         loaded = RetrievalEngine.load(tmp_path / "idx", mmap_mode=mmap_mode)
-        assert loaded.screen_dtype == "f16"
-        assert not loaded.retriever.store._screen_tiers
-        actual = loaded.above_theta(queries, theta)
-        assert np.array_equal(expected.query_ids, actual.query_ids)
-        assert np.array_equal(expected.probe_ids, actual.probe_ids)
-        assert np.array_equal(expected.scores, actual.scores)
-        assert loaded.retriever.stats.screen_products > 0
+        _assert_above_bytes_equal(expected, loaded.above_theta(queries, theta))
 
-    def _saved_int8_index(self, workload, tmp_path):
-        _, probes, _ = workload
-        RetrievalEngine("lemp:LI/int8", seed=0).fit(probes).save(tmp_path / "idx")
-        return tmp_path / "idx"
-
-    def test_non_finite_screen_scale_rejected_at_load(self, workload, tmp_path):
-        path = self._saved_int8_index(workload, tmp_path)
-        def corrupt(arrays):
-            arrays["state.screen_scale"][0] = np.nan
-        _rewrite_index(path, corrupt)
-        with pytest.raises(ScreeningError, match="non-finite"):
-            RetrievalEngine.load(path)
-
-    def test_missing_screen_scale_rejected_at_load(self, workload, tmp_path):
-        path = self._saved_int8_index(workload, tmp_path)
-        _rewrite_index(path, lambda arrays: arrays.pop("state.screen_scale"))
-        with pytest.raises(ScreeningError, match="missing its scale"):
-            RetrievalEngine.load(path)
-
-    def test_mis_shaped_screen_offset_rejected_at_load(self, workload, tmp_path):
-        path = self._saved_int8_index(workload, tmp_path)
-        def truncate(arrays):
-            arrays["state.screen_offset"] = arrays["state.screen_offset"][:-1]
-        _rewrite_index(path, truncate)
-        # ScreeningError is a ReproError, so blanket handlers catch it too.
-        assert issubclass(ScreeningError, ReproError)
-        with pytest.raises(ReproError, match="one value per row"):
-            RetrievalEngine.load(path)
-
-    def test_wrong_dtype_screen_data_rejected_at_load(self, workload, tmp_path):
-        _, probes, _ = workload
-        RetrievalEngine("lemp:LI/f16", seed=0).fit(probes).save(tmp_path / "idx")
-        def widen(arrays):
-            arrays["state.screen_data"] = arrays["state.screen_data"].astype(np.float32)
-        _rewrite_index(tmp_path / "idx", widen)
-        with pytest.raises(ScreeningError, match="stored as"):
-            RetrievalEngine.load(tmp_path / "idx")
+    def test_tier_spec_suffix_is_unknown(self):
+        for spec in ("lemp:LI/f16", "LEMP-LI/f16", "lemp/f32", "naive/int8"):
+            with pytest.raises(UnknownAlgorithmError):
+                create_retriever(spec)
+        with pytest.raises(TypeError):
+            Lemp(screen_dtype="f16")
 
 
 class TestIncrementalUpdates:

@@ -8,6 +8,7 @@ the query reaches the threshold.  BLSH is allowed a small false-negative rate.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Lemp
+from repro import Lemp, RetrievalEngine
 from repro.core.bucketize import bucketize
 from repro.core.retrievers import (
     BlshBucketRetriever,
@@ -410,3 +411,62 @@ class TestBlshOrderIndependence:
         )
         topk_recall = overlap / (queries.shape[0] * k)
         assert topk_recall >= baseline["row_top_k_recall"] - BLSH_RECALL_TOLERANCE
+
+
+def near_threshold_problem(rank, theta, ulp_offsets, background, seed):
+    """One unit query, probes whose exact scores sit ``ulp_offsets`` ULPs from θ, and
+    background probes far below it.
+
+    Each near probe is ``s·q + c·w`` with ``w ⊥ q``: its score is ``s`` up to
+    representation, and a probe tying θ_p sits at the edge of every focus
+    coordinate's feasible region, of INCR's bound, of TA's stopping rule and
+    of L2AP's prefix bound.
+    """
+    rng = np.random.default_rng(seed)
+    query = rng.standard_normal(rank)
+    query /= np.linalg.norm(query)
+    witness = rng.standard_normal(rank)
+    witness -= (witness @ query) * query
+    witness /= np.linalg.norm(witness)
+    targets = theta + np.asarray(ulp_offsets, dtype=np.float64) * np.spacing(theta)
+    near = targets[:, None] * query + rng.uniform(0.1, 2.0, targets.size)[:, None] * witness
+    low = rng.uniform(0.0, theta * 0.25, size=background)
+    far = low[:, None] * query + rng.uniform(0.1, 2.0, background)[:, None] * witness
+    return query[None, :], np.vstack([near, far])
+
+
+@given(
+    rank=st.integers(min_value=4, max_value=16),
+    theta=st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
+    ulp_offsets=st.lists(st.integers(min_value=-8, max_value=8), min_size=12, max_size=32),
+    algorithm=st.sampled_from(["C", "I", "TA", "L2AP", "LI"]),
+    state=st.sampled_from(["fresh", "updated", "reloaded_mmap"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_coordinate_pruning_keeps_pairs_within_ulps_of_theta(rank, theta, ulp_offsets,
+                                                             algorithm, state, seed):
+    """Scores within ±8 ULPs of θ: every exact variant answers as the full product,
+    up to rounding at θ, fresh, after ``partial_fit`` / ``remove``, and memory-mapped."""
+    queries, probes = near_threshold_problem(rank, theta, ulp_offsets, 40, seed)
+    with tempfile.TemporaryDirectory() as directory:
+        lemp = Lemp(algorithm=algorithm, seed=0)
+        if state == "updated":
+            half = probes.shape[0] // 2
+            lemp.fit(probes[:half]).partial_fit(probes[half:]).remove(np.arange(3, 23))
+            probes = np.delete(probes, np.arange(3, 23), axis=0)
+        else:
+            lemp.fit(probes)
+        if state == "reloaded_mmap":
+            RetrievalEngine(lemp).save(Path(directory) / "index")
+            lemp = RetrievalEngine.load(Path(directory) / "index", mmap_mode="r").retriever
+        result = lemp.above_theta(queries, theta)
+        ours = dict(zip(result.probe_ids.tolist(), result.scores.tolist()))
+    exact = probes @ queries[0]
+    expected = set(np.flatnonzero(exact >= theta).tolist())
+    for probe in ours.keys() ^ expected:
+        assert abs(exact[probe] - theta) <= 1e-9 * theta
+    for probe, score in ours.items():
+        assert score == pytest.approx(exact[probe], rel=1e-9)
+    if state != "updated" and (np.asarray(ulp_offsets) > 0).any():
+        assert ours  # the band straddles θ, so the run is not trivial

@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.core.stats import RunStats
+from repro.engine.executor import run_plan
 from repro.engine.facade import RetrievalEngine
 from repro.engine.persistence import FORMAT_VERSION, mmap_npz_arrays
 from repro.exceptions import (
@@ -198,7 +199,7 @@ def test_process_plan_without_pool_is_rejected(index_dir):
     engine.detach_worker_pool()
     queries = make_factors(4, rank=12, seed=14)
     with pytest.raises(UnsupportedOperationError, match="worker pool"):
-        list(engine._plan_executor.run(plan, queries, None))
+        list(run_plan(engine, plan, queries, None))
 
 
 # ------------------------------------------------------------ flush behaviour

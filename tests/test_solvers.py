@@ -190,17 +190,16 @@ class TestAboveThetaWalkOrder:
     #: Queue cap small enough that a call flushes several times.
     SMALL_CAP = 7
 
-    @pytest.mark.parametrize("tier", [None, "f16"])
     @pytest.mark.parametrize("mutated", [False, True], ids=["fresh", "mutated"])
     @pytest.mark.parametrize("kernel", ["blocked", "einsum"])
     @pytest.mark.parametrize("spec", ["L", "LI", "I", "LC"])
-    def test_engine_matches_oracle_in_walk_order(self, spec, kernel, mutated, tier,
+    def test_engine_matches_oracle_in_walk_order(self, spec, kernel, mutated,
                                                  kernel_calls, monkeypatch):
         queries = make_factors(300, rank=12, length_cov=1.2, seed=61)
         probes = make_factors(1500, rank=12, length_cov=1.2, seed=62)
         theta = pick_theta(queries, probes, 3000)
         with use_kernel(kernel):
-            lemp = Lemp(algorithm=spec, cache_kib=None, screen_dtype=tier).fit(probes)
+            lemp = Lemp(algorithm=spec, cache_kib=None).fit(probes)
             if mutated:
                 extra = make_factors(32, rank=12, length_cov=1.2, seed=63)
                 removed = np.arange(0, probes.shape[0], 37)
@@ -223,10 +222,9 @@ class TestAboveThetaWalkOrder:
         assert lemp.stats.results > 0
 
     @pytest.mark.parametrize("cap", [None, 5])
-    @pytest.mark.parametrize("tier", [None, "f16"])
     @pytest.mark.parametrize("kernel", ["blocked", "einsum"])
     @pytest.mark.parametrize("interleaved", [False, True], ids=["switch", "interleaved"])
-    def test_bucket_mixing_length_and_coordinate_pairs(self, interleaved, kernel, tier, cap,
+    def test_bucket_mixing_length_and_coordinate_pairs(self, interleaved, kernel, cap,
                                                        kernel_calls, monkeypatch):
         """A switch point inside a bucket's θ_b range sends its queries down both routes.
 
@@ -249,14 +247,11 @@ class TestAboveThetaWalkOrder:
         selector = PerBucketSelector(LengthRetriever(), IncrRetriever(), switches, {})
         if interleaved:
             selector = InterleavedSelector()
-        screen = None
-        if tier is not None:
-            screen = buckets[0].store.screen_tier(tier)
         if cap is not None:
             monkeypatch.setattr(above_theta, "VERIFY_QUEUE_ROWS", cap)
         with use_kernel(kernel):
             arrays = solve_above_theta(prepared, BucketLayout(buckets), theta, selector,
-                                       RunStats(), screen)
+                                       RunStats())
             assert_walk_order_and_bits(arrays, buckets, prepared,
                                        brute_force_above(queries, probes, theta))
         if cap is None:

@@ -79,8 +79,7 @@ def blsh_recall(config: dict = CONFIG) -> dict:
 def write_or_diff(report: dict, path: Path, commit: bool) -> int:
     """Commit ``report`` to ``path``, or diff against the committed copy.
 
-    Same guard as ``tools/measure_screening.py``: the committed baseline is
-    only overwritten on an explicit ``--commit``.
+    The committed baseline is only overwritten on an explicit ``--commit``.
     """
     rendered = json.dumps(report, indent=2) + "\n"
     if commit:
