@@ -48,8 +48,10 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import asyncio
+import gc
 import json
 import platform
+import shutil
 import sys
 import tempfile
 import time
@@ -118,6 +120,17 @@ def percentile_ms(latencies, percentile) -> float:
 
 
 def run_bench(args: argparse.Namespace) -> dict:
+    """Run the benchmark with the tenants' indexes in a temporary directory, removed after."""
+    index_root = Path(tempfile.mkdtemp(prefix="bench_churn_idx_"))
+    try:
+        return _run(args, index_root)
+    finally:
+        # _run has returned: drop its mapped engines before their files go.
+        gc.collect()
+        shutil.rmtree(index_root, ignore_errors=True)
+
+
+def _run(args: argparse.Namespace, index_root: Path) -> dict:
     rank = args.rank
     probes_a = synthetic_factors(args.probes_a, rank=rank, length_cov=0.8, seed=args.seed)
     probes_b = synthetic_factors(args.probes_b, rank=rank, length_cov=0.8,
@@ -145,7 +158,6 @@ def run_bench(args: argparse.Namespace) -> dict:
         "A": RetrievalEngine("lemp:LI", seed=args.seed).fit(probes_a),
         "B": RetrievalEngine("lemp:LI", seed=args.seed).fit(probes_b),
     }
-    index_root = Path(tempfile.mkdtemp(prefix="bench_churn_idx_"))
     for name, engine in reference.items():
         for block in blocks[name]:
             engine.row_top_k(block, args.k)  # warm the persisted tuning cache

@@ -38,9 +38,12 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import asyncio
+import gc
 import json
 import platform
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -138,6 +141,17 @@ def percentile_ms(latencies, percentile) -> float:
 
 
 def run_bench(args: argparse.Namespace) -> dict:
+    """Run the benchmark; ``--mmap-index`` serves from a temporary directory removed after."""
+    index_root = Path(tempfile.mkdtemp(prefix="bench_serving_idx_"))
+    try:
+        return _run(args, index_root)
+    finally:
+        # _run has returned: drop its mapped engines before their files go.
+        gc.collect()
+        shutil.rmtree(index_root, ignore_errors=True)
+
+
+def _run(args: argparse.Namespace, index_root: Path) -> dict:
     probes = synthetic_factors(args.probes, rank=args.rank, length_cov=0.8, seed=args.seed)
     queries = synthetic_factors(
         args.requests * args.rows, rank=args.rank, length_cov=0.8, seed=args.seed + 1
@@ -154,9 +168,7 @@ def run_bench(args: argparse.Namespace) -> dict:
         # Serve from a read-only mapped reload of the just-fitted index — the
         # shape a WorkerPool deployment runs in, with the index arrays paged
         # in from disk instead of copied into RAM.
-        import tempfile
-
-        index_dir = Path(tempfile.mkdtemp(prefix="bench_serving_idx_")) / "index"
+        index_dir = index_root / "index"
         engine.save(index_dir)
         engine = RetrievalEngine.load(index_dir, mmap_mode="r")
     engine.above_theta(queries, args.theta)  # warm: tunes once, shared by every sweep

@@ -74,8 +74,8 @@ def solve_above_theta(
     (:meth:`~repro.core.lemp.Lemp.layout`).
     """
     cutoff = theta - _VERIFY_SLACK
-    queue = _VerifyQueue(queries, layout.store, cutoff)
     norms = queries.norms
+    queue = _VerifyQueue(queries, layout.store, np.full(queries.size, cutoff), norms)
     live, prefix = layout.walk(theta, norms)
     examined = int(live.sum())
     stats.buckets_examined += examined
@@ -94,7 +94,9 @@ def solve_above_theta(
     index = 0
     while index < last:
         if not to_length[index]:
-            _screen_bucket(layout.buckets[index], queries, int(active[index]), theta, cutoff,
+            count = int(active[index])
+            _screen_bucket(layout.buckets[index], queries, np.arange(count),
+                           np.full(count, theta), norms[:count], queue.cutoffs[:count],
                            selector, stats, queue)
             index += 1
         else:
@@ -105,8 +107,7 @@ def solve_above_theta(
             _screen_span(layout, index, stop, queries, int(active[index]), prefix, ends, cutoff,
                          stats, queue)
             index = stop
-        if queue.size >= VERIFY_QUEUE_ROWS:
-            queue.flush(final=False)
+        queue.flush(final=False)
 
     queue.flush(final=True)
     return queue.results()
@@ -139,42 +140,48 @@ def _screen_span(layout: BucketLayout, first: int, stop: int, queries: PreparedQ
     queue.push(pairs, span.start + rows)
 
 
-def _screen_bucket(bucket: Bucket, queries: PreparedQueries, count: int, theta: float,
-                   cutoff: float, selector: RetrieverSelector, stats: RunStats,
-                   queue: "_VerifyQueue") -> None:
-    """Screen one bucket's ``count`` active queries, split between LENGTH and coordinate pairs."""
-    thresholds = local_thresholds(theta, queries.norms[:count], bucket.max_length)
-    active = np.arange(count)
-    if count < MIN_BLOCK_PAIRS:
+def _screen_bucket(bucket: Bucket, queries: PreparedQueries, positions: np.ndarray,
+                   thetas: np.ndarray, norms: np.ndarray | None, cutoffs: np.ndarray,
+                   selector: RetrieverSelector, stats: RunStats, queue: "_VerifyQueue") -> None:
+    """Screen one bucket's pairs, split between LENGTH and coordinate retrievers.
+
+    Pair ``j`` is the query ``positions[j]`` at threshold ``thetas[j]`` with
+    query norm ``norms[j]`` (1 for every pair when ``None``: Row-Top-k
+    ranks by direction), and keeps the rows whose exact score reaches
+    ``cutoffs[j]``.  Both solvers screen their coordinate-routed buckets
+    here, and Row-Top-k all of its buckets.
+    """
+    thresholds = local_thresholds(thetas, 1.0 if norms is None else norms, bucket.max_length)
+    pairs = np.arange(positions.size)
+    if positions.size < MIN_BLOCK_PAIRS:
         # A few queries: a block product would cost more than it saves.
-        length_positions, pair_positions = active[:0], active
+        length_pairs, coordinate_pairs = pairs[:0], pairs
         routes = [selector.select(bucket, value) for value in thresholds.tolist()]
     else:
         blocked, routes = selector.split(bucket, thresholds)
-        length_positions, pair_positions = active[blocked], active[~blocked]
+        length_pairs, coordinate_pairs = pairs[blocked], pairs[~blocked]
     mark = len(queue.rows)
 
-    if length_positions.size:
-        norms = queries.norms[length_positions]
-        for pairs, candidates in score_length_pairs(
-                bucket, queries, length_positions, norms,
-                np.full(norms.size, theta), np.full(norms.size, cutoff), stats):
-            queue.push(length_positions[pairs], bucket.start + candidates)
+    if length_pairs.size:
+        members = positions[length_pairs]
+        for found, candidates in score_length_pairs(
+                bucket, queries, members, None if norms is None else norms[length_pairs],
+                thetas[length_pairs], cutoffs[length_pairs], stats):
+            queue.push(members[found], bucket.start + candidates)
 
-    for position, theta_b, (retriever, phi) in zip(
-            pair_positions.tolist(), thresholds[pair_positions].tolist(), routes):
-        query_direction = queries.directions[position]
-        query_norm = float(queries.norms[position])
+    for pair, theta_b, (retriever, phi) in zip(
+            coordinate_pairs.tolist(), thresholds[coordinate_pairs].tolist(), routes):
+        position = int(positions[pair])
         candidates = retriever.retrieve(
-            bucket, query_direction, query_norm, theta, theta_b, phi
-        )
+            bucket, queries.directions[position], 1.0 if norms is None else float(norms[pair]),
+            float(thetas[pair]), theta_b, phi)
         stats.candidates += int(candidates.size)
         if candidates.size == 0:
             continue
         stats.inner_products += int(candidates.size)
         queue.push(np.full(candidates.size, position), bucket.start + candidates)
 
-    if length_positions.size and pair_positions.size:
+    if length_pairs.size and coordinate_pairs.size:
         # Put the bucket's pairs in query-position order, each query's
         # rows in candidate order — the order of a per-pair walk over
         # its active queries.
@@ -185,14 +192,19 @@ class _VerifyQueue:
     """Survivors of a call awaiting exact verification, and the hits verified so far.
 
     Rows are queued as (query position, store row) in walk order and
-    verified in chunks of :data:`VERIFY_QUEUE_ROWS`; a chunk's hits are
-    kept in queue order, so the results come out in walk order.
+    verified in chunks of :data:`VERIFY_QUEUE_ROWS`.  A row's exact score
+    is its cosine times ``norms[position]`` times its length, and it is a
+    hit if that reaches ``cutoffs[position]``.  A chunk's hits go to
+    :meth:`keep`, which keeps them in queue order, so the results come out
+    in walk order.
     """
 
-    def __init__(self, queries: PreparedQueries, store, cutoff: float) -> None:
+    def __init__(self, queries: PreparedQueries, store, cutoffs: np.ndarray,
+                 norms: np.ndarray) -> None:
         self.queries = queries
         self.store = store
-        self.cutoff = cutoff
+        self.cutoffs = cutoffs
+        self.norms = norms
         self.positions: list[np.ndarray] = []
         self.rows: list[np.ndarray] = []
         self.size = 0
@@ -215,7 +227,7 @@ class _VerifyQueue:
 
     def flush(self, final: bool) -> None:
         """Verify every whole chunk of queued rows, and the partial one when ``final``."""
-        if self.size == 0:
+        if self.size == 0 or (not final and self.size < VERIFY_QUEUE_ROWS):
             return
         positions = np.concatenate(self.positions)
         rows = np.concatenate(self.rows)
@@ -238,11 +250,14 @@ class _VerifyQueue:
                                groups=positions[order])
         cosines = np.empty_like(scored)
         cosines[order] = scored
-        scores = cosines * (self.queries.norms[positions] * self.store.lengths[rows])
-        hits = scores >= self.cutoff
+        scores = cosines * (self.norms[positions] * self.store.lengths[rows])
+        hits = scores >= self.cutoffs[positions]
         if hits.any():
-            self.hits.append((self.queries.ids[positions[hits]].astype(np.int64),
-                              self.store.ids[rows[hits]].astype(np.int64), scores[hits]))
+            self.keep(positions[hits], self.store.ids[rows[hits]].astype(np.int64), scores[hits])
+
+    def keep(self, positions: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> None:
+        """Keep one chunk's hits: query positions, probe ids and exact scores."""
+        self.hits.append((self.queries.ids[positions].astype(np.int64), ids, scores))
 
     def results(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.hits:

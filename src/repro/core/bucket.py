@@ -9,8 +9,8 @@ LEMP-BLSH) and their slice of the store's f32 LENGTH screen buffer.  Lazy
 construction mirrors the paper: buckets that are always pruned never pay any
 indexing cost.
 
-A :class:`BucketLayout` holds a bucket list with the per-bucket arrays an
-Above-θ call reads, so a call finds its live buckets and LENGTH prefixes
+A :class:`BucketLayout` holds a bucket list with the per-bucket arrays a
+solver call reads, so a call finds its live buckets and LENGTH prefixes
 with a few searches instead of a pass over every bucket; a :class:`Span` is
 a run of consecutive buckets that LENGTH screens as one slice of the buffer.
 """
@@ -249,7 +249,7 @@ class Span:
 
 
 class BucketLayout:
-    """A store's buckets in walk order, with the arrays an Above-θ call reads.
+    """A store's buckets in walk order, with the arrays a solver call reads.
 
     Built once per bucket list (:meth:`repro.core.lemp.Lemp.layout`): the
     buckets' buffer ``starts`` and ``ends``, their longest lengths
@@ -269,6 +269,9 @@ class BucketLayout:
         self.offsets = np.concatenate(([0], np.cumsum(self.ends - self.starts)))
         rows = span_positions(self.starts, self.ends) if count else np.empty(0, np.intp)
         self._negated_lengths = -self.store.lengths[rows] if count else np.empty(0)
+        #: Row-Top-k's fixed-point seed rows and their exponent, filled on
+        #: first use (:func:`repro.core.top_k.seed_thresholds`).
+        self.seed_probes: tuple[np.ndarray, int] | None = None
 
     def span(self, first: int, stop: int) -> Span:
         """Buckets ``[first, stop)`` as one :class:`Span`."""

@@ -48,6 +48,7 @@ or the :func:`use_kernel` context manager.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -314,6 +315,10 @@ def _grouped_gather(matrix: np.ndarray, rows: np.ndarray, queries: np.ndarray,
         and _aligned_dtypes(matrix, queries)
         and stacked_kernel_supported()
     ):
+        if rows.shape[0] and groups[0] == groups[-1]:
+            # One group is the single-query call, whose long gemv costs less
+            # per row than stacked units.
+            return _blocked_gather(matrix, rows, queries[groups[0]])
         return _stacked_gather(matrix, rows, queries, groups)
     if rows.shape[0] == 0:
         return gather_matvec(matrix, rows, np.zeros(queries.shape[-1], dtype=queries.dtype))
@@ -481,6 +486,54 @@ def screen_slack(rank: int) -> float:
     products = 2.01 * _F32_EPS + (1.0 + 2.1 * _F32_EPS) * _gamma(rank, _F32_EPS)
     return (norm * norm * (products + _gamma(rank, _F64_EPS))
             + 16.0 * _F64_EPS + _UNDERFLOW_SLACK)
+
+
+def seed_bits(rank: int) -> int:
+    """Fraction bits of the fixed-point seed product: the largest ``b``, ``2b + ⌈log₂ r⌉ ≤ 52``."""
+    return (52 - (max(int(rank), 1) - 1).bit_length()) // 2
+
+
+def seed_margin(rank: int, exponent: int) -> float:
+    """How far a Row-Top-k seed product may lie above the verified scores of rows ``l_p < 2ᴱ``.
+
+    Row-Top-k takes each query's θ′ up front from its scores against the
+    longest live probes (:func:`~repro.core.top_k.seed_thresholds`) with
+    one product, whose bits must not depend on the call's other queries (a
+    BLAS product's rounding depends on the call's shape).  So it runs in
+    fixed point: with ``b`` = :func:`seed_bits`, ``L = 2ᴱ`` and ``u =
+    2⁻⁵³``, the direction ``s = q`` and the row ``t = p·l_p/L`` become
+    integers ``rint(s·2ᵇ)`` and ``rint(fl(p·(l_p·2ᵇ⁻ᴱ)))``.  Their entries
+    are at most ``N = 1 + γ_{r+3}(u)`` (a direction normalised in f64, as
+    in :func:`screen_slack`), so they round to at most ``2ᵇ`` and every
+    partial sum of their product is an integer below ``r·2²ᵇ ≤ 2⁵²``:
+    exact in any summation order, FMA included.  ``x_p = L·2⁻²ᵇ·Σ`` is a
+    pure function of the query and the row.  The verified score is ``y_p =
+    fl(c_p·l_p)``, ``c_p`` from :func:`gather_matvec`.
+
+    * **Rounding to integers** moves each entry by at most ``2⁻ᵇ⁻¹`` (plus
+      ``u·|t_i|`` for the one rounding product).  With ``‖s‖₁, ‖t‖₁ ≤ √r·N``
+      and ``Σ|s_i·t_i| ≤ N²``, ``|x_p − l_p·(q·p)| ≤ L·(2⁻ᵇ·(√r·N + r·2⁻ᵇ) +
+      u·N²)``.
+    * **The kernel's cosine** is within ``γ_r·N²`` of ``q·p`` in any order
+      (Higham, §3.1), and ``fl(c_p·l_p)`` rounds once more: ``|y_p −
+      l_p·(q·p)| ≤ L·N²·γ_{r+1}``.
+    * **The seed.**  With ``|x_p − y_p| ≤ D`` for every row (the two items
+      above), the k-th largest ``x`` minus ``D`` is at most the k-th largest
+      ``y``.  ``|x_p| ≤ 1.01·L``, so rounding the margin and the
+      subtraction costs under ``3u·L``, which ``8u·L`` covers with the
+      ``u·N²·L`` above.  Underflow in the power-of-two scalings adds under
+      ``2⁻¹⁰⁷⁴`` per rounding (a row of subnormal entries rounds to zero,
+      within ``2⁻ᵇ⁻¹``), which ``2⁻¹⁰¹⁶`` covers, flush-to-zero included.
+
+    Returns ``L·(2⁻ᵇ·(√r·N + r·2⁻ᵇ) + N²·γ_{r+1} + 8u) + 2⁻¹⁰¹⁶``: about
+    ``8.4·10⁻⁷·L`` at rank 50.
+    """
+    rank = max(int(rank), 1)
+    quantum = 2.0**-seed_bits(rank)
+    norm = 1.0 + _gamma(rank + 3, _F64_EPS)
+    slack = (quantum * (rank**0.5 * norm + rank * quantum)
+             + norm * norm * _gamma(rank + 1, _F64_EPS) + 8.0 * _F64_EPS)
+    return math.ldexp(slack, exponent) + 2.0**-1016
 
 
 def _remainder_block(align: int, rank: int, dtype: np.dtype) -> np.ndarray:

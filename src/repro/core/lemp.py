@@ -49,7 +49,7 @@ from repro.core.retrievers import (
 from repro.core.retrievers.blsh import INDEX_KEY as BLSH_INDEX_KEY
 from repro.core.retrievers.l2ap import INDEX_KEY as L2AP_INDEX_KEY
 from repro.core.selector import DEFAULT_PHI, FixedSelector, PerBucketSelector
-from repro.core.top_k import solve_row_top_k
+from repro.core.top_k import seed_thresholds, solve_row_top_k
 from repro.core.tuner import (
     DEFAULT_PHI_GRID,
     DEFAULT_SAMPLE_SIZE,
@@ -76,9 +76,6 @@ from repro.utils.validation import (
 
 #: Names of all supported bucket algorithms.
 ALGORITHMS = ("L", "C", "I", "TA", "TREE", "L2AP", "BLSH", "LC", "LI")
-
-#: Number of longest probes scored exactly to seed the Row-Top-k tuner.
-_TOPK_TUNING_SEED_PROBES = 200
 
 
 def _target_buckets(longest: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -690,13 +687,13 @@ class Lemp(Retriever):
         self._check_rank(prepared)
 
         self._invalidate_threshold_dependent_indexes()
-        query_thetas = self._surrogate_topk_thresholds(prepared, k)
-        selector = self._build_selector(
-            prepared, query_thetas, problem="row_top_k", parameter=float(k)
-        )
+        layout = self.layout()
+        # Each query's θ′, fixed for the call: the tuner's surrogate threshold too.
+        seeds = seed_thresholds(prepared, layout, k)
+        selector = self._build_selector(prepared, seeds, problem="row_top_k", parameter=float(k))
 
         with Timer() as timer:
-            indices, scores = solve_row_top_k(prepared, self.buckets, k, selector, self.stats)
+            indices, scores = solve_row_top_k(prepared, layout, k, seeds, selector, self.stats)
         self.stats.retrieval_seconds += timer.elapsed
         self.stats.num_queries += prepared.size
         self.stats.results += int(np.sum(indices >= 0))
@@ -730,25 +727,3 @@ class Lemp(Retriever):
         result = swapped.row_top_k(probes, k)
         self.stats.merge(swapped.stats)
         return result
-
-    def _surrogate_topk_thresholds(self, prepared: PreparedQueries, k: int) -> np.ndarray:
-        """Estimate per-query top-k thresholds for the tuner.
-
-        The k-th largest score against the longest few hundred probes is a
-        lower bound on (and usually close to) the final θ′ of each query, so
-        tuning against it reflects the local thresholds the solver will see.
-        """
-        if prepared.size == 0 or self.store is None or self.store.size == 0:
-            return np.zeros(prepared.size)
-        seed_count = min(self.store.size, max(_TOPK_TUNING_SEED_PROBES, k))
-        seeds, taken = [], 0
-        for bucket in self.buckets:
-            if taken == seed_count:
-                break
-            seeds.append(bucket.vectors()[:seed_count - taken])
-            taken += seeds[-1].shape[0]
-        seed_vectors = np.concatenate(seeds)
-        scores = prepared.directions @ seed_vectors.T
-        effective_k = min(k, seed_count)
-        partition = np.partition(-scores, effective_k - 1, axis=1)
-        return -partition[:, effective_k - 1]

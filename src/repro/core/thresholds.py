@@ -37,14 +37,17 @@ def local_threshold(theta: float, query_norm: float, bucket_max_length: float) -
     return theta / denominator
 
 
-def local_thresholds(theta: float, query_norms: np.ndarray, bucket_max_length: float) -> np.ndarray:
-    """Vectorised :func:`local_threshold` over an array of query norms."""
-    query_norms = np.asarray(query_norms, dtype=np.float64)
-    denominator = query_norms * bucket_max_length
-    out = np.full(query_norms.shape, np.inf if theta > 0.0 else -np.inf)
+def local_thresholds(theta, query_norms, bucket_max_length) -> np.ndarray:
+    """Vectorised :func:`local_threshold`; thresholds, norms and lengths broadcast.
+
+    A column of bucket lengths gives one row per bucket.
+    """
+    denominator = np.multiply(query_norms, bucket_max_length, dtype=np.float64)
     positive = denominator > 0.0
-    np.divide(theta, denominator, out=out, where=positive)
-    return out
+    if positive.all():
+        return np.divide(theta, denominator)
+    out = np.divide(theta, np.where(positive, denominator, 1.0))
+    return np.where(positive, out, np.where(np.asarray(theta) > 0.0, np.inf, -np.inf))
 
 
 def probe_thresholds(theta: float, query_norm: float, probe_lengths: np.ndarray) -> np.ndarray:

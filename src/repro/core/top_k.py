@@ -1,207 +1,167 @@
-"""Row-Top-k solver (paper Section 4.5).
+"""Row-Top-k solver (paper Section 4.6): one seeded pass.
 
-Every query walks the buckets in order of decreasing maximum length,
-maintaining a running lower bound θ′ on its final k-th largest inner product.
-Each bucket is processed with the Above-θ machinery at threshold θ′ (query
-length fixed to 1, which does not change the ranking); the verified scores
-tighten θ′, and as soon as a bucket's longest vector falls below θ′ the
-query's remaining buckets are pruned wholesale.
+Ranking by ``qᵀp`` is ranking by ``q̄ᵀp`` (the query length fixed to 1), so
+a query's k largest entries are an Above-θ problem at any lower bound θ′
+on its k-th score: every top-k probe reaches θ′.  :func:`seed_thresholds`
+fixes θ′ up front, as the k-th largest score against the longest
+``max(SEED_PROBES, k)`` live probes, computed exactly in fixed point and
+lowered by the proven margin :func:`~repro.core.kernels.seed_margin`.
 
-The walk is bucket-major, like Algorithm 1: the outer loop visits buckets,
-the inner step handles every still-walking query at once, and each query
-keeps its own θ′ and top-k state.  A query still sees the buckets in the
-same order with the θ′ left by the buckets before, so its θ′ sequence — and
-every counter — is that of a per-query walk.  Per bucket, one vectorised
-step prunes finished queries and splits the rest between LENGTH and the
-coordinate retrievers.  LENGTH pairs are screened for all of them by one
-f32 block product per query block
-(:func:`~repro.core.retrievers.length.score_length_pairs`), and each
-block's survivors are verified at once by one grouped kernel call; coordinate
-pairs run, and are verified, pair by pair.  Unlike Above-θ, verification
-cannot be deferred past the bucket: the verified scores tighten θ′, which
-the next bucket's pruning and screening read.
+Then Row-Top-k walks like Above-θ, one threshold per query.  Queries are
+sorted by increasing θ′, so a bucket's live queries (``l_b ≥ θ′``) are a
+prefix.  Each bucket is screened by
+:func:`~repro.core.above_theta._screen_bucket` — LENGTH pairs by one f32
+block product per query block, coordinate pairs pair by pair — into the
+call's one verify queue (:class:`~repro.core.above_theta._VerifyQueue`),
+verified by one grouped kernel call per
+:data:`~repro.core.above_theta.VERIFY_QUEUE_ROWS` rows.  Each query keeps
+the k best verified ``(score, id)`` pairs in the total order score desc,
+then id asc, so the answer is a pure function of the verified pairs,
+whatever the walk order, the chunking, and how many rows below θ′ the
+screen let through.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.core.bucket import Bucket
-from repro.core.kernels import gather_matvec
-from repro.core.retrievers.length import MIN_BLOCK_PAIRS, score_length_pairs
+from repro.core.above_theta import _screen_bucket, _VerifyQueue
+from repro.core.bucket import BucketLayout
+# The queue verifies through above_theta's gather_matvec; this module keeps
+# the name too, as each solver module does for perfbench's per-layer tracer.
+from repro.core.kernels import gather_matvec  # noqa: F401
+from repro.core.kernels import seed_bits, seed_margin
 from repro.core.selector import RetrieverSelector
 from repro.core.stats import RunStats
-from repro.core.vector_store import PreparedQueries
+from repro.core.vector_store import PreparedQueries, span_positions
 
-#: Identifier of an empty top-k slot; sorts after every real probe id.
-_NO_ID = np.iinfo(np.int64).max
+#: Fewest longest live probes each query's seed is taken against.
+SEED_PROBES = 512
+
+
+def seed_thresholds(queries: PreparedQueries, layout: BucketLayout, k: int) -> np.ndarray:
+    """Each query's θ′: its k-th largest score against the longest probes, lowered.
+
+    The probes are the first ``max(SEED_PROBES, k)`` live rows of the walk
+    (all of them if fewer), and scores are with the query's direction.  One
+    product scores every pair in fixed point, exactly, so each seed is a
+    pure function of its query and the index, whatever the call's other
+    queries; lowering the k-th score by
+    :func:`~repro.core.kernels.seed_margin` puts it at or below the k-th
+    verified score of those probes, and so of the whole index.  Returns
+    one θ′ per query position (−inf for an empty index).
+    """
+    count = min(int(layout.offsets[-1]), max(SEED_PROBES, k))
+    if queries.size == 0 or count == 0:
+        return np.full(queries.size, -np.inf)
+    bits = seed_bits(queries.rank)
+    probes, exponent = _seed_probes(layout, count, bits)
+    products = np.rint(np.ldexp(queries.directions, bits)) @ probes.T
+    column = count - min(k, count)
+    kth = np.partition(products, column, axis=1)[:, column]
+    with np.errstate(over="ignore"):
+        seeds = np.ldexp(kth, exponent - 2 * bits) - seed_margin(queries.rank, exponent)
+    # A k-th score past the float range bounds nothing.
+    seeds[~np.isfinite(seeds)] = -np.inf
+    return seeds
+
+
+def _seed_probes(layout: BucketLayout, count: int, bits: int) -> tuple[np.ndarray, int]:
+    """The first ``count`` live rows in fixed point, ``rint(p·l_p·2^(bits−E))``, and ``E``.
+
+    ``E`` is the exponent of the longest row's length, so every ``l_p <
+    2ᴱ``.  The rows are kept on the layout for the largest count asked so
+    far; a smaller count takes their first rows.
+    """
+    found = layout.seed_probes
+    if found is None or found[0].shape[0] < count:
+        store = layout.store
+        last = int(np.searchsorted(layout.offsets, count))
+        rows = span_positions(layout.starts[:last], layout.ends[:last])[:count]
+        exponent = math.frexp(layout.max_lengths[0])[1]
+        scaled = np.ldexp(store.lengths[rows], bits - exponent)
+        found = layout.seed_probes = np.rint(store.directions[rows] * scaled[:, None]), exponent
+    return found[0][:count], found[1]
 
 
 def solve_row_top_k(
     queries: PreparedQueries,
-    buckets: list[Bucket],
+    layout: BucketLayout,
     k: int,
+    seeds: np.ndarray,
     selector: RetrieverSelector,
     stats: RunStats,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retrieve the k largest inner products for every query row.
 
-    Returns ``(indices, scores)`` arrays of shape ``(num_queries, k)`` indexed
-    by *original* query id, padded with -1 / -inf where fewer than ``k`` probes
-    exist.
-
-    A score strictly below θ′ lies below all k kept entries and cannot
-    change them, so only candidates that may reach θ′ need exact scores.
-    LENGTH candidates are screened by an f32 block product against θ′
-    lowered by :func:`~repro.core.kernels.screen_slack`.  Every merged
-    score comes from :func:`~repro.core.kernels.gather_matvec`, so the θ′
-    walk and the results are byte-identical to verifying everything.
+    ``seeds`` holds each query position's θ′ (:func:`seed_thresholds`).
+    Returns ``(indices, scores)`` arrays of shape ``(num_queries, k)``
+    indexed by *original* query id, padded with -1 / -inf where fewer than
+    ``k`` probes exist.  Every score comes from
+    :func:`~repro.core.kernels.gather_matvec`, so the answer is
+    byte-identical to verifying every pair.
     """
-    # min(k, number of probes) without visiting every bucket.
-    num_probes = 0
-    for bucket in buckets:
-        num_probes += bucket.size
-        if num_probes >= k:
-            break
-    effective_k = min(k, num_probes)
     indices = np.full((queries.size, k), -1, dtype=np.int64)
     scores = np.full((queries.size, k), -np.inf)
-    if queries.size == 0 or effective_k == 0:
+    kept = min(k, int(layout.offsets[-1]))
+    if queries.size == 0 or kept == 0:
         return indices, scores
 
-    top = _RunningTopK(queries.size, effective_k)
-    theta_prime = top.theta_prime
-    walking = np.arange(queries.size)
+    # Queries by increasing θ′: each bucket's live queries are a prefix.
+    order = np.argsort(seeds, kind="stable")
+    live = np.searchsorted(-layout.max_lengths, -seeds[order], side="right")
+    examined = int(live.sum())
+    stats.buckets_examined += examined
+    stats.buckets_pruned += queries.size * len(layout.buckets) - examined
+    active = np.searchsorted(-live, -np.arange(int(live[0])), side="left")
 
-    for bucket in buckets:
-        # local_threshold(θ′, 1, l_b) of every walking query.
-        if bucket.max_length > 0.0:
-            theta_b = theta_prime[walking] / bucket.max_length
-        else:
-            theta_b = np.where(theta_prime[walking] > 0.0, np.inf, -np.inf)
-        done = theta_b > 1.0
-        if done.any():
-            # Buckets are ordered by decreasing length: every later bucket is
-            # pruned for these queries as well.
-            stats.buckets_pruned += int(np.count_nonzero(done))
-            walking = walking[~done]
-            theta_b = theta_b[~done]
-            if walking.size == 0:
-                break
-        stats.buckets_examined += walking.size
+    queue = _TopKQueue(queries, layout.store, seeds, kept)
+    for bucket, count in zip(layout.buckets, active.tolist()):
+        positions = order[:count]
+        thresholds = seeds[positions]
+        _screen_bucket(bucket, queries, positions, thresholds, None, thresholds, selector,
+                       stats, queue)
+        queue.flush(final=False)
+    queue.flush(final=True)
 
-        if walking.size < MIN_BLOCK_PAIRS:
-            # A few queries: a block product would cost more than it saves.
-            length_rows, pair_rows, pair_theta_b = walking[:0], walking, theta_b
-            routes = [selector.select(bucket, value) for value in theta_b.tolist()]
-        else:
-            blocked, routes = selector.split(bucket, theta_b)
-            length_rows, pair_rows, pair_theta_b = (
-                walking[blocked], walking[~blocked], theta_b[~blocked])
-
-        # Each row of the state is touched by one pair per bucket, so folding
-        # pair by pair sees the same θ′ as folding the bucket at once.
-        if length_rows.size:
-            thresholds = theta_prime[length_rows]
-            for pairs, candidates in score_length_pairs(
-                    bucket, queries, length_rows, None, thresholds, thresholds, stats):
-                rows = length_rows[pairs]
-                # One grouped call per query block; each row keeps the bits
-                # of a per-pair call on its query.
-                cosines = gather_matvec(bucket.directions, candidates, queries.directions,
-                                        groups=rows)
-                top.fold(bucket, rows, candidates, cosines)
-
-        for row, value, (retriever, phi) in zip(pair_rows.tolist(), pair_theta_b.tolist(),
-                                                 routes):
-            candidates, cosines = _score_pair(
-                queries.directions[row], bucket, float(theta_prime[row]), value,
-                retriever, phi, stats)
-            if candidates.size:
-                top.fold(bucket, row, candidates, cosines)
-
-    filled = top.ids != _NO_ID
-    indices[queries.ids, :effective_k] = np.where(filled, top.ids, -1)
+    positions, ids, best, slots = queue.kept
+    original = queries.ids[positions]
+    indices[original, slots] = ids
     # Ranking was computed against the normalised query (Section 4.5);
     # report the true inner products by scaling back with ‖q‖.
-    scaled = top.scores * queries.norms[:, None]
-    scores[queries.ids, :effective_k] = np.where(filled, scaled, -np.inf)
+    scores[original, slots] = best * queries.norms[positions]
     return indices, scores
 
 
-def _score_pair(query_direction, bucket, threshold, theta_b, retriever, phi, stats):
-    """Generate and verify one (query, bucket) pair at θ′ = ``threshold``.
+class _TopKQueue(_VerifyQueue):
+    """A verify queue that keeps each query's ``k`` best verified pairs.
 
-    Returns ``(candidates, cosines)`` of the verified candidates.
-    """
-    candidates = retriever.retrieve(bucket, query_direction, 1.0, threshold, theta_b, phi)
-    stats.candidates += int(candidates.size)
-    if candidates.size == 0:
-        return candidates, np.empty(0)
-    stats.inner_products += int(candidates.size)
-    # The kernel keeps each row's rounding independent of the candidate-set
-    # size; see the matching comment in above_theta.py.
-    return candidates, gather_matvec(bucket.directions, candidates, query_direction)
-
-
-class _RunningTopK:
-    """Per-query top-k state of a walk: the kept entries and θ′.
-
-    Row ``i`` keeps its entries sorted by (score desc, id asc), padded with
-    (-inf, ``_NO_ID``).  That order is total, so the kept set is a pure
-    function of the (score, id) pairs ever folded in — independent of the
-    order and grouping in which they arrive, and of how many
-    below-threshold candidates were verified along the way.  A row's θ′
-    becomes its k-th score once it holds ``k`` entries.
+    Hits are rows that reach the query's θ′.  Each verified chunk is merged
+    with the pairs kept so far by one sort on (query position, score desc,
+    id asc), and each query keeps the first ``k``: that order is total, so
+    the kept pairs are a pure function of the hits, not of the chunks they
+    arrived in.  Without equal scores, ids cannot matter, and a sort by
+    score then a stable one by position cost less than the lexsort.
     """
 
-    def __init__(self, rows: int, k: int) -> None:
+    def __init__(self, queries: PreparedQueries, store, seeds: np.ndarray, k: int) -> None:
+        super().__init__(queries, store, seeds, np.ones(queries.size))
         self.k = k
-        self.scores = np.full((rows, k), -np.inf)
-        self.ids = np.full((rows, k), _NO_ID, dtype=np.int64)
-        self.theta_prime = np.full(rows, -np.inf)
+        self.kept = (np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0),
+                     np.empty(0, np.intp))
 
-    def fold(self, bucket: Bucket, rows, candidates: np.ndarray, cosines: np.ndarray) -> None:
-        """Fold verified candidates of ``bucket`` into ``rows`` (one row or one per candidate)."""
-        verified = cosines * bucket.lengths[candidates]
-        # A score strictly below θ′ cannot displace any of the k kept entries.
-        useful = verified >= self.theta_prime[rows]
-        if not useful.any():
-            return
-        ids = bucket.ids[candidates[useful]].astype(np.int64)
-        verified = verified[useful]
-        if np.ndim(rows) == 0:
-            self._fold_row(rows, ids, verified)
+    def keep(self, positions: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> None:
+        positions, ids, scores = (np.concatenate((kept, new)) for kept, new in
+                                  zip(self.kept, (positions, ids, scores)))
+        order = np.argsort(-scores)
+        ranked = scores[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.lexsort((ids, -scores, positions))
         else:
-            self._fold_rows(rows[useful], ids, verified)
-
-    def _fold_row(self, row: int, ids: np.ndarray, scores: np.ndarray) -> None:
-        k = self.k
-        merged_scores = np.concatenate((self.scores[row], scores))
-        merged_ids = np.concatenate((self.ids[row], ids))
-        keep = np.lexsort((merged_ids, -merged_scores))[:k]
-        self.scores[row] = merged_scores[keep]
-        self.ids[row] = merged_ids[keep]
-        if self.ids[row, k - 1] != _NO_ID:
-            self.theta_prime[row] = self.scores[row, k - 1]
-
-    def _fold_rows(self, rows: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> None:
-        """:meth:`_fold_row` for many rows at once (``rows`` sorted)."""
-        k = self.k
-        touched, first, counts = np.unique(rows, return_index=True, return_counts=True)
-        if touched.size == 1:
-            self._fold_row(int(touched[0]), ids, scores)
-            return
-        merged_scores = np.full((touched.size, k + int(counts.max())), -np.inf)
-        merged_ids = np.full(merged_scores.shape, _NO_ID, dtype=np.int64)
-        merged_scores[:, :k] = self.scores[touched]
-        merged_ids[:, :k] = self.ids[touched]
-        group = np.repeat(np.arange(touched.size), counts)
-        column = k + np.arange(rows.size) - np.repeat(first, counts)
-        merged_scores[group, column] = scores
-        merged_ids[group, column] = ids
-        keep = np.lexsort((merged_ids, -merged_scores), axis=1)[:, :k]
-        self.scores[touched] = np.take_along_axis(merged_scores, keep, axis=1)
-        self.ids[touched] = np.take_along_axis(merged_ids, keep, axis=1)
-        full = self.ids[touched, k - 1] != _NO_ID
-        self.theta_prime[touched[full]] = self.scores[touched[full], k - 1]
+            order = order[np.argsort(positions[order], kind="stable")]
+        positions, ids, scores = positions[order], ids[order], scores[order]
+        slots = np.arange(positions.size) - np.searchsorted(positions, positions)
+        best = slots < self.k
+        self.kept = positions[best], ids[best], scores[best], slots[best]

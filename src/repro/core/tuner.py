@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.bucket import Bucket
 from repro.core.retrievers.base import BucketRetriever
 from repro.core.retrievers.length import BLOCK_ELEMENTS
+from repro.core.thresholds import local_thresholds
 from repro.core.vector_store import PreparedQueries
 from repro.utils.rng import ensure_rng
 
@@ -197,7 +198,8 @@ def _tune(
     # buckets no sampled query reaches are skipped without a Python step.
     longest = np.fromiter((bucket.max_length for bucket in buckets), dtype=np.float64,
                           count=len(buckets))
-    all_theta_bs = _local_thresholds(sample_thetas, sample_norms, longest[:, None])
+    with np.errstate(over="ignore"):  # a quotient past the float range is ±inf
+        all_theta_bs = local_thresholds(sample_thetas, sample_norms, longest[:, None])
     for number in np.flatnonzero((all_theta_bs <= 1.0).any(axis=1)).tolist():
         bucket = buckets[number]
         # The sampled queries that are not pruned for this bucket.
@@ -256,16 +258,3 @@ def length_pair_costs(cutoffs: np.ndarray, rank: int) -> np.ndarray:
     streamed = rank * 4 / width  # f32 bytes of a prefix row, shared by a block's pairs
     per_row = LENGTH_ROW_S + rank * LENGTH_ENTRY_S + streamed * LENGTH_BYTE_S
     return LENGTH_PAIR_S + cutoffs * per_row
-
-
-def _local_thresholds(thetas: np.ndarray, query_norms: np.ndarray, max_length) -> np.ndarray:
-    """:func:`~repro.core.thresholds.local_threshold` for per-query thresholds.
-
-    ``max_length`` may be a column of bucket lengths: the result then has
-    one row per bucket.
-    """
-    denominators = query_norms * max_length
-    out = np.where(thetas > 0.0, np.inf, -np.inf) + np.zeros_like(denominators)
-    with np.errstate(over="ignore"):  # a quotient past the float range is ±inf, as above
-        np.divide(thetas, denominators, out=out, where=denominators > 0.0)
-    return out

@@ -51,6 +51,7 @@ from repro.core.retrievers.length import (BLOCK_ELEMENTS, LengthRetriever, block
 from repro.core.selector import PerBucketSelector, RetrieverSelector
 from repro.core.stats import RunStats
 from repro.core.thresholds import local_threshold, local_thresholds
+from repro.core.top_k import seed_thresholds
 from repro.core.vector_store import PreparedQueries, VectorStore
 from repro.datasets.openie import IE_SVD_PROBE_COV, IE_SVD_QUERY_COV
 from repro.datasets.synthetic import synthetic_factors
@@ -102,8 +103,12 @@ def near_boundary_problem(seed: int):
     return queries, probes[rng.permutation(len(probes))]
 
 
-def reference_walk(prepared, buckets, selector, problem, parameter):
-    """Per-pair solver walk: every candidate verified, nothing screened."""
+def reference_walk(prepared, buckets, selector, problem, parameter, seeds=None):
+    """Per-pair solver walk: every candidate verified, nothing screened.
+
+    Row-Top-k walks each query at its fixed θ′ from ``seeds`` and keeps the
+    k best verified (score, id) pairs.
+    """
     stats = RunStats()
 
     def count(name, value):
@@ -134,13 +139,13 @@ def reference_walk(prepared, buckets, selector, problem, parameter):
     indices = np.full((prepared.size, parameter), -1, dtype=np.int64)
     scores = np.full((prepared.size, parameter), -np.inf)
     for position in range(prepared.size):
-        ids, best, theta_prime = np.empty(0, np.int64), np.empty(0), -np.inf
+        ids, best, theta_prime = np.empty(0, np.int64), np.empty(0), float(seeds[position])
         query = prepared.directions[position]
         for bucket in buckets:
             theta_b = local_threshold(theta_prime, 1.0, bucket.max_length)
             if theta_b > 1.0:
                 count("buckets_pruned", 1)
-                break
+                continue
             count("buckets_examined", 1)
             retriever, phi = selector.select(bucket, theta_b)
             rows = retriever.retrieve(bucket, query, 1.0, theta_prime, theta_b, phi)
@@ -149,10 +154,10 @@ def reference_walk(prepared, buckets, selector, problem, parameter):
             ids = np.concatenate((ids, bucket.ids[rows].astype(np.int64)))
             best = np.concatenate((best, gather_matvec(bucket.directions, rows, query)
                                    * bucket.lengths[rows]))
-            keep = np.lexsort((ids, -best))[:k]
-            ids, best = ids[keep], best[keep]
-            if best.size == k:
-                theta_prime = float(best[-1])
+        keep = np.lexsort((ids, -best))[:k]
+        ids, best = ids[keep], best[keep]
+        # θ′ is a lower bound on the k-th score: k verified rows reach it.
+        assert ids.size == k and best[-1] >= theta_prime
         original = prepared.ids[position]
         indices[original, :ids.size] = ids
         scores[original, :ids.size] = best * prepared.norms[position]
@@ -168,14 +173,14 @@ def solve_both(spec, kernel, problem, queries, probes, parameter=None):
         getattr(lemp, problem)(queries, parameter)  # warm: tuning cached from here on
         prepared = PreparedQueries(queries)
         thetas = (np.full(prepared.size, parameter) if problem == "above_theta"
-                  else lemp._surrogate_topk_thresholds(prepared, parameter))
+                  else seed_thresholds(prepared, lemp.layout(), parameter))
         selector = lemp._build_selector(prepared, thetas, problem, float(parameter))
         buckets = lemp.buckets
         before = {name: getattr(lemp.stats, name) for name in COUNTERS}
         result = getattr(lemp, problem)(queries, parameter)
         counters = {name: getattr(lemp.stats, name) - before[name] for name in COUNTERS}
         expected, reference_stats = reference_walk(prepared, buckets, selector, problem,
-                                                   parameter)
+                                                   parameter, thetas)
     arrays = ((result.query_ids, result.probe_ids, result.scores)
               if problem == "above_theta" else (result.indices, result.scores))
     return arrays, counters, expected, {name: getattr(reference_stats, name)

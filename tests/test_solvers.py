@@ -17,7 +17,7 @@ from repro.core.retrievers import IncrRetriever, LengthRetriever
 from repro.core.selector import FixedSelector, PerBucketSelector, RetrieverSelector
 from repro.core.stats import RunStats
 from repro.core.thresholds import local_thresholds
-from repro.core.top_k import solve_row_top_k
+from repro.core.top_k import seed_thresholds, solve_row_top_k
 from repro.core.vector_store import PreparedQueries, VectorStore
 from repro.datasets.openie import IE_SVD_PROBE_COV, IE_SVD_QUERY_COV
 from repro.datasets.synthetic import synthetic_factors
@@ -86,11 +86,18 @@ class TestSolveAboveTheta:
         assert query_ids.size == probe_ids.size == scores.size == 0
 
 
+def top_k(prepared, buckets, k, selector, stats):
+    """:func:`solve_row_top_k` at the seeds :meth:`Lemp.row_top_k` would take."""
+    layout = BucketLayout(buckets)
+    return solve_row_top_k(prepared, layout, k, seed_thresholds(prepared, layout, k), selector,
+                           stats)
+
+
 class TestSolveRowTopK:
     def test_matches_brute_force(self):
         queries, probes, prepared, buckets = build_problem(seed=20)
         stats = RunStats()
-        indices, scores = solve_row_top_k(prepared, buckets, 5, FixedSelector(IncrRetriever()), stats)
+        indices, scores = top_k(prepared, buckets, 5, FixedSelector(IncrRetriever()), stats)
         product = queries @ probes.T
         expected = -np.sort(-product, axis=1)[:, :5]
         np.testing.assert_allclose(scores, expected, atol=1e-9)
@@ -98,7 +105,7 @@ class TestSolveRowTopK:
     def test_indices_consistent_with_scores(self):
         queries, probes, prepared, buckets = build_problem(seed=21)
         stats = RunStats()
-        indices, scores = solve_row_top_k(prepared, buckets, 3, FixedSelector(LengthRetriever()), stats)
+        indices, scores = top_k(prepared, buckets, 3, FixedSelector(LengthRetriever()), stats)
         product = queries @ probes.T
         for query_id in range(queries.shape[0]):
             for slot in range(3):
@@ -109,7 +116,7 @@ class TestSolveRowTopK:
     def test_no_duplicate_probes_per_row(self):
         queries, probes, prepared, buckets = build_problem(seed=22)
         stats = RunStats()
-        indices, _ = solve_row_top_k(prepared, buckets, 8, FixedSelector(LengthRetriever()), stats)
+        indices, _ = top_k(prepared, buckets, 8, FixedSelector(LengthRetriever()), stats)
         for row in indices:
             valid = row[row >= 0]
             assert len(set(valid.tolist())) == valid.size
@@ -117,13 +124,13 @@ class TestSolveRowTopK:
     def test_bucket_pruning_happens_for_skewed_data(self):
         queries, probes, prepared, buckets = build_problem(length_cov=1.8, num_probes=400, seed=23)
         stats = RunStats()
-        solve_row_top_k(prepared, buckets, 1, FixedSelector(LengthRetriever()), stats)
+        top_k(prepared, buckets, 1, FixedSelector(LengthRetriever()), stats)
         assert stats.buckets_examined < len(buckets) * prepared.size
 
     def test_k_equal_to_probe_count(self):
         queries, probes, prepared, buckets = build_problem(num_probes=40, seed=24)
         stats = RunStats()
-        indices, scores = solve_row_top_k(prepared, buckets, 40, FixedSelector(LengthRetriever()), stats)
+        indices, scores = top_k(prepared, buckets, 40, FixedSelector(LengthRetriever()), stats)
         assert np.all(indices >= 0)
         product = queries @ probes.T
         np.testing.assert_allclose(scores, -np.sort(-product, axis=1), atol=1e-9)
