@@ -141,17 +141,17 @@ def _screen_span(layout: BucketLayout, first: int, stop: int, queries: PreparedQ
 
 
 def _screen_bucket(bucket: Bucket, queries: PreparedQueries, positions: np.ndarray,
-                   thetas: np.ndarray, norms: np.ndarray | None, cutoffs: np.ndarray,
+                   thetas: np.ndarray, norms: np.ndarray, cutoffs: np.ndarray,
                    selector: RetrieverSelector, stats: RunStats, queue: "_VerifyQueue") -> None:
     """Screen one bucket's pairs, split between LENGTH and coordinate retrievers.
 
     Pair ``j`` is the query ``positions[j]`` at threshold ``thetas[j]`` with
-    query norm ``norms[j]`` (1 for every pair when ``None``: Row-Top-k
-    ranks by direction), and keeps the rows whose exact score reaches
+    query norm ``norms[j]`` (all 1 for Row-Top-k, which ranks by
+    direction), and keeps the rows whose exact score reaches
     ``cutoffs[j]``.  Both solvers screen their coordinate-routed buckets
     here, and Row-Top-k all of its buckets.
     """
-    thresholds = local_thresholds(thetas, 1.0 if norms is None else norms, bucket.max_length)
+    thresholds = local_thresholds(thetas, norms, bucket.max_length)
     pairs = np.arange(positions.size)
     if positions.size < MIN_BLOCK_PAIRS:
         # A few queries: a block product would cost more than it saves.
@@ -165,16 +165,16 @@ def _screen_bucket(bucket: Bucket, queries: PreparedQueries, positions: np.ndarr
     if length_pairs.size:
         members = positions[length_pairs]
         for found, candidates in score_length_pairs(
-                bucket, queries, members, None if norms is None else norms[length_pairs],
-                thetas[length_pairs], cutoffs[length_pairs], stats):
+                bucket, queries, members, norms[length_pairs], thetas[length_pairs],
+                cutoffs[length_pairs], stats):
             queue.push(members[found], bucket.start + candidates)
 
     for pair, theta_b, (retriever, phi) in zip(
             coordinate_pairs.tolist(), thresholds[coordinate_pairs].tolist(), routes):
         position = int(positions[pair])
         candidates = retriever.retrieve(
-            bucket, queries.directions[position], 1.0 if norms is None else float(norms[pair]),
-            float(thetas[pair]), theta_b, phi)
+            bucket, queries.directions[position], float(norms[pair]), float(thetas[pair]),
+            theta_b, phi)
         stats.candidates += int(candidates.size)
         if candidates.size == 0:
             continue

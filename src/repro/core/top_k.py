@@ -57,7 +57,19 @@ def seed_thresholds(queries: PreparedQueries, layout: BucketLayout, k: int) -> n
     if queries.size == 0 or count == 0:
         return np.full(queries.size, -np.inf)
     bits = seed_bits(queries.rank)
-    probes, exponent = _seed_probes(layout, count, bits)
+    # The probes are rint(p·l_p·2^(bits−E)), E the exponent of the longest
+    # length, so every l_p < 2ᴱ.  The layout keeps the default count's: they
+    # take about 70 µs to build, an eighth of a single-row Row-Top-10 call.
+    found = layout.seed_probes if count <= SEED_PROBES else None
+    if found is None:
+        last = int(np.searchsorted(layout.offsets, count))
+        rows = span_positions(layout.starts[:last], layout.ends[:last])[:count]
+        exponent = math.frexp(layout.max_lengths[0])[1]
+        scaled = np.ldexp(layout.store.lengths[rows], bits - exponent)
+        found = np.rint(layout.store.directions[rows] * scaled[:, None]), exponent
+        if count <= SEED_PROBES:
+            layout.seed_probes = found
+    probes, exponent = found
     products = np.rint(np.ldexp(queries.directions, bits)) @ probes.T
     column = count - min(k, count)
     kth = np.partition(products, column, axis=1)[:, column]
@@ -66,24 +78,6 @@ def seed_thresholds(queries: PreparedQueries, layout: BucketLayout, k: int) -> n
     # A k-th score past the float range bounds nothing.
     seeds[~np.isfinite(seeds)] = -np.inf
     return seeds
-
-
-def _seed_probes(layout: BucketLayout, count: int, bits: int) -> tuple[np.ndarray, int]:
-    """The first ``count`` live rows in fixed point, ``rint(p·l_p·2^(bits−E))``, and ``E``.
-
-    ``E`` is the exponent of the longest row's length, so every ``l_p <
-    2ᴱ``.  The rows are kept on the layout for the largest count asked so
-    far; a smaller count takes their first rows.
-    """
-    found = layout.seed_probes
-    if found is None or found[0].shape[0] < count:
-        store = layout.store
-        last = int(np.searchsorted(layout.offsets, count))
-        rows = span_positions(layout.starts[:last], layout.ends[:last])[:count]
-        exponent = math.frexp(layout.max_lengths[0])[1]
-        scaled = np.ldexp(store.lengths[rows], bits - exponent)
-        found = layout.seed_probes = np.rint(store.directions[rows] * scaled[:, None]), exponent
-    return found[0][:count], found[1]
 
 
 def solve_row_top_k(
@@ -105,28 +99,23 @@ def solve_row_top_k(
     """
     indices = np.full((queries.size, k), -1, dtype=np.int64)
     scores = np.full((queries.size, k), -np.inf)
-    kept = min(k, int(layout.offsets[-1]))
-    if queries.size == 0 or kept == 0:
-        return indices, scores
-
     # Queries by increasing θ′: each bucket's live queries are a prefix.
     order = np.argsort(seeds, kind="stable")
     live = np.searchsorted(-layout.max_lengths, -seeds[order], side="right")
     examined = int(live.sum())
     stats.buckets_examined += examined
     stats.buckets_pruned += queries.size * len(layout.buckets) - examined
-    active = np.searchsorted(-live, -np.arange(int(live[0])), side="left")
+    active = np.searchsorted(-live, -np.arange(live.max(initial=0)), side="left")
 
-    queue = _TopKQueue(queries, layout.store, seeds, kept)
+    queue = _TopKQueue(queries, layout.store, seeds, k)
     for bucket, count in zip(layout.buckets, active.tolist()):
         positions = order[:count]
-        thresholds = seeds[positions]
-        _screen_bucket(bucket, queries, positions, thresholds, None, thresholds, selector,
-                       stats, queue)
+        _screen_bucket(bucket, queries, positions, seeds[positions], queue.norms[:count],
+                       queue.cutoffs[positions], selector, stats, queue)
         queue.flush(final=False)
     queue.flush(final=True)
 
-    positions, ids, best, slots = queue.kept
+    positions, ids, best, slots = queue.merge()
     original = queries.ids[positions]
     indices[original, slots] = ids
     # Ranking was computed against the normalised query (Section 4.5);
@@ -138,30 +127,38 @@ def solve_row_top_k(
 class _TopKQueue(_VerifyQueue):
     """A verify queue that keeps each query's ``k`` best verified pairs.
 
-    Hits are rows that reach the query's θ′.  Each verified chunk is merged
-    with the pairs kept so far by one sort on (query position, score desc,
-    id asc), and each query keeps the first ``k``: that order is total, so
-    the kept pairs are a pure function of the hits, not of the chunks they
-    arrived in.  Without equal scores, ids cannot matter, and a sort by
-    score then a stable one by position cost less than the lexsort.
+    Hits (rows that reach the query's cutoff, at first its θ′) wait until
+    they outnumber the kept pairs, so each is sorted a bounded number of
+    times however large ``k`` is.  Then :meth:`merge` lexsorts both on
+    (query position, score desc, id asc) and each query keeps the first
+    ``k``: that order is total, so the kept pairs are a pure function of
+    the hits, not of when they arrived.  A query that keeps ``k`` pairs
+    raises its cutoff to its ``k``-th score: a later row below it cannot
+    enter, and one equal to it still can (its id may be smaller).
     """
 
     def __init__(self, queries: PreparedQueries, store, seeds: np.ndarray, k: int) -> None:
-        super().__init__(queries, store, seeds, np.ones(queries.size))
+        super().__init__(queries, store, seeds.copy(), np.ones(queries.size))
         self.k = k
         self.kept = (np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0),
                      np.empty(0, np.intp))
 
     def keep(self, positions: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> None:
-        positions, ids, scores = (np.concatenate((kept, new)) for kept, new in
-                                  zip(self.kept, (positions, ids, scores)))
-        order = np.argsort(-scores)
-        ranked = scores[order]
-        if np.any(ranked[1:] == ranked[:-1]):
+        self.hits.append((positions, ids, scores))
+        if sum(hit[0].size for hit in self.hits) >= self.kept[0].size:
+            self.merge()
+
+    def merge(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Fold the waiting hits into the kept pairs; return ``(positions, ids, scores, slots)``."""
+        if self.hits:
+            positions, ids, scores = (np.concatenate(parts) for parts in
+                                      zip(self.kept[:3], *self.hits))
             order = np.lexsort((ids, -scores, positions))
-        else:
-            order = order[np.argsort(positions[order], kind="stable")]
-        positions, ids, scores = positions[order], ids[order], scores[order]
-        slots = np.arange(positions.size) - np.searchsorted(positions, positions)
-        best = slots < self.k
-        self.kept = positions[best], ids[best], scores[best], slots[best]
+            positions, ids, scores = positions[order], ids[order], scores[order]
+            slots = np.arange(positions.size) - np.searchsorted(positions, positions)
+            best = slots < self.k
+            self.kept = positions[best], ids[best], scores[best], slots[best]
+            self.hits = []
+            full = slots == self.k - 1
+            self.cutoffs[positions[full]] = scores[full]
+        return self.kept

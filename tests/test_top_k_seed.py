@@ -11,7 +11,9 @@ check that
 * the seed never exceeds the final k-th verified score, bit for bit, even
   where near-duplicate probes put that score a few ULPs from the seed rows',
   and it does not depend on the call's other queries;
-* verifying the queue in many small chunks changes no byte of the answer.
+* verifying the queue in many small chunks changes no byte of the answer,
+  and with k past the seed rows each hit is sorted a bounded number of
+  times.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def test_seed_does_not_depend_on_the_calls_other_queries():
     prepared = PreparedQueries(queries)
     # Each original row's seed, from one call on all of them.
     full = seed_thresholds(prepared, layout, 10)[np.argsort(prepared.ids)]
-    seed_thresholds(prepared, layout, SEED_PROBES + 100)  # caches more seed rows
+    seed_thresholds(prepared, layout, SEED_PROBES + 100)  # builds more seed rows
     for rows in ([0], [5, 6], [7, 8, 9, 10, 11], list(range(40, 140))):
         block = PreparedQueries(queries[rows])
         part = seed_thresholds(block, layout, 10)[np.argsort(block.ids)]
@@ -273,3 +275,34 @@ def test_chunked_verification_is_byte_identical(spec, monkeypatch):
     assert len(chunks) > 100
     assert result.indices.tobytes() == expected.indices.tobytes()
     assert result.scores.tobytes() == expected.scores.tobytes()
+
+
+def test_large_k_sorts_each_hit_a_bounded_number_of_times(monkeypatch):
+    """Past the seed rows θ′ bounds little.  Merging only once the waiting hits
+    outnumber the kept pairs sorts at most twice the hits plus the answer, and the
+    cutoffs the merges raise drop most rows; the answer stays exact."""
+    queries = make_factors(60, rank=RANK, length_cov=0.4, seed=95)
+    probes = make_factors(8000, rank=RANK, length_cov=0.3, seed=96)
+    k = SEED_PROBES + 100
+    lemp = Lemp(algorithm="LI", seed=0).fit(probes)
+    hits, sorted_rows = [], []
+    keep, merge = top_k._TopKQueue.keep, top_k._TopKQueue.merge
+
+    def counted_keep(self, positions, ids, scores):
+        hits.append(positions.size)
+        return keep(self, positions, ids, scores)
+
+    def counted_merge(self):
+        sorted_rows.append(self.kept[0].size + sum(hit[0].size for hit in self.hits))
+        return merge(self)
+
+    monkeypatch.setattr(above_theta, "VERIFY_QUEUE_ROWS", 1024)
+    monkeypatch.setattr(top_k._TopKQueue, "keep", counted_keep)
+    monkeypatch.setattr(top_k._TopKQueue, "merge", counted_merge)
+    result = lemp.row_top_k(queries, k)
+    indices, scores, _ = exhaustive_top_k(lemp, queries, k)
+    assert result.indices.tobytes() == indices.tobytes()
+    assert result.scores.tobytes() == scores.tobytes()
+    assert len(hits) > 20
+    assert sum(sorted_rows) <= 2 * sum(hits) + queries.shape[0] * k
+    assert sum(hits) < queries.shape[0] * probes.shape[0] // 2
