@@ -1,4 +1,4 @@
-"""Cache, kernel and worker ablations for the hot path.
+"""Cache and kernel ablations for the hot path.
 
 Three knobs are ablated here.  First, the paper's Section 6.2 comparison of
 cache-aware vs cache-oblivious bucketisation (the bucket-size cap as the
@@ -7,10 +7,9 @@ call used to re-run LEMP's sample-based tuner once per chunk; with the
 :class:`~repro.core.tuning_cache.TuningCache` it tunes once and every
 further chunk (and every repeated call at the same parameters) is a cache
 hit, with bit-identical results.  Third, the verification kernel
-(``einsum`` reference vs the blocked BLAS kernel) crossed with the engine's
-``workers`` dimension — every combination must return results identical to
-the serial einsum baseline (bit-identical within a kernel; the kernels
-agree on the retrieved sets).
+(``einsum`` reference vs the blocked BLAS kernel): within a kernel a
+chunked call must be bit-identical to one chunk, and the kernels must agree
+on the retrieved sets.
 """
 
 from __future__ import annotations
@@ -132,24 +131,14 @@ def test_engine_tuning_cache_report(benchmark, dataset_cache):
     )
 
 
-#: (kernel, workers) grid for the verification-kernel / sharding ablation.
-KERNEL_WORKER_SCENARIOS = (
-    ("einsum", 1),
-    ("blocked", 1),
-    ("einsum", 4),
-    ("blocked", 4),
-)
+def test_engine_kernel_report(benchmark, dataset_cache):
+    """Verification kernel ablation.
 
-
-def test_engine_kernel_workers_report(benchmark, dataset_cache):
-    """Verification kernel x workers ablation (PR 3 tentpole).
-
-    Chunked Row-Top-5 under every (kernel, workers) combination.  Within a
-    kernel, ``workers=4`` must be byte-identical to serial; across kernels
-    the retrieved sets must agree (the kernels differ only in last-ULP
+    Chunked Row-Top-5 under each kernel on a warm engine.  Within a kernel
+    the chunked call must be byte-identical to one chunk; across kernels the
+    retrieved sets must agree (the kernels differ only in last-ULP
     rounding).  The written table records the before/after of replacing the
-    einsum verification path with the blocked BLAS kernel, and what the
-    sharded execution adds on top.
+    einsum verification path with the blocked BLAS kernel.
     """
 
     def run_all():
@@ -158,42 +147,25 @@ def test_engine_kernel_workers_report(benchmark, dataset_cache):
             dataset = dataset_cache(dataset_name)
             batch_size = max(1, -(-dataset.queries.shape[0] // NUM_CHUNKS))
             references = {}
-            for kernel, workers in KERNEL_WORKER_SCENARIOS:
+            for kernel in ("einsum", "blocked"):
                 with use_kernel(kernel):
-                    engine = RetrievalEngine(
-                        "LEMP-LI", seed=BENCH_SEED, workers=workers
-                    ).fit(dataset.probes)
-                    engine.row_top_k(dataset.queries, 5, batch_size=batch_size)  # warm
+                    engine = RetrievalEngine("LEMP-LI", seed=BENCH_SEED).fit(dataset.probes)
+                    whole = engine.row_top_k(dataset.queries, 5)  # warm
                     result = engine.row_top_k(dataset.queries, 5, batch_size=batch_size)
                 call = engine.history[-1]
-                if kernel in references:
-                    expected = references[kernel]
-                    assert np.array_equal(result.indices, expected.indices)
-                    assert np.array_equal(result.scores, expected.scores)
-                else:
-                    references[kernel] = result
-                rows.append(
-                    [
-                        dataset_name,
-                        kernel,
-                        workers,
-                        call.workers,
-                        call.num_batches,
-                        f"{call.seconds:.4f}",
-                    ]
-                )
+                assert np.array_equal(result.indices, whole.indices)
+                assert np.array_equal(result.scores, whole.scores)
+                references[kernel] = result
+                rows.append([dataset_name, kernel, call.num_batches, f"{call.seconds:.4f}"])
             assert [set(row) for row in references["einsum"].indices] == [
                 set(row) for row in references["blocked"].indices
             ]
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    table = format_table(
-        ["dataset", "kernel", "workers", "sharded", "batches", "warm call [s]"], rows
-    )
+    table = format_table(["dataset", "kernel", "batches", "warm call [s]"], rows)
     write_report(
-        "ablation_kernel_workers.txt",
-        "Verification kernel x workers: chunked Row-Top-5, warm engines",
+        "ablation_kernel.txt",
+        "Verification kernel: chunked Row-Top-5, warm engines",
         table,
     )
-

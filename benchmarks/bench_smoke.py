@@ -1,24 +1,19 @@
-"""CI smoke benchmark: kernel and parallel-determinism gates.
+"""CI smoke benchmark: the kernel gate.
 
 Runs a tiny synthetic Row-Top-k / Above-θ workload through the
-:class:`~repro.engine.facade.RetrievalEngine` three ways — blocked kernel
-vs. the einsum reference, serially, and the blocked kernel with
-``workers=N`` — and writes the timings and check outcomes to a JSON report
-(``BENCH_smoke.json``).
+:class:`~repro.engine.facade.RetrievalEngine` twice — the blocked kernel
+and the einsum reference — and writes the timings and the check outcome to
+a JSON report (``BENCH_smoke.json``).
 
-The script exits non-zero (failing the CI ``bench-smoke`` job) when
-
-* the blocked verification kernel is slower end-to-end than the einsum
-  reference beyond ``--margin`` (the kernel must at least match einsum
-  throughput — the reason it exists), or
-* parallel results are not byte-identical to serial ones, or the parallel
-  run's cumulative counters drift from the serial run's.
+The script exits non-zero (failing the CI ``kernel-gate`` job) when the
+blocked verification kernel is slower end-to-end than the einsum reference
+beyond ``--margin``: the kernel must at least match einsum throughput — the
+reason it exists.
 
 BLAS runs on one thread (set before numpy loads, recorded as
-``blas_threads``): the kernel gate compares two kernels, not BLAS thread
+``blas_threads``): the gate compares two kernels, not BLAS thread
 scheduling.  Timings take the best of ``--repeats`` runs on warmed engines,
-which is robust against CI neighbours; the determinism checks are exact and
-noise-free.  Run locally with::
+which is robust against CI neighbours.  Run locally with::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py
 """
@@ -45,17 +40,6 @@ from repro.core.kernels import get_kernel, use_kernel
 from repro.datasets.synthetic import synthetic_factors
 from repro.engine import RetrievalEngine
 
-#: Statistics counters that must match exactly between the serial and
-#: parallel runs of the same warm engine.  (The comparison deliberately uses
-#: one engine with ``workers`` toggled: LEMP's tuner picks phi/switch points
-#: from *measured* sample costs, so two independently tuned engines may
-#: count candidates differently under timing jitter; on a shared warm
-#: tuning cache every counter is deterministic.)
-COUNTERS = (
-    "num_queries", "candidates", "results", "inner_products",
-    "buckets_examined", "buckets_pruned",
-)
-
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -65,7 +49,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--k", type=int, default=25, help="Row-Top-k k")
     parser.add_argument("--theta", type=float, default=0.70, help="Above-theta threshold")
     parser.add_argument("--batch-size", type=int, default=150, help="engine batch size")
-    parser.add_argument("--workers", type=int, default=4, help="parallel worker threads")
     parser.add_argument("--repeats", type=int, default=3, help="timed repeats (best is kept)")
     parser.add_argument(
         "--margin", type=float, default=1.10,
@@ -100,21 +83,13 @@ def workload(engine: RetrievalEngine, queries, args):
     return top, hits
 
 
-def counter_snapshot(engine) -> dict[str, int]:
-    return {name: getattr(engine.stats, name) for name in COUNTERS}
-
-
-def counter_delta(engine, before: dict[str, int]) -> dict[str, int]:
-    return {name: getattr(engine.stats, name) - before[name] for name in COUNTERS}
-
-
 def run_smoke(args: argparse.Namespace) -> dict:
     probes = synthetic_factors(args.probes, rank=args.rank, length_cov=0.8, seed=args.seed)
     queries = synthetic_factors(args.queries, rank=args.rank, length_cov=0.8, seed=args.seed + 1)
 
     timings: dict[str, float] = {}
 
-    # Kernel gate: two serially-executed engines, einsum vs blocked kernel.
+    # Two engines, einsum vs blocked kernel.
     with use_kernel("einsum"):
         einsum_engine = RetrievalEngine("lemp:LI", seed=args.seed).fit(probes)
         workload(einsum_engine, queries, args)  # warm-up: tunes, builds lazy indexes
@@ -133,40 +108,6 @@ def run_smoke(args: argparse.Namespace) -> dict:
         "detail": "blocked kernel must be at least as fast as einsum (within margin)",
     }
 
-    # Parallel gate: the same warm blocked engine with workers toggled, so
-    # the cached tuning is shared and every counter is deterministic.
-    before = counter_snapshot(engine)
-    top_serial, hits_serial = workload(engine, queries, args)
-    serial_deltas = counter_delta(engine, before)
-
-    engine.workers = args.workers
-    timings["parallel_blocked"] = best_of(args.repeats, lambda: workload(engine, queries, args))
-    before = counter_snapshot(engine)
-    top_parallel, hits_parallel = workload(engine, queries, args)
-    parallel_deltas = counter_delta(engine, before)
-
-    identical = (
-        np.array_equal(top_serial.indices, top_parallel.indices)
-        and np.array_equal(top_serial.scores, top_parallel.scores)
-        and np.array_equal(hits_serial.query_ids, hits_parallel.query_ids)
-        and np.array_equal(hits_serial.probe_ids, hits_parallel.probe_ids)
-        and np.array_equal(hits_serial.scores, hits_parallel.scores)
-    )
-    counter_drift = {
-        name: {"serial": serial_deltas[name], "parallel": parallel_deltas[name]}
-        for name in COUNTERS
-        if serial_deltas[name] != parallel_deltas[name]
-    }
-    sharded = [call.workers for call in engine.history[-2:]]
-    checks["parallel_determinism"] = {
-        "passed": identical and not counter_drift and all(w > 1 for w in sharded),
-        "results_byte_identical": identical,
-        "counter_drift": counter_drift,
-        "call_workers": sharded,
-        "detail": f"workers={args.workers} must return byte-identical results and stats",
-    }
-
-    speedup = timings["serial_blocked"] / timings["parallel_blocked"]
     report = {
         "benchmark": "bench_smoke",
         "library_version": __version__,
@@ -180,7 +121,6 @@ def run_smoke(args: argparse.Namespace) -> dict:
             "seed": args.seed,
         },
         "timings_seconds": {label: round(value, 5) for label, value in timings.items()},
-        "parallel_speedup_over_serial": round(speedup, 3),
         "checks": checks,
         "passed": all(check["passed"] for check in checks.values()),
     }
@@ -197,9 +137,9 @@ def main(argv=None) -> int:
     print(json.dumps(report, indent=2))
     if not report["passed"]:
         failed = [name for name, check in report["checks"].items() if not check["passed"]]
-        print(f"bench-smoke gate FAILED: {', '.join(failed)}", file=sys.stderr)
+        print(f"kernel gate FAILED: {', '.join(failed)}", file=sys.stderr)
         return 1
-    print("bench-smoke gate passed")
+    print("kernel gate passed")
     return 0
 
 

@@ -60,7 +60,7 @@ from repro.exceptions import (
     UnsupportedOperationError,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "ALGORITHMS",

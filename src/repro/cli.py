@@ -6,7 +6,7 @@ Usage (after ``pip install -e .``)::
     python -m repro datasets                         # list the synthetic datasets
     python -m repro topk --dataset netflix --k 10    # Row-Top-k with LEMP
     python -m repro above --dataset ie-svd --results 1000
-    python -m repro explain --dataset netflix --k 10 --workers 4
+    python -m repro explain --dataset netflix --k 10 --batch-size 512
     python -m repro index --dataset netflix --spec lemp:LI --out idx/
     python -m repro serve --index idx/ --clients 16 --workers 2
     python -m repro serve --index a=idx_a/ --index b=idx_b/ --max-resident-rows 100000
@@ -20,7 +20,7 @@ preprocessing / tuning time and candidates per query) so the paper's
 experiments can be replayed interactively.  ``index`` builds an index once,
 persists it, and verifies the reloaded copy — the starting point for serving
 deployments.  ``explain`` shows the :class:`~repro.engine.planner.ExecutionPlan`
-a workload would run under — chunking, workers, warm-up — without
+a workload would run under — chunks and backend — without
 executing it (add ``--execute`` to also run the call and check the recorded
 plan matches), plus the retriever's serving compatibility (micro-batching,
 mmap/process backend).  ``serve`` drives an
@@ -130,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     problem.add_argument("--k", type=int, default=None,
                          help="Row-Top-k workload (default: k=10 when --theta is absent)")
     problem.add_argument("--theta", type=float, default=None, help="Above-theta workload")
-    explain.add_argument("--workers", type=int, default=4,
-                         help="engine worker threads the plan's chunks may run on")
     explain.add_argument("--batch-size", type=int, default=None,
                          help="chunk size (default: the engine default)")
     explain.add_argument("--execute", action="store_true",
@@ -251,7 +249,7 @@ def _command_explain(args, out) -> int:
     k, theta = args.k, args.theta
     if k is None and theta is None:
         k = 10
-    engine = RetrievalEngine(args.algorithm, seed=args.seed, workers=args.workers)
+    engine = RetrievalEngine(args.algorithm, seed=args.seed)
     engine.fit(dataset.probes)
     plan = engine.explain(dataset.queries, theta=theta, k=k, batch_size=args.batch_size)
 
@@ -262,7 +260,7 @@ def _command_explain(args, out) -> int:
     )
     print(f"spec    : {normalize_spec(args.algorithm)} ({flags})", file=out)
     print(f"workload: {dataset.name}, {dataset.queries.shape[0]} queries x "
-          f"{engine.num_probes} probes, workers={args.workers}", file=out)
+          f"{engine.num_probes} probes", file=out)
     print(plan.describe(), file=out)
     print(describe_serve_compatibility(engine), file=out)
     if not args.execute:

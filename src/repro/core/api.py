@@ -84,7 +84,7 @@ class Retriever(ABC):
             "call fit() on the reduced probe matrix instead"
         )
 
-    # ------------------------------------------------------- parallel queries
+    # ------------------------------------------------------------ worker views
 
     def worker_view(self) -> "Retriever":
         """A query-only view of this fitted retriever with its own statistics.
@@ -92,10 +92,13 @@ class Retriever(ABC):
         The view shares the fitted index (store, buckets, caches) with the
         original but accumulates :class:`~repro.core.stats.RunStats` into a
         fresh object, so several views can answer queries concurrently
-        without racing on the counters.  The
-        :class:`~repro.engine.facade.RetrievalEngine` creates one view per
-        query shard when running with ``workers > 1`` and merges the views'
-        statistics back in shard order.
+        without racing on the counters: retrieval is read-only up to lazily
+        built per-bucket indexes, whose construction is deterministic and
+        idempotent (a racing double-build produces identical content).  Each
+        :class:`~repro.serve.WorkerPool` process solves its chunks on a view
+        and returns the view's statistics, which the engine merges back in
+        chunk order; :class:`~repro.serve.EngineManager` tenants solve on
+        separate threads.
 
         Views are for *queries only*: calling ``fit`` / ``partial_fit`` /
         ``remove`` on a view mutates state shared with the original and is
@@ -104,19 +107,6 @@ class Retriever(ABC):
         view = copy.copy(self)
         view.stats = RunStats()
         return view
-
-    @property
-    def supports_parallel_queries(self) -> bool:
-        """Whether concurrent queries through :meth:`worker_view` are safe.
-
-        ``True`` by default: retrieval is read-only up to lazily built
-        per-bucket indexes, whose construction is deterministic and
-        idempotent (a racing double-build produces identical content).
-        Retrievers whose query path mutates shared state in a
-        non-reusable way override this with ``False`` and the engine falls
-        back to serial execution.
-        """
-        return True
 
     @property
     def supports_updates(self) -> bool:

@@ -37,8 +37,8 @@ on BLAS builds whose SIMD reduction differs from einsum's scalar loop
 what the test suite asserts — is that *within* either kernel, a candidate's
 score never depends on the surrounding candidate set, so every equivalence
 guarantee (tuning on/off, ``partial_fit``/``remove``, ``save``/``load``,
-serial vs. ``workers=N``) holds bit-for-bit under whichever kernel is
-active.
+one chunk vs. many, in-process vs. a worker process pool) holds
+bit-for-bit under whichever kernel is active.
 
 The active kernel is chosen once at import from the ``REPRO_KERNEL``
 environment variable and can be switched at runtime with :func:`set_kernel`

@@ -180,32 +180,6 @@ class Lemp(Retriever):
         """Number of indexed probe rows, or ``None`` before :meth:`fit`."""
         return None if self.store is None else self.store.size
 
-    @property
-    def supports_parallel_queries(self) -> bool:
-        """Whether the engine may shard queries across concurrent worker views.
-
-        ``True`` for every LEMP variant.  For the exact algorithms candidate
-        generation only reads shared state (lazy per-bucket index builds are
-        deterministic and idempotent; the L2AP lower-bound rule keeps
-        concurrently rebuilt indexes exact), and every candidate is verified
-        with the deterministic kernel, so results are bit-identical to
-        serial execution regardless of interleaving.  The approximate
-        LEMP-BLSH qualifies too: its per-(query, bucket) minimum-match base
-        is a pure function of the pair's own local threshold (see
-        :mod:`repro.core.retrievers.blsh`), so its — approximate — results
-        are the same for any query processing order.  (Before the base was
-        order-free, BLSH *ratcheted* a shared per-bucket base down in
-        processing order and was excluded from parallel queries.)
-
-        Caveat for LEMP-L2AP: on a *cold* parallel call the order in which
-        worker views rebuild a bucket's threshold-reduced index is
-        interleaving-dependent, so candidate-count statistics (never the
-        results) can differ from a serial run until every index has
-        ratcheted to the smallest base; warm calls are fully
-        deterministic.
-        """
-        return True
-
     def get_params(self) -> dict:
         """Constructor arguments needed to rebuild an equivalent retriever."""
         return {
@@ -644,8 +618,20 @@ class Lemp(Retriever):
         """A query-only view (:meth:`~repro.core.api.Retriever.worker_view`) sharing the layout.
 
         The layout is built on this retriever before it is copied, so views
-        made for one call's chunks, or one per chunk in a worker process,
-        do not each rebuild it.
+        made one per chunk in a worker process, or one per thread, do not
+        each rebuild it.
+
+        Views are safe to query concurrently for every LEMP variant: lazy
+        per-bucket index builds are deterministic and idempotent, and every
+        candidate is verified with the deterministic kernel, so results do
+        not depend on interleaving.  LEMP-BLSH's per-(query, bucket)
+        minimum-match base is a pure function of the pair's own local
+        threshold (see :mod:`repro.core.retrievers.blsh`), so its
+        approximate results are order-free too.  Caveat for LEMP-L2AP: which
+        view rebuilds a bucket's threshold-reduced index first depends on
+        interleaving, so cold candidate counters (never results) can differ
+        from a serial run until every index has ratcheted to the smallest
+        base.
         """
         if self._fitted:
             self.layout()

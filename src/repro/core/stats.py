@@ -56,7 +56,7 @@ class RunStats:
     def merge(self, other: "RunStats") -> "RunStats":
         """Accumulate another run's counters into this one and return ``self``.
 
-        This is also the worker-view roll-up: engine workers record into
+        This is also the worker-view roll-up: worker processes record into
         private ``RunStats`` objects and are merged back *in plan order*
         (batch order).  The count fields are integers, so the merged totals equal
         a serial run's exactly; the ``seconds`` fields are float sums whose

@@ -18,12 +18,11 @@ Three equivalent calling styles::
 
 How a call *runs* is decided by the engine's
 :class:`~repro.engine.planner.ExecutionPlanner`: each call gets an explicit
-:class:`~repro.engine.planner.ExecutionPlan` — chunking, workers, warm-up —
-built from the call shape and the retriever's capabilities.  With
-``RetrievalEngine(..., workers=N)`` the chunks after a serial warm-up chunk
-run on worker views, and with a :class:`~repro.serve.WorkerPool` attached
-every chunk runs on a worker process; both stay bit-identical to serial
-execution (see :mod:`repro.engine.executor` for the mechanics).
+:class:`~repro.engine.planner.ExecutionPlan` — chunks, backend, workers —
+built from the call shape.  Chunks run one after another in the calling
+thread, or, with a :class:`~repro.serve.WorkerPool` attached, on worker
+processes; the pool stays bit-identical to serial execution (see
+:mod:`repro.engine.executor` for the mechanics).
 :meth:`RetrievalEngine.explain` returns the plan a call *would* use without
 executing anything, and the executed call records the identical plan on its
 :class:`EngineCall`.
@@ -31,7 +30,6 @@ executing anything, and the executed call records the identical plan on its
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +38,7 @@ from repro.core.results import AboveThetaResult, TopKResult
 from repro.engine.executor import run_plan
 from repro.engine.planner import (
     BACKEND_PROCESSES,
-    BACKEND_THREADS,
+    BACKEND_SERIAL,
     ExecutionPlan,
     ExecutionPlanner,
 )
@@ -79,15 +77,15 @@ class EngineCall:
     num_batches: int
     seconds: float
     num_results: int
+    #: The executed plan.
+    plan: ExecutionPlan
     tuning_cache_hits: int = 0
     tuning_cache_misses: int = 0
-    #: The executed plan (``None`` only for records predating the planner).
-    plan: ExecutionPlan | None = None
 
     @property
     def workers(self) -> int:
-        """Workers the call's chunks ran on (1 = serial)."""
-        return self.plan.workers if self.plan is not None else 1
+        """Worker processes the call's chunks ran on (1 = serial)."""
+        return self.plan.workers
 
 
 class RetrievalEngine:
@@ -99,15 +97,6 @@ class RetrievalEngine:
         Either a spec string understood by
         :func:`repro.engine.registry.create_retriever` (``"lemp:LI"``,
         ``"naive"``, …) or an already-constructed retriever instance.
-    workers:
-        Number of threads the chunks of one call may run on (default 1 =
-        serial).  With ``workers > 1`` the first chunk runs serially,
-        warming the shared tuning cache, and the remaining chunks run on
-        :meth:`~repro.core.api.Retriever.worker_view` clones.  Results and
-        statistics are merged in batch order — bit-identical to a serial
-        run.  Calls with fewer than three chunks, and retrievers without
-        worker views (e.g. the clustered extension), run serially.  The
-        attribute is plain and may be reassigned between calls.
     history_limit:
         Cap on the per-call :attr:`history` list (default
         :data:`DEFAULT_HISTORY_LIMIT`; oldest records are evicted first),
@@ -118,10 +107,9 @@ class RetrievalEngine:
         (ignored otherwise; passing them with an instance is an error).
     """
 
-    def __init__(self, retriever, workers: int = 1,
+    def __init__(self, retriever,
                  history_limit: int | None = DEFAULT_HISTORY_LIMIT, **kwargs) -> None:
         """Build (from a spec string) or wrap (an instance) the retriever."""
-        self.workers = require_positive_int(workers, "workers")
         self.planner = ExecutionPlanner()
         if history_limit is not None:
             history_limit = require_positive_int(history_limit, "history_limit")
@@ -141,9 +129,7 @@ class RetrievalEngine:
             self._construct_kwargs = dict(params()) if callable(params) else {}
         self.history: list[EngineCall] = []
         self._probes: np.ndarray | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_size = 0
-        #: Attached :class:`~repro.serve.WorkerPool` (``None`` = threads).
+        #: Attached :class:`~repro.serve.WorkerPool` (``None`` = serial).
         self.worker_pool = None
 
     # ------------------------------------------------------------- life cycle
@@ -263,9 +249,8 @@ class RetrievalEngine:
             parameter=float(parameter),
             num_queries=int(num_queries),
             batch_size=self._resolve_batch_size(batch_size),
-            workers=self.workers if pool is None else pool.size,
-            retriever=self.retriever,
-            backend=BACKEND_THREADS if pool is None else BACKEND_PROCESSES,
+            workers=1 if pool is None else pool.size,
+            backend=BACKEND_SERIAL if pool is None else BACKEND_PROCESSES,
         )
 
     def use_worker_pool(self, pool) -> "RetrievalEngine":
@@ -277,7 +262,16 @@ class RetrievalEngine:
         merged in plan order — byte-identical to running the call serially in
         this process.  Detach with :meth:`detach_worker_pool`; the engine
         does not own the pool's lifetime (call ``pool.shutdown()`` yourself).
+
+        Raises :class:`~repro.exceptions.UnsupportedOperationError` when
+        the retriever has no :meth:`~repro.core.api.Retriever.worker_view`
+        (the clustered extension), since each worker solves on one.
         """
+        if getattr(self.retriever, "worker_view", None) is None:
+            raise UnsupportedOperationError(
+                f"{type(self.retriever).__name__} has no worker_view(), so its "
+                "calls cannot run on a worker process pool"
+            )
         self.worker_pool = pool
         return self
 
@@ -294,8 +288,8 @@ class RetrievalEngine:
         problem; ``queries`` is the query matrix — or, as a convenience, a
         plain row count, since planning only reads the shape.  The returned
         plan compares equal (``==``) to the :attr:`EngineCall.plan` the real
-        call records, provided the engine state (index, :attr:`workers`,
-        attached worker pool) is unchanged in between::
+        call records, provided the engine state (index, attached worker
+        pool) is unchanged in between::
 
             plan = engine.explain(queries, k=10, batch_size=4096)
             print(plan.describe())
@@ -320,24 +314,6 @@ class RetrievalEngine:
         _require_method(self.retriever, "row_top_k")
         return self._plan("row_top_k", float(k), num_queries, batch_size)
 
-    def _executor(self, workers: int) -> ThreadPoolExecutor:
-        """The engine-owned worker thread pool, (re)created lazily.
-
-        Reused across calls so worker threads — and their per-thread kernel
-        scratch buffers — stay warm; recreated only when :attr:`workers`
-        changes so the pool size always matches the configured concurrency.
-        Idle threads are cleaned up at interpreter exit by
-        :mod:`concurrent.futures` itself.
-        """
-        if self._pool is None or self._pool_size != workers:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-engine-worker"
-            )
-            self._pool_size = workers
-        return self._pool
-
     def _iter_above(self, queries: np.ndarray, theta: float, plan: ExecutionPlan):
         def solve(retriever, block):
             return retriever.above_theta(block, theta)
@@ -358,11 +334,12 @@ class RetrievalEngine:
         multiply the tuning overhead.  With the cache disabled
         (``tune_cache=False``) every batch tunes afresh.
 
-        With ``workers > 1`` upcoming batches are prefetched on the worker
-        pool (a bounded window of ``2 * plan.workers``), so abandoning the
-        iterator early may still have computed — and counted into the
-        retriever's statistics — a few batches beyond the last one consumed.
-        Yield order remains strict query order either way.
+        With a :class:`~repro.serve.WorkerPool` attached, upcoming batches
+        are prefetched on the pool (a bounded window of
+        ``2 * plan.workers``), so abandoning the iterator early may still
+        have computed — and counted into the retriever's statistics — a few
+        batches beyond the last one consumed.  Yield order remains strict
+        query order either way.
         """
         queries = as_float_matrix(queries, "queries")
         require_positive(theta, "theta")
@@ -423,10 +400,9 @@ class RetrievalEngine:
                 num_results: int, hits_before: int = 0, misses_before: int = 0) -> None:
         hits_after, misses_after = self._tuning_counters()
         call = EngineCall(plan.problem, plan.parameter, plan.num_queries,
-                          num_batches, seconds, num_results,
+                          num_batches, seconds, num_results, plan,
                           tuning_cache_hits=hits_after - hits_before,
-                          tuning_cache_misses=misses_after - misses_before,
-                          plan=plan)
+                          tuning_cache_misses=misses_after - misses_before)
         self.history.append(call)
         if self.history_limit is not None and len(self.history) > self.history_limit:
             del self.history[: len(self.history) - self.history_limit]
@@ -455,10 +431,7 @@ class RetrievalEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         """Debug representation with spec and index size."""
         spec = self.spec or type(self.retriever).__name__
-        return (
-            f"RetrievalEngine(spec={spec!r}, num_probes={self.num_probes}, "
-            f"workers={self.workers})"
-        )
+        return f"RetrievalEngine(spec={spec!r}, num_probes={self.num_probes})"
 
 
 class QueryBuilder:

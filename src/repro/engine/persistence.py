@@ -80,6 +80,8 @@ from repro.exceptions import NotPreparedError, PersistenceError
 #: format-5 reader loads its files.  Loading a format-4/5 index saved with
 #: a tier drops the tier members, keywords and spec suffix and warns once
 #: (see :func:`load_engine`); the tier never changed an answer.
+#: Library 6.0 removed the engine's thread count and stops writing the
+#: ``"workers"`` key; the loader ignores it in indexes that still carry it.
 FORMAT_VERSION = 5
 
 #: Format versions :func:`load_engine` accepts.
@@ -147,7 +149,6 @@ def save_engine(engine, path) -> None:
         "kwargs": _jsonable(engine._construct_kwargs),
         "num_probes": int(engine.num_probes),
         "has_state": state is not None,
-        "workers": int(engine.workers),
         # Format-3 promise: every index.npz member is ZIP_STORED, so the
         # arrays can be memory-mapped in place (load_engine(mmap_mode="r")).
         "mmap_layout": True,
@@ -241,7 +242,7 @@ def load_engine(path, mmap_mode: str | None = None):
             stacklevel=2,
         )
 
-    engine = RetrievalEngine(spec, workers=int(meta.get("workers", 1)), **kwargs)
+    engine = RetrievalEngine(spec, **kwargs)
     if _is_blsh_retriever(engine.retriever) and meta.get("blsh_base") != BLSH_BASE_SEMANTICS:
         # A ratchet-era LEMP-BLSH index: the saved index itself is fine (the
         # signature filter was never serialised), but queries now run with

@@ -222,15 +222,12 @@ def available_specs() -> tuple[str, ...]:
 def spec_capabilities(spec: str) -> dict:
     """Capability flags of the method behind ``spec``, as a plain dict.
 
-    The flags are what the :class:`~repro.engine.planner.ExecutionPlanner`
-    consults on the live retriever instance, surfaced here so callers (the
-    CLI's ``explain``, monitoring dashboards) can inspect a method without
-    building an index:
+    The flags are class-level contracts of the live retriever instance,
+    surfaced here so callers (the CLI's ``explain``, monitoring dashboards)
+    can inspect a method without building an index:
 
     * ``exact`` — returns exactly the requested entries of ``Q·Pᵀ``
       (:func:`spec_is_exact`);
-    * ``parallel_queries`` — query chunks may run concurrently on
-      :meth:`~repro.core.api.Retriever.worker_view` clones;
     * ``updates`` — ``partial_fit`` / ``remove`` are implemented.
 
     Flags are probed once per concrete spec on a default-constructed,
@@ -244,8 +241,6 @@ def spec_capabilities(spec: str) -> dict:
         instance = create_retriever(canonical)
         registration._capabilities[canonical] = {
             "exact": spec_is_exact(canonical),
-            "parallel_queries": bool(getattr(instance, "supports_parallel_queries", False))
-            and getattr(instance, "worker_view", None) is not None,
             "updates": bool(getattr(instance, "supports_updates", False)),
         }
     return dict(registration._capabilities[canonical])

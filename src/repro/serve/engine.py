@@ -37,10 +37,10 @@ tuned queries, their thresholds and the seed).
 
 Concurrency model: all batching state lives on the event loop; the solver
 runs on a dedicated single-thread executor, which serialises engine calls
-(``RetrievalEngine`` is not safe for concurrent calls — the engine itself
-parallelises *inside* a call via its planner, including across an attached
-:class:`~repro.serve.WorkerPool`).  Admission control bounds the rows
-admitted but not yet answered; beyond the bound, requests are shed with
+(``RetrievalEngine`` is not safe for concurrent calls; a call's chunks
+run in parallel only on an attached :class:`~repro.serve.WorkerPool`).
+Admission control bounds the rows admitted but not yet answered; beyond
+the bound, requests are shed with
 :class:`~repro.exceptions.ServiceOverloadedError` before consuming any
 solver time.  Per-request deadlines raise
 :class:`~repro.exceptions.RequestTimeoutError` in the caller while the
@@ -95,9 +95,8 @@ class ServingEngine:
     Parameters
     ----------
     engine:
-        The engine every micro-batch is solved on.  It may itself be
-        parallel — thread workers, or a process
-        :class:`~repro.serve.WorkerPool` attached via
+        The engine every micro-batch is solved on.  It may run each call's
+        chunks on a process :class:`~repro.serve.WorkerPool` attached via
         :meth:`~repro.engine.facade.RetrievalEngine.use_worker_pool` —
         the serving layer only serialises the *calls*, not their insides.
     max_batch_rows:
@@ -446,10 +445,9 @@ def serve_compatibility(engine) -> dict:
 
     Returns a JSON-able dict: the problems the retriever answers, whether
     micro-batching preserves byte-identity (always true for registered
-    retrievers — per-row independence is a library-wide invariant), whether
-    a batch's chunks can run on worker views, and whether the index can be
-    persisted in the mmap layout the process backend
-    (:class:`~repro.serve.WorkerPool`) requires.
+    retrievers — per-row independence is a library-wide invariant), and
+    whether the index can be persisted in the mmap layout the process
+    backend (:class:`~repro.serve.WorkerPool`) requires.
     """
     from repro.engine.persistence import _overrides_restore
 
@@ -463,7 +461,6 @@ def serve_compatibility(engine) -> dict:
         "spec": engine.spec,
         "problems": problems,
         "micro_batching": bool(problems),
-        "parallel_queries": bool(getattr(retriever, "supports_parallel_queries", False)),
         "mmap_index": mmap_capable,
         "process_backend": mmap_capable,
         # LEMP-L2AP's threshold-reduced bucket indexes keep the base of the
@@ -483,7 +480,6 @@ def describe_serve_compatibility(engine) -> str:
         f"serving: {compat['spec']}",
         f"  problems         : {', '.join(compat['problems']) or 'none'}",
         f"  micro-batching   : {'yes (byte-identical demux)' if compat['micro_batching'] else 'no'}",
-        f"  parallel queries : {'yes' if compat['parallel_queries'] else 'no'}",
         f"  mmap index       : {'yes' if compat['mmap_index'] else 'no (refit on load)'}",
         f"  process backend  : {'yes' if compat['process_backend'] else 'no'}",
         f"  counters         : deterministic ({compat['deterministic_counters']})",

@@ -1,7 +1,7 @@
 """Process workers sharing one memory-mapped read-only index.
 
-:class:`WorkerPool` is the third execution backend of the
-:class:`~repro.engine.planner.ExecutionPlanner` (after serial and threads):
+:class:`WorkerPool` is the second execution backend of the
+:class:`~repro.engine.planner.ExecutionPlanner` (after serial):
 N worker processes are started from an index *directory* (not a live
 engine), and each worker's initializer loads that directory with
 ``load_engine(path, mmap_mode="r")`` — every index array becomes a
@@ -9,8 +9,7 @@ read-only :class:`numpy.memmap`, so all N workers (and the parent, if it
 maps the same directory) share one physical copy of the index in the OS
 page cache instead of N+1 heap copies.
 
-Determinism across the process boundary mirrors the thread backend's
-contract:
+Determinism across the process boundary:
 
 * **Results** are byte-identical to a serial in-process run
   unconditionally: workers run the exact same solve on the exact same

@@ -96,6 +96,22 @@ def brute_force_top_k(queries, probes, k):
     return out, product
 
 
+def answer_arrays(result):
+    """A result's arrays, Above-θ in score order: a call emits its pairs bucket
+    by bucket, so a chunked call's order follows its chunks."""
+    if hasattr(result, "indices"):
+        return result.indices, result.scores
+    ordered = result.sorted_by_score()
+    return ordered.query_ids, ordered.probe_ids, ordered.scores
+
+
+def assert_same_answers(expected, observed, context=""):
+    """Byte-identical answers, Above-θ compared in score order."""
+    pairs = zip(answer_arrays(expected), answer_arrays(observed), strict=True)
+    for index, (left, right) in enumerate(pairs):
+        assert left.tobytes() == right.tobytes(), f"{context} array {index}"
+
+
 def assert_layout_invariants(lemp):
     """The bucket layout invariants every ``partial_fit`` / ``remove`` keeps.
 

@@ -16,7 +16,8 @@ check that this changes nothing observable:
   naive full product up to rounding at θ and tie-breaking at the k-th score.
 * **Batch composition.**  The block product's rounding depends on which
   queries share a block, so a query row must get byte-identical results
-  alone, inside a 7-row and a 1000-row call, and with ``workers=2``.
+  alone, inside a 7-row and a 1000-row call, and in a call cut into 250-row
+  chunks.
 * **The screen itself.**  :func:`block_survivors` must equal a brute-force
   reference (full f32 mask, cutoff mask, 2-D ``np.nonzero``) array for
   array, in ``(pair, row)`` order, keep every row the exact kernel keeps,
@@ -31,6 +32,7 @@ import importlib.util
 import math
 import mmap
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from repro.core.above_theta import solve_above_theta
 from repro.core.bucket import Bucket
 from repro.core.kernels import gather_matvec, screen_slack, use_kernel
 from repro.core.lemp import Lemp
+from repro.core.results import AboveThetaResult
 from repro.core.retrievers import IncrRetriever
 from repro.core.retrievers.length import (BLOCK_ELEMENTS, LengthRetriever, block_survivors,
                                           score_length_pairs, screen_thresholds)
@@ -418,12 +421,8 @@ def test_row_answer_is_independent_of_batch_composition(composition_engine, prob
         return getattr(engine, problem)(block, parameter, **kwargs)
 
     full = solve(queries)
-    engine.workers = 2
-    try:
-        parallel = solve(queries, batch_size=250)
-        assert engine.history[-1].workers == 2
-    finally:
-        engine.workers = 1
+    chunked = solve(queries, batch_size=250)
+    assert engine.history[-1].num_batches == 4
     answered = 0
     for row in (0, 3, 499, 998):
         alone = _row_answer(solve(queries[row:row + 1]), 0)
@@ -431,7 +430,7 @@ def test_row_answer_is_independent_of_batch_composition(composition_engine, prob
         start = min(max(row - 3, 0), len(queries) - 7)
         assert _row_answer(solve(queries[start:start + 7]), row - start) == alone
         assert _row_answer(full, row) == alone
-        assert _row_answer(parallel, row) == alone
+        assert _row_answer(chunked, row) == alone
     assert answered >= 3
 
 
@@ -447,29 +446,41 @@ def slow_mmap(monkeypatch):
 
 
 def test_parallel_chunks_fill_a_cold_screen_buffer(monkeypatch):
-    """Worker threads meet in the cold buckets of an index no call has screened yet
-    (the serial warm-up chunk holds zero queries, which reach no bucket): every
-    fill lands in the store's one buffer, and answers match a serial engine."""
+    """Four threads, each solving chunks on its own worker view, meet in the cold
+    buckets of an index no call has screened yet: every fill lands in the store's
+    one buffer, and answers match a serial engine."""
     probes = make_factors(4000, rank=16, length_cov=1.2, seed=23)
     queries = make_factors(800, rank=16, length_cov=1.2, seed=24)
     queries[:50] = 0.0
     theta = float(np.quantile(queries[-50:] @ probes.T, 0.97))
     serial = RetrievalEngine(Lemp(algorithm="L", max_bucket_size=40).fit(probes))
     expected = serial.above_theta(queries, theta, batch_size=50)
+    starts = list(range(0, len(queries), 50))
     slow_mmap(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            engine = RetrievalEngine(Lemp(algorithm="L", max_bucket_size=40).fit(probes),
-                                     workers=4)
-            result = engine.above_theta(queries, theta, batch_size=50)
-            assert engine.history[-1].workers == 4
+            lemp = Lemp(algorithm="L", max_bucket_size=40).fit(probes)
+            parts = {}
+
+            def solve(view, mine):
+                for start in mine:
+                    parts[start] = view.above_theta(queries[start:start + 50], theta)
+
+            threads = [threading.Thread(target=solve, args=(lemp.worker_view(), starts[i::4]))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            result = AboveThetaResult.concat([parts[start] for start in starts], theta,
+                                             query_offsets=starts)
             for name in ("query_ids", "probe_ids", "scores"):
                 assert getattr(result, name).tobytes() == getattr(expected, name).tobytes()
     finally:
         sys.setswitchinterval(interval)
-    lemp = engine.retriever
     rows = lemp.store.screen_rows
     filled = [bucket for bucket in lemp.buckets if bucket._filled is not None]
     assert filled and all(bucket._filled is rows for bucket in filled)

@@ -113,19 +113,20 @@ class TestCommands:
     def test_explain_prints_plan_without_running(self):
         code, output = run_cli(
             ["explain", "--dataset", "netflix", "--scale", "tiny",
-             "--k", "5", "--workers", "4", "--batch-size", "128"]
+             "--k", "5", "--batch-size", "128"]
         )
         assert code == 0
         assert "row_top_k" in output
         assert "workers" in output
         assert "reason" in output
-        assert "parallel_queries=yes" in output
+        assert "(exact=yes, updates=yes)" in output
+        assert "backend       : serial" in output
         assert "executed" not in output  # nothing ran
 
     def test_explain_execute_verifies_recorded_plan(self):
         code, output = run_cli(
             ["explain", "--dataset", "ie-svd", "--scale", "tiny",
-             "--theta", "1.5", "--workers", "3", "--execute"]
+             "--theta", "1.5", "--execute"]
         )
         assert code == 0
         assert "above_theta" in output

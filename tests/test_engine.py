@@ -186,7 +186,7 @@ class TestEngineBatching:
 def test_dropped_engine_is_freed_without_the_cycle_collector(workload):
     """An engine holds no reference cycle: it dies with its last reference."""
     queries, probes, _ = workload
-    engine = RetrievalEngine("lemp:LI", seed=0, workers=2).fit(probes)
+    engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
     engine.row_top_k(queries, 3, batch_size=20)
     engine.above_theta(queries, 0.5)
     alive = weakref.ref(engine)
@@ -388,6 +388,25 @@ class TestPersistenceFormat:
         assert np.array_equal(top.indices, expected_top.indices)
         assert np.array_equal(top.scores, expected_top.scores)
         _assert_above_bytes_equal(expected_above, loaded.above_theta(queries, theta))
+
+    def test_saved_thread_count_is_ignored(self, workload, tmp_path):
+        """Indexes saved by 5.x carry the engine's thread count, which 6.0 removed:
+        they load, and the count is ignored."""
+        queries, probes, _ = workload
+        with pytest.raises(TypeError):
+            RetrievalEngine("lemp:LI", workers=5)
+        engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
+        expected = engine.row_top_k(queries, 5)
+        engine.save(tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert "workers" not in meta
+        meta_path.write_text(json.dumps({**meta, "workers": 5}))  # as 5.x wrote it
+        loaded = RetrievalEngine.load(tmp_path / "idx")
+        top = loaded.row_top_k(queries, 5, batch_size=20)
+        assert loaded.history[-1].plan.backend == "serial" and not hasattr(loaded, "workers")
+        assert top.indices.tobytes() == expected.indices.tobytes()
+        assert top.scores.tobytes() == expected.scores.tobytes()
 
 
 def _assert_above_bytes_equal(expected, observed) -> None:

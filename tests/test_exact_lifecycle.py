@@ -3,11 +3,12 @@
 The exact engine promises that how an index came to be does not change its
 answers: an index grown by ``partial_fit`` / ``remove``, saved and loaded
 (eagerly or memory-mapped), written after a mapped load, emptied and
-refilled, refitted, or served in chunks on worker threads answers as a fresh
-``fit`` of the same probe rows.  This module pins that for every LEMP
-algorithm (the approximate BLSH included) under both verification kernels:
+refilled, refitted, or served in chunks answers as a fresh ``fit`` of the
+same probe rows.  This module pins that for every LEMP algorithm (the
+approximate BLSH included) under both verification kernels:
 
-* Row-Top-k byte-identical to the fresh fit (indices and score bits);
+* Row-Top-k byte-identical to the fresh fit (indices and score bits), and
+  for chunked calls to the fresh fit's one-chunk call too;
 * Above-θ with the same pairs and score bits as the fresh fit (compared
   sorted, since writes may re-cut buckets and so change the walk order),
   and, where the layout is unchanged (reloads, chunked calls), in the same
@@ -36,10 +37,10 @@ K = 5
 ALGORITHMS = ("L", "C", "I", "TA", "TREE", "L2AP", "LC", "LI", "BLSH")
 
 #: States whose bucket layout is the fresh fit's, so Above-θ keeps its order.
-SAME_LAYOUT = ("reloaded_eager", "reloaded_mmap", "sharded")
+SAME_LAYOUT = ("reloaded_eager", "reloaded_mmap", "chunked")
 
 STATES = ("updated", "reloaded_eager", "reloaded_mmap", "updated_reloaded_mmap",
-          "written_after_mmap_load", "emptied_and_refilled", "refitted", "sharded")
+          "written_after_mmap_load", "emptied_and_refilled", "refitted", "chunked")
 
 INTEGER_COUNTERS = [field.name for field in dataclasses.fields(RunStats)
                     if field.type in ("int", int)]
@@ -106,10 +107,9 @@ def engine_in_state(algorithm, state, problem, tmp_path):
         engine.fit(probes)
         current = probes
     else:
-        assert state == "sharded"
-        # Four chunks of ten rows, the three after the warm-up chunk on two
-        # worker threads; Above-θ output follows chunk order.
-        engine = RetrievalEngine(Lemp(algorithm=algorithm, seed=0), workers=2).fit(probes)
+        assert state == "chunked"
+        # Four chunks of ten rows; Above-θ output follows chunk order.
+        engine.fit(probes)
         kwargs = {"batch_size": 10}
         current = probes
     return engine, current, kwargs
@@ -122,8 +122,8 @@ def test_lifecycle_answers_as_a_fresh_fit(problem, state, algorithm, kernel, tmp
     queries, _, _, theta = problem
     with use_kernel(kernel):
         engine, current, kwargs = engine_in_state(algorithm, state, problem, tmp_path)
-        if state == "sharded":
-            assert engine.explain(queries, k=K, batch_size=10).workers == 2
+        if state == "chunked":
+            assert engine.explain(queries, k=K, batch_size=10).num_batches == 4
         else:
             assert_layout_invariants(engine.retriever)
         above = engine.above_theta(queries, theta, **kwargs)
@@ -132,8 +132,10 @@ def test_lifecycle_answers_as_a_fresh_fit(problem, state, algorithm, kernel, tmp
         fresh = RetrievalEngine(Lemp(algorithm=algorithm, seed=0)).fit(current)
         fresh_above = fresh.above_theta(queries, theta, **kwargs)
         fresh_top = fresh.row_top_k(queries, K, **kwargs)
+        one_chunk_top = fresh.row_top_k(queries, K)
 
     assert_topk_identical(top, fresh_top)
+    assert_topk_identical(top, one_chunk_top)
     if state in SAME_LAYOUT:
         assert_above_identical(above, fresh_above)
     else:

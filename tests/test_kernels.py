@@ -7,10 +7,11 @@ Two contracts are asserted here:
   row and the query: independent of which other candidates are scored with
   it, of their order, and of their count.  This is the invariant every
   engine equivalence guarantee (tuning on/off, incremental updates,
-  reloads, serial vs. parallel) rests on.
-* **Parallel determinism** — ``RetrievalEngine(workers=N)`` returns results
-  byte-identical to serial execution, with identical cumulative statistics
-  and :class:`~repro.engine.facade.EngineCall` counters.
+  reloads, one chunk vs. many) rests on.
+* **Chunked determinism** — a call cut into ``batch_size`` chunks returns
+  results byte-identical to one chunk, with identical cumulative statistics
+  and :class:`~repro.engine.facade.EngineCall` counters.  The process pool
+  is covered by the ``WorkerPool`` tests in ``tests/test_serving.py``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Lemp, RetrievalEngine
+from repro.baselines import NaiveRetriever
 from repro.core import kernels
 from repro.core.kernels import (
     ALIGNMENT,
@@ -36,8 +38,9 @@ from repro.core.kernels import (
     set_kernel,
     use_kernel,
 )
+from repro.core.results import AboveThetaResult, TopKResult
 from repro.exceptions import InvalidParameterError
-from tests.conftest import make_factors
+from tests.conftest import assert_same_answers, make_factors
 
 
 def random_rows(count, rank, seed, dtype=np.float64):
@@ -395,7 +398,7 @@ class TestEngineGuaranteesUnderBlockedKernel:
             )
 
 
-# ------------------------------------------------------- parallel determinism
+# ------------------------------------------------------- chunked determinism
 
 
 #: RunStats counters compared between runs.  Tuning is a pure function of
@@ -413,119 +416,102 @@ def counter_delta(engine, before):
     return {name: getattr(engine.stats, name) - before[name] for name in COUNTERS}
 
 
-def assert_same_call(serial_call, parallel_call, expect_workers):
-    assert parallel_call.problem == serial_call.problem
-    assert parallel_call.parameter == serial_call.parameter
-    assert parallel_call.num_queries == serial_call.num_queries
-    assert parallel_call.num_batches == serial_call.num_batches
-    assert parallel_call.num_results == serial_call.num_results
-    assert parallel_call.tuning_cache_hits == serial_call.tuning_cache_hits
-    assert parallel_call.tuning_cache_misses == serial_call.tuning_cache_misses
-    assert serial_call.workers == 1
-    assert parallel_call.workers == expect_workers
+class TestChunkedExecution:
+    """A call cut into ``batch_size`` chunks answers as one chunk.
 
+    A cold chunked call tunes on its first chunk's sample, so its counters
+    match a cold one-chunk call only where the tuned choice cannot move
+    them (``lemp:L`` never tunes; ``lemp:LI`` chooses the same on this
+    data either way); on a warm engine they always match.
+    """
 
-class TestParallelExecution:
-    @pytest.mark.parametrize("spec", ["lemp:LI", "naive"])
-    def test_row_top_k_matches_serial(self, small_problem, spec):
+    @pytest.mark.parametrize("problem,parameter,batch_size,batches",
+                             [("row_top_k", 9, 32, 7), ("above_theta", 0.8, 48, 5)])
+    @pytest.mark.parametrize("spec", ["lemp:LI", "lemp:L"])
+    def test_chunked_call_matches_one_chunk(self, small_problem, spec, problem, parameter,
+                                            batch_size, batches):
         probes, queries = small_problem
-        serial = RetrievalEngine(spec, workers=1).fit(probes)
-        parallel = RetrievalEngine(spec, workers=4).fit(probes)
-        expected = serial.row_top_k(queries, 9, batch_size=32)
-        observed = parallel.row_top_k(queries, 9, batch_size=32)
-        np.testing.assert_array_equal(expected.indices, observed.indices)
-        np.testing.assert_array_equal(expected.scores, observed.scores)
-        assert_same_call(serial.history[-1], parallel.history[-1], expect_workers=4)
-        assert counter_snapshot(parallel) == counter_snapshot(serial)
+        whole = RetrievalEngine(spec).fit(probes)
+        chunked = RetrievalEngine(spec).fit(probes)
+        expected = getattr(whole, problem)(queries, parameter)
+        observed = getattr(chunked, problem)(queries, parameter, batch_size=batch_size)
+        assert_same_answers(expected, observed)
+        whole_call, chunked_call = whole.history[-1], chunked.history[-1]
+        for name in ("problem", "parameter", "num_queries", "num_results",
+                     "tuning_cache_misses", "workers"):
+            assert getattr(chunked_call, name) == getattr(whole_call, name), name
+        assert (whole_call.num_batches, chunked_call.num_batches) == (1, batches)
+        assert counter_snapshot(chunked) == counter_snapshot(whole)
 
-    @pytest.mark.parametrize("spec", ["lemp:LI", "naive"])
-    def test_above_theta_matches_serial(self, small_problem, spec):
+    @pytest.mark.parametrize("problem", ["row_top_k", "above_theta"])
+    def test_naive_chunks_merge_as_direct_solves(self, small_problem, problem):
+        """Naive's BLAS product rounds by block shape, so a chunked naive call
+        must equal the same chunks solved directly, merged in query order."""
         probes, queries = small_problem
-        serial = RetrievalEngine(spec, workers=1).fit(probes)
-        parallel = RetrievalEngine(spec, workers=3).fit(probes)
-        expected = serial.above_theta(queries, 0.8, batch_size=48)
-        observed = parallel.above_theta(queries, 0.8, batch_size=48)
-        np.testing.assert_array_equal(expected.query_ids, observed.query_ids)
-        np.testing.assert_array_equal(expected.probe_ids, observed.probe_ids)
-        np.testing.assert_array_equal(expected.scores, observed.scores)
-        assert_same_call(serial.history[-1], parallel.history[-1], expect_workers=3)
-        assert counter_snapshot(parallel) == counter_snapshot(serial)
+        engine = RetrievalEngine("naive").fit(probes)
+        direct = NaiveRetriever().fit(probes)
+        parameter = 9 if problem == "row_top_k" else 0.8
+        observed = getattr(engine, problem)(queries, parameter, batch_size=32)
+        starts = list(range(0, queries.shape[0], 32))
+        parts = [getattr(direct, problem)(queries[start:start + 32], parameter)
+                 for start in starts]
+        if problem == "row_top_k":
+            expected = TopKResult.concat(parts, parameter)
+        else:
+            expected = AboveThetaResult.concat(parts, parameter, query_offsets=starts)
+        for name in ("indices", "query_ids", "probe_ids", "scores"):
+            if hasattr(expected, name):
+                assert getattr(observed, name).tobytes() == getattr(expected, name).tobytes()
+        assert engine.history[-1].num_batches == len(starts)
+        assert counter_snapshot(engine) == {name: getattr(direct.stats, name)
+                                            for name in COUNTERS}
 
-    def test_iter_batches_yield_in_query_order(self, small_problem):
-        probes, queries = small_problem
-        engine = RetrievalEngine("lemp:LI", workers=4).fit(probes)
-        offsets = [offset for offset, _ in engine.iter_row_top_k(queries, 4, batch_size=30)]
-        assert offsets == list(range(0, queries.shape[0], 30))
-
-    def test_workers_toggle_on_warm_engine_same_counters(self, small_problem):
-        """Same warm engine, workers toggled: identical results AND counters.
+    def test_chunking_on_warm_engine_same_counters(self, small_problem):
+        """Same warm engine, one chunk vs many: identical results AND counters.
 
         With the tuning cache warm both calls use the same tuned selectors,
         so even the tuning-dependent candidate counters must match exactly.
         """
         probes, queries = small_problem
         engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
-        engine.row_top_k(queries, 8, batch_size=40)  # cold call tunes once
+        engine.row_top_k(queries, 8)  # cold call tunes once
 
         before = counter_snapshot(engine)
-        serial_result = engine.row_top_k(queries, 8, batch_size=40)
-        serial_delta = counter_delta(engine, before)
+        whole_result = engine.row_top_k(queries, 8)
+        whole_delta = counter_delta(engine, before)
 
-        engine.workers = 4
         before = counter_snapshot(engine)
-        parallel_result = engine.row_top_k(queries, 8, batch_size=40)
-        parallel_delta = counter_delta(engine, before)
+        chunked_result = engine.row_top_k(queries, 8, batch_size=40)
+        chunked_delta = counter_delta(engine, before)
 
-        np.testing.assert_array_equal(serial_result.indices, parallel_result.indices)
-        np.testing.assert_array_equal(serial_result.scores, parallel_result.scores)
-        assert parallel_delta == serial_delta
-        serial_call, parallel_call = engine.history[-2], engine.history[-1]
-        assert serial_call.workers == 1 and parallel_call.workers == 4
-        assert parallel_call.tuning_cache_hits == serial_call.tuning_cache_hits
-        assert parallel_call.tuning_cache_misses == serial_call.tuning_cache_misses == 0
+        assert_same_answers(whole_result, chunked_result)
+        assert chunked_delta == whole_delta
+        whole_call, chunked_call = engine.history[-2], engine.history[-1]
+        assert whole_call.num_batches == 1 and chunked_call.num_batches == 6
+        assert whole_call.tuning_cache_hits == 1
+        assert chunked_call.tuning_cache_hits == chunked_call.num_batches
+        assert chunked_call.tuning_cache_misses == whole_call.tuning_cache_misses == 0
 
-    def test_warm_cache_first_batch_only_tunes_once(self, small_problem):
+    def test_l2ap_chunked_results_match_one_chunk(self, small_problem):
+        """Cold chunked L2AP: the same pairs and score bits as one cold chunk."""
         probes, queries = small_problem
-        engine = RetrievalEngine("lemp:LI", seed=0, workers=4).fit(probes)
-        engine.row_top_k(queries, 6, batch_size=25)
-        call = engine.history[-1]
-        assert call.tuning_cache_misses == 1
-        assert call.tuning_cache_hits == call.num_batches - 1
+        whole = RetrievalEngine("lemp:L2AP", seed=0).fit(probes)
+        chunked = RetrievalEngine("lemp:L2AP", seed=0).fit(probes)
+        expected = whole.above_theta(queries, 0.9)
+        observed = chunked.above_theta(queries, 0.9, batch_size=30)
+        assert_same_answers(expected, observed)
+        assert chunked.history[-1].num_batches == 8
 
-    def test_l2ap_parallel_results_match_serial(self, small_problem):
-        """Cold parallel L2AP: counters may drift (documented), results never."""
+    def test_blsh_answers_do_not_depend_on_chunking(self, small_problem):
+        # The order-free minimum-match base made LEMP-BLSH order-independent
+        # (the old base ratcheted in processing order), so its approximate
+        # answers are the same however the call is chunked.
         probes, queries = small_problem
-        serial = RetrievalEngine("lemp:L2AP", seed=0).fit(probes)
-        parallel = RetrievalEngine("lemp:L2AP", seed=0, workers=4).fit(probes)
-        expected = serial.above_theta(queries, 0.9, batch_size=30)
-        observed = parallel.above_theta(queries, 0.9, batch_size=30)
-        np.testing.assert_array_equal(expected.query_ids, observed.query_ids)
-        np.testing.assert_array_equal(expected.probe_ids, observed.probe_ids)
-        np.testing.assert_array_equal(expected.scores, observed.scores)
-        assert parallel.history[-1].workers == 4
-
-    def test_blsh_is_chunk_shardable(self, small_problem):
-        # The order-free minimum-match base made LEMP-BLSH order-independent,
-        # so it chunk-shards like every exact variant (it used to fall back
-        # to serial because the old base ratcheted in processing order).
-        probes, queries = small_problem
-        blsh = RetrievalEngine("lemp:BLSH", seed=0, workers=4).fit(probes)
-        blsh.row_top_k(queries, 3, batch_size=25)
-        assert blsh.history[-1].workers > 1
-
-    def test_retriever_without_worker_view_falls_back_to_serial(self, small_problem):
-        probes, queries = small_problem
-        engine = RetrievalEngine("clustered", num_clusters=4, workers=4).fit(probes)
-        engine.row_top_k(queries, 3, batch_size=50)
-        assert engine.history[-1].workers == 1
-
-    def test_workers_validated_and_persisted(self, small_problem, tmp_path):
-        probes, _ = small_problem
-        with pytest.raises(InvalidParameterError):
-            RetrievalEngine("naive", workers=0)
-        engine = RetrievalEngine("lemp:LI", seed=0, workers=5).fit(probes)
-        engine.save(tmp_path / "idx")
-        assert RetrievalEngine.load(tmp_path / "idx").workers == 5
+        blsh = RetrievalEngine("lemp:BLSH", seed=0).fit(probes)
+        expected = blsh.row_top_k(queries, 3)
+        observed = blsh.row_top_k(queries, 3, batch_size=25)
+        assert blsh.history[-1].num_batches > 1
+        assert_same_answers(expected, observed)
 
     def test_worker_view_shares_index_but_not_stats(self, small_problem):
         probes, queries = small_problem
@@ -544,26 +530,23 @@ class TestParallelExecution:
 
     @settings(max_examples=12, deadline=None)
     @given(
-        workers=st.integers(min_value=2, max_value=6),
         batch_size=st.integers(min_value=7, max_value=120),
         k=st.integers(min_value=1, max_value=12),
     )
-    def test_parallel_determinism_hypothesis(self, workers, batch_size, k):
-        """One warm engine, workers toggled: bit-identical results and stats."""
+    def test_chunked_determinism_hypothesis(self, batch_size, k):
+        """One warm engine, one chunk vs many: bit-identical results and stats."""
         probes = make_factors(400, rank=12, length_cov=0.8, seed=51)
         queries = make_factors(130, rank=12, length_cov=0.8, seed=52)
         engine = RetrievalEngine("lemp:LI", seed=0).fit(probes)
-        engine.row_top_k(queries, k, batch_size=batch_size)  # cold call tunes
+        engine.row_top_k(queries, k)  # cold call tunes
 
         before = counter_snapshot(engine)
-        expected = engine.row_top_k(queries, k, batch_size=batch_size)
-        serial_delta = counter_delta(engine, before)
+        expected = engine.row_top_k(queries, k)
+        whole_delta = counter_delta(engine, before)
 
-        engine.workers = workers
         before = counter_snapshot(engine)
         observed = engine.row_top_k(queries, k, batch_size=batch_size)
-        parallel_delta = counter_delta(engine, before)
+        chunked_delta = counter_delta(engine, before)
 
-        np.testing.assert_array_equal(expected.indices, observed.indices)
-        np.testing.assert_array_equal(expected.scores, observed.scores)
-        assert parallel_delta == serial_delta
+        assert_same_answers(expected, observed)
+        assert chunked_delta == whole_delta

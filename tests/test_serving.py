@@ -181,15 +181,27 @@ def test_worker_pool_direct_calls_match_serial(index_dir, requests_64):
         plan = engine.history[-1].plan
         assert plan.backend == "processes"
         assert plan.workers == 2
-        assert not plan.warmup
         assert "process pool" in plan.reason
         assert "backend       : processes" in plan.describe()
         engine.detach_worker_pool()
-        assert engine.explain(stacked, k=K).backend == "threads"
+        assert engine.explain(stacked, k=K).backend == "serial"
 
     assert_topk_equal(expected_topk, actual_topk)
     assert_above_equal(expected_above, actual_above)
     assert counters(engine.stats) == counters(baseline.stats)
+
+
+def test_worker_pool_refuses_a_retriever_without_worker_views(tmp_path):
+    """Each worker solves on a worker view, which the clustered extension lacks:
+    attaching a pool is refused before any worker process starts."""
+    probes = make_factors(200, rank=12, seed=16)
+    RetrievalEngine("clustered", num_clusters=4).fit(probes).save(tmp_path / "idx")
+    engine = RetrievalEngine.load(tmp_path / "idx")
+    with WorkerPool(tmp_path / "idx", workers=2) as pool:
+        with pytest.raises(UnsupportedOperationError, match="worker_view"):
+            engine.use_worker_pool(pool)
+        assert not pool._executor._processes
+    assert engine.worker_pool is None
 
 
 def test_process_plan_without_pool_is_rejected(index_dir):
